@@ -17,7 +17,6 @@ from .mittag_leffler import MLParams, ml_eval, ml_neg
 from .problems import ProblemSpec, SeparableSource, TimeGrid, TimeIndependentSource
 from .spectral import (
     EigenDecomposition,
-    apply_E,
     apply_F,
     build_eigendecomposition,
     estimate_T,

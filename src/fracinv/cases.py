@@ -18,14 +18,14 @@ import numpy as np
 from .errors import ConfigError
 from .fem import solve_fem
 from .grids import Field, Grid1D, Grid2D, GridLike
-from .inverse import InverseSetup, LMConfig, Observation
+from .inverse import InverseSetup, LMConfig
 from .mittag_leffler import ml_neg
 from .problems import ProblemSpec, TimeGrid, TimeIndependentSource
 from .spectral import build_eigendecomposition, estimate_T
 
 __all__ = ["BenchmarkCase", "get_case", "CASE_IDS", "exact_observation",
            "make_setup", "lm_config_for", "tensor_sine_basis",
-           "estimate_prior_T", "warm_start_v"]
+           "estimate_prior_T"]
 
 T_TRUE = 0.5
 
@@ -184,7 +184,6 @@ def make_setup(case: BenchmarkCase, alpha: float, n: Optional[int] = None,
         alpha,
         n_steps,
         diffusion=case.diffusion,
-        potential=0.0 if case.kind != "ipp" else 0.0,
         u0=case.u0,
         f=case.f if case.kind != "isp" else None,
         g=None,
@@ -295,26 +294,3 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, n_obs: int = 1024,
                      dirichlet=case.dirichlet or (0.0, 0.0))
     return est.t_hat
 
-
-def warm_start_v(case: BenchmarkCase, setup: InverseSetup, obs: Observation,
-                 T0: float, n_modes: int = 4) -> Optional[np.ndarray]:
-    """Initial space-parameter guess.
-
-    Backward problem: low-mode modal division of the observation at the time
-    prior (the classical fixed-time backward solve, truncated to a few modes
-    so noise amplification stays mild). Other kinds start from zero.
-    """
-    if case.kind != "bp" or case.domain != "interval":
-        return None
-    grid = setup.grid
-    basis = build_eigendecomposition(0.0, max(n_modes, 4), grid=grid)
-    gn = basis.project(obs.g_delta)
-    ns = np.arange(1, basis.count + 1, dtype=float)
-    if case.ref_sine_coeff is not None:
-        fn = case.ref_sine_coeff(ns)
-    else:
-        fn = basis.project(np.asarray([case.f(x) for x in [grid.nodes]][0]))
-    e1 = ml_neg(setup.alpha, 1.0, basis.eigenvalues * T0**setup.alpha)
-    coeffs = np.zeros(basis.count)
-    coeffs[:n_modes] = (gn[:n_modes] - (1.0 - e1[:n_modes]) / basis.eigenvalues[:n_modes] * fn[:n_modes]) / e1[:n_modes]
-    return basis.synthesize(coeffs)

@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .config import parse_config
-from .errors import ConfigError, FracinvError, NumericalError
+from .errors import ConfigError, FracinvError
 from .mittag_leffler import MLParams, ml_eval
 
 EXIT_OK = 0
@@ -83,7 +83,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (NumericalError, FracinvError) as exc:
+    except FracinvError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
 

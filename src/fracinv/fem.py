@@ -18,7 +18,7 @@ with smooth coefficients), is fully vectorized, and bitwise deterministic.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -35,7 +35,6 @@ __all__ = [
     "L1Weights",
     "FemOperator",
     "Trajectory",
-    "assemble_operator",
     "solve_fem",
     "caputo_derivative_at_T",
     "convergence_study",
@@ -59,11 +58,12 @@ class L1Weights:
         if not (0.0 < self.alpha <= 1.0):
             raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
 
-    @property
+    @cached_property
     def b(self) -> np.ndarray:
         j = np.arange(self.n_steps + 1, dtype=float)
         b = (j + 1.0) ** (1.0 - self.alpha) - j ** (1.0 - self.alpha)
         b[0] = 1.0  # 0**0 must read as 0 here so alpha=1 is backward Euler
+        b.setflags(write=False)  # built once, shared by every step
         return b
 
     def scale(self, tau: float) -> float:
@@ -267,10 +267,6 @@ class FemOperator:
         return lambda rhs: solver.solve(rhs)
 
 
-def assemble_operator(spec: ProblemSpec, grid: GridLike) -> FemOperator:
-    return FemOperator(grid, spec.diffusion, spec.potential)
-
-
 @dataclass
 class Trajectory:
     """Full time history of nodal fields, u[k] at time k*tau."""
@@ -282,9 +278,6 @@ class Trajectory:
     @property
     def final(self) -> np.ndarray:
         return self.values[-1]
-
-    def at(self, k: int) -> np.ndarray:
-        return self.values[k]
 
 
 def l1_evolve(
@@ -338,7 +331,7 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
               op: Optional[FemOperator] = None) -> Trajectory:
     """P1 + L1 forward solve; returns the full nodal trajectory."""
     if op is None:
-        op = assemble_operator(spec, grid)
+        op = FemOperator(grid, spec.diffusion, spec.potential)
     u0 = as_nodal_values(spec.u0, grid)
     lift = _lift_vector(spec, grid)
     w0 = (u0 - lift)[op.interior]

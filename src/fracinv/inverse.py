@@ -13,6 +13,10 @@ the space parameter and the scalar time influence the data too differently
 to share one weight. The time derivative is the forward difference
 (F(v, T + dT) - F(v, T)) / dT with a fixed small dT.
 
+One iteration costs one v-Jacobian and two forward solves: the trajectory of
+F(v_k, T_k), computed once and shared by the residual, the potential
+problem's sensitivity load and the time difference, and F(v_k, T_k + dT).
+
 Sensitivity systems (direction h):
   backward problem:   d_t^alpha w + A w = 0,        w(0) = h
   source problem:     d_t^alpha w + A w = g(t) h,   w(0) = 0
@@ -183,11 +187,6 @@ class InverseSetup:
     def interior(self) -> np.ndarray:
         return self._operator_for().interior
 
-    def param_dim(self) -> int:
-        if self.basis is not None:
-            return self.basis.shape[0]
-        return self.interior().size
-
     def param_to_nodal(self, p: np.ndarray) -> np.ndarray:
         """Expand a parameter vector to a full nodal field (zero boundary)."""
         v = np.zeros(self.grid.n_nodes)
@@ -209,8 +208,7 @@ class InverseSetup:
         if self.basis is not None:
             return self.basis @ _mass_dense_apply(self.grid, self.basis.T)
         op = self._operator_for()
-        m = self.interior().size
-        return _mass_dense_interior(op, m)
+        return op.mass_apply_interior(np.eye(op.interior.size))
 
     # -- forward machinery ------------------------------------------------------
 
@@ -246,10 +244,6 @@ def _mass_dense_apply(grid: GridLike, V: np.ndarray) -> np.ndarray:
     return _mass_for(grid).mass_apply(V)
 
 
-def _mass_dense_interior(op: FemOperator, m: int) -> np.ndarray:
-    return op.mass_apply_interior(np.eye(m))
-
-
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
     worst = max(float(np.max(v_nodal - IPP_CLAMP_MAX)), float(np.max(-v_nodal)), 0.0)
     if worst > IPP_CLAMP_SLACK:
@@ -273,11 +267,14 @@ def forward_map(setup: InverseSetup, v, T: float,
     return traj if return_trajectory else traj.final
 
 
-def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
-    """Dense Jacobian of F in the space parameter, (n_nodes, param_dim).
+def jacobian_v_matrix(setup: InverseSetup, v, T: float,
+                      base: Optional[Trajectory] = None) -> np.ndarray:
+    """Dense Jacobian of F in the space parameter, (n_nodes, n_params).
 
     Columns are sensitivity solves propagated simultaneously; boundary rows
-    are zero (Dirichlet data does not move with v).
+    are zero (Dirichlet data does not move with v). The potential problem's
+    load needs the trajectory of F(v, T); pass it as `base` if it is at hand,
+    otherwise it is solved for here.
     """
     v_nodal = v.nodal() if isinstance(v, Field) else as_nodal_values(v, setup.grid)
     tg = TimeGrid(setup.n_steps, T)
@@ -304,15 +301,16 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
             return float(g(times[k])) * mass_cols
 
     else:
-        base = forward_map(setup, v_nodal, T, return_trajectory=True)
-        w0 = np.zeros((m, p))
         grid = setup.grid
         if not isinstance(grid, Grid1D):
             raise ParameterError("potential reconstruction is one-dimensional")
+        if base is None:
+            base = forward_map(setup, v_nodal, T, return_trajectory=True)
+        w0 = np.zeros((m, p))
 
         def load_at(k):
-            B = _trilinear_mass_1d(grid, base.values[k])
-            return -(B[op.interior][:, op.interior] @ cols0)
+            diag, off = _trilinear_mass_1d(grid, base.values[k])
+            return -op._tri_matvec(diag[op.interior], off[op.interior[:-1]], cols0)
 
     final = l1_evolve(op, setup.alpha, tg, w0, load_at, keep_history=False)
     J = np.zeros((setup.grid.n_nodes, p))
@@ -320,22 +318,16 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
     return J
 
 
-def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> np.ndarray:
-    """Dense tridiagonal B(u) with B_ij = int phi_i phi_j u dx, u P1 (exact)."""
+def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal and off-diagonal of the tridiagonal B(u) on all nodes, with
+    B_ij = int phi_i phi_j u dx, u P1 (exact)."""
     h = grid.h
     ul = u_nodal[:-1]
     ur = u_nodal[1:]
-    d00 = h * (ul / 4.0 + ur / 12.0)
-    d11 = h * (ul / 12.0 + ur / 4.0)
-    off = h * (ul + ur) / 12.0
-    n = grid.n_nodes
-    B = np.zeros((n, n))
-    idx = np.arange(n - 1)
-    B[idx, idx] += d00
-    B[idx + 1, idx + 1] += d11
-    B[idx, idx + 1] = off
-    B[idx + 1, idx] = off
-    return B
+    diag = np.zeros(grid.n_nodes)
+    diag[:-1] += h * (ul / 4.0 + ur / 12.0)
+    diag[1:] += h * (ul / 12.0 + ur / 4.0)
+    return diag, h * (ul + ur) / 12.0
 
 
 def jacobian_v_apply(setup: InverseSetup, v, T: float, h) -> np.ndarray:
@@ -355,12 +347,17 @@ def jacobian_v_adjoint_apply(setup: InverseSetup, v, T: float, w) -> np.ndarray:
     return setup.param_to_nodal(coeffs)
 
 
-def jacobian_T(setup: InverseSetup, v, T: float, deltaT: float = 1e-3) -> np.ndarray:
-    """Forward finite difference (F(v, T + dT) - F(v, T)) / dT."""
+def jacobian_T(setup: InverseSetup, v, T: float, deltaT: float = 1e-3,
+               f0: Optional[np.ndarray] = None) -> np.ndarray:
+    """Forward finite difference (F(v, T + dT) - F(v, T)) / dT.
+
+    f0 is F(v, T) if it is at hand; otherwise it is solved for here.
+    """
     if T <= 0:
         raise ParameterError("T must be positive")
     fp = forward_map(setup, v, T + deltaT)
-    f0 = forward_map(setup, v, T)
+    if f0 is None:
+        f0 = forward_map(setup, v, T)
     return (fp - f0) / deltaT
 
 
@@ -397,19 +394,23 @@ def _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P):
     return sol[:p], float(sol[p])
 
 
-def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig) -> LMState:
+def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig,
+            base: Optional[Trajectory] = None) -> LMState:
     """One Levenberg-Marquardt update of (v, T).
 
     Inner products are the discrete L2 (mass) pairings; the penalty metric is
-    the L2 Gram of the parameter space, so the step is mesh-robust.
+    the L2 Gram of the parameter space, so the step is mesh-robust. `base` is
+    the trajectory of F(state.v, state.T) if it is at hand; otherwise it is
+    solved for here.
     """
     gamma_k = cfg.gamma0 * cfg.rho**state.k
     mu_k = cfg.mu0 * cfg.rho**state.k
 
-    Fk = forward_map(setup, state.v, state.T)
-    r = obs.g_delta - Fk
-    J = jacobian_v_matrix(setup, state.v, state.T)
-    JT = jacobian_T(setup, state.v, state.T, cfg.deltaT)
+    if base is None:
+        base = forward_map(setup, state.v, state.T, return_trajectory=True)
+    r = obs.g_delta - base.final
+    J = jacobian_v_matrix(setup, state.v, state.T, base)
+    JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, base.final)
 
     MJ = _mass_dense_apply(setup.grid, J)
     MJT = _mass_dense_apply(setup.grid, JT)
@@ -460,7 +461,8 @@ def lm_reconstruct(
     v_hist = []
     discrepancy_hit = None
     for k in range(cfg.max_iter + 1):
-        r = mass_norm(setup.grid, obs.g_delta - forward_map(setup, state.v, state.T))
+        base = forward_map(setup, state.v, state.T, return_trajectory=True)
+        r = mass_norm(setup.grid, obs.g_delta - base.final)
         if not np.isfinite(r):
             err = NumericalError(f"residual diverged at iteration {k}")
             err.history = history
@@ -474,7 +476,7 @@ def lm_reconstruct(
                 break
         if k == cfg.max_iter:
             break
-        state = lm_step(setup, state, obs, cfg)
+        state = lm_step(setup, state, obs, cfg, base)
 
     if cfg.stop == "oracle":
         errors = [h[2] for h in history]

@@ -35,7 +35,6 @@ __all__ = [
     "sine_basis",
     "hs_norm",
     "apply_F",
-    "apply_E",
     "solve_spectral",
     "solve_spectral_ipp",
     "estimate_T",
@@ -215,15 +214,6 @@ def apply_F(ed: EigenDecomposition, alpha: float, t: float, v) -> Field:
     c = _coeffs_of(v, ed)
     decay = ml_neg(alpha, 1.0, ed.eigenvalues * t**alpha)
     return Field(grid=ed.grid, coeffs=decay * c, basis=ed)
-
-
-def apply_E(ed: EigenDecomposition, alpha: float, t: float, v) -> Field:
-    """E(t) v = sum_n t^(alpha-1) E_{alpha,alpha}(-lambda_n t^alpha) (v, phi_n) phi_n."""
-    if t <= 0:
-        raise ParameterError("t must be positive")
-    c = _coeffs_of(v, ed)
-    fac = t ** (alpha - 1.0) * ml_neg(alpha, alpha, ed.eigenvalues * t**alpha)
-    return Field(grid=ed.grid, coeffs=fac * c, basis=ed)
 
 
 def _truncation_meta(ed: EigenDecomposition, nodal: np.ndarray, coeffs: np.ndarray) -> dict:

@@ -230,6 +230,17 @@ class TestLMStep:
         new = lm_step(setup, state, obs, cfg)
         assert mass_norm(setup.grid, new.v) <= 1e-10
         assert abs(new.T - 0.4) <= 1e-10
+        # handing lm_step the trajectory of F(v_k, T_k) only saves the solve
+        for make in (bp_setup, isp_setup, ipp_setup):
+            setup = make(n=32, steps=32)
+            x = setup.grid.nodes
+            obs = add_noise(forward_map(setup, SIN4(x), 0.5), 1e-2, seed=2)
+            cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45)
+            state = LMState(v=0.5 * np.sin(np.pi * x), T=0.45, k=1)
+            base = forward_map(setup, state.v, state.T, return_trajectory=True)
+            plain = lm_step(setup, state, obs, cfg)
+            shared = lm_step(setup, state, obs, cfg, base)
+            assert np.array_equal(plain.v, shared.v) and plain.T == shared.T
 
     def test_t_moves_toward_truth_with_v_fixed(self):
         # exact data, v pinned at truth by a huge v-penalty: the time update
@@ -269,6 +280,28 @@ class TestLMReconstruct:
         r_at_stop = res.history[res.k_star][1]
         if res.converged:
             assert r_at_stop <= cfg.eta * obs.noise_level
+
+    @pytest.mark.parametrize("make", [bp_setup, ipp_setup])
+    def test_two_forward_solves_per_iteration(self, make, monkeypatch):
+        # one solve at (v_k, T_k) shared by the residual, the step and the
+        # Jacobians, one at T_k + deltaT, and the residual of the last iterate
+        import fracinv.inverse as inverse_mod
+
+        setup = make(n=32, steps=32)
+        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 0.0, seed=1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return forward_map(*args, **kwargs)
+
+        monkeypatch.setattr(inverse_mod, "forward_map", counting)
+        K = 3
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
+                       max_iter=K, stop="max_iter")
+        res = lm_reconstruct(setup, obs, cfg)
+        assert len(res.history) == K + 1
+        assert len(calls) == 2 * K + 1
 
     def test_oracle_requires_truth(self):
         setup = bp_setup(n=32, steps=32)
