@@ -210,19 +210,28 @@ def lm_config_for(case: BenchmarkCase, alpha: float, *, T_init: float = 0.4,
     return LMConfig(**kw)
 
 
+# Exact data synthesis: sine modes of the modal solver, and the space
+# refinement and time steps of the fine FEM solve.
+DATA_MODES = 400
+DATA_REFINE = 2
+DATA_STEPS = {"interval": 1024, "unit_square": 128}
+# Observation grid of the estimator prior.
+PRIOR_N_OBS = 1024
+
+
 def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
-                      T: float = T_TRUE, data_refine: int = 2,
-                      data_steps: Optional[int] = None, modes: int = 400) -> np.ndarray:
+                      T: float = T_TRUE) -> np.ndarray:
     """Exact snapshot u(T) at the nodes of `grid`, from a finer solve.
 
     1D cases with unit diffusion use the modal solver (exact in time,
-    400 modes); everything else uses the FEM solver on a space-time mesh
-    refined by `data_refine` relative to `grid` and restricted to its nodes.
+    DATA_MODES modes); everything else uses the FEM solver with DATA_STEPS
+    time steps on a mesh DATA_REFINE times finer than `grid`, restricted to
+    its nodes.
     """
     truth_field = case.truth
 
     if case.domain == "interval" and case.kind in ("bp", "isp"):
-        ns = np.arange(1, modes + 1, dtype=float)
+        ns = np.arange(1, DATA_MODES + 1, dtype=float)
         lam = (ns * np.pi) ** 2
         if case.kind == "bp":
             u0c = case.truth_sine_coeff(ns)
@@ -235,8 +244,8 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
         x = grid.nodes
         return (np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * x))).T @ coeffs
 
-    n_fine = grid.n * data_refine
-    steps = data_steps if data_steps is not None else 1024 if case.domain == "interval" else 128
+    n_fine = grid.n * DATA_REFINE
+    steps = DATA_STEPS[case.domain]
     fine = Grid1D(n_fine) if case.domain == "interval" else Grid2D(n_fine)
     if case.kind == "ipp":
         spec = ProblemSpec(alpha=alpha, T=T, u0=case.u0,
@@ -254,14 +263,12 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
                            diffusion=case.diffusion, domain=case.domain)
     u = solve_fem(spec, fine, TimeGrid(steps, T)).final
     if case.domain == "interval":
-        return u[::data_refine]
+        return u[::DATA_REFINE]
     side = n_fine + 1
-    return u.reshape(side, side)[::data_refine, ::data_refine].ravel()
+    return u.reshape(side, side)[::DATA_REFINE, ::DATA_REFINE].ravel()
 
 
-def estimate_prior_T(case: BenchmarkCase, alpha: float, n_obs: int = 1024,
-                     window: Optional[tuple[int, int]] = None,
-                     T: float = T_TRUE) -> float:
+def estimate_prior_T(case: BenchmarkCase, alpha: float, T: float = T_TRUE) -> float:
     """Terminal-time prior from the asymptotic mode-ratio estimator, applied
     to an exact snapshot synthesized on a fine observation grid.
 
@@ -271,9 +278,9 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, n_obs: int = 1024,
     """
     if case.domain != "interval":
         raise ConfigError("the time prior is computed on interval cases")
-    grid = Grid1D(n_obs)
+    grid = Grid1D(PRIOR_N_OBS)
     g = exact_observation(case, alpha, grid, T=T)
-    n_modes = min(128, n_obs // 4)
+    n_modes = min(128, PRIOR_N_OBS // 4)
     basis = build_eigendecomposition(0.0, n_modes, grid=grid)
     ns = np.arange(1, n_modes + 1)
     if case.ref_sine_coeff is not None:
@@ -283,13 +290,12 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, n_obs: int = 1024,
     else:
         ref = Field.from_callable(case.u0, grid)
     obs = Field(grid=grid, values=g)
-    if window is None:
-        if case.kind == "isp":
-            # reference alive only where the known initial state has modes
-            nz = np.where(np.abs(ref.spectral(basis)) > 1e-12)[0]
-            window = (int(nz[0] + 1), int(nz[-1] + 1))
-        else:
-            window = (9, min(61, n_modes))
+    if case.kind == "isp":
+        # reference alive only where the known initial state has modes
+        nz = np.where(np.abs(ref.spectral(basis)) > 1e-12)[0]
+        window = (int(nz[0] + 1), int(nz[-1] + 1))
+    else:
+        window = (9, min(61, n_modes))
     est = estimate_T(obs, ref, basis, alpha, window, case.kind,
                      dirichlet=case.dirichlet or (0.0, 0.0))
     return est.t_hat

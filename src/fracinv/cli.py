@@ -19,11 +19,10 @@ EXIT_CONFIG = 2
 EXIT_NUMERICAL = 3
 
 
-def _add_common(p: argparse.ArgumentParser, config_required: bool = True) -> None:
-    p.add_argument("--config", required=config_required, help="experiment config file")
+def _add_common(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--config", required=True, help="experiment config file")
     p.add_argument("--out", default=None, help="output directory (overrides config)")
     p.add_argument("--seed", type=int, default=None, help="base RNG seed (overrides config)")
-    p.add_argument("--threads", type=int, default=1, help="parallel grid cells")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -34,6 +33,8 @@ def build_parser() -> argparse.ArgumentParser:
     for name in ("forward", "estimate-t", "recover-bp", "recover-isp",
                  "recover-ipp", "table", "convergence"):
         _add_common(sub.add_parser(name))
+    sub.choices["table"].add_argument("--threads", type=int, default=1,
+                                      help="parallel grid cells")
     ml = sub.add_parser("ml-eval", help="print E_{alpha,beta}(z) to 15 digits")
     ml.add_argument("alpha", type=float)
     ml.add_argument("beta", type=float)

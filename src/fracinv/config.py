@@ -7,7 +7,8 @@ Sections and keys (all optional unless noted):
   alphas   = 0.25 0.5 0.75
   epsilons = 0 1e-3 5e-3 1e-2 2e-2 5e-2
   seed     = 1234
-  t_init   = auto | <float>     (auto: asymptotic-estimator prior, 1D cases)
+  t_init   = auto | <float>     (auto: asymptotic-estimator prior; 1D cases
+                                only, a 2D case needs a number)
   max_iter = 24
   stop     = oracle | discrepancy | max_iter
 

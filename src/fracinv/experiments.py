@@ -73,11 +73,11 @@ def _snapshot_columns(grid, values):
 def _prior_for(case, alpha, cfg: ExperimentConfig) -> float:
     if cfg.t_init != "auto":
         return float(cfg.t_init)
-    if case.domain == "interval":
-        return estimate_prior_T(case, alpha)
-    # no 1D mode-ratio estimator on the square; fall back to the benchmark
-    # prior (override with an explicit t_init for genuinely unknown times)
-    return case_mod.T_TRUE
+    if case.domain != "interval":
+        # the mode-ratio estimator is one-dimensional; never substitute the truth
+        raise ConfigError(f"case {case.case_id}: t_init = auto needs the 1D "
+                          "estimator; set an explicit t_init")
+    return estimate_prior_T(case, alpha)
 
 
 def run_forward(cfg: ExperimentConfig, out_dir=None) -> list:

@@ -13,6 +13,14 @@ c = 1/(Gamma(2-alpha) tau^alpha); the factorization is computed once and
 reused across steps. Nonzero constant Dirichlet data is imposed by an affine
 lift. Assembly uses 3-point Gauss per element (exact for the P1 products
 with smooth coefficients), is fully vectorized, and bitwise deterministic.
+
+Both grids store M and A as sparse matrices and factor the SPD system
+(c M + A)_II by one banded Cholesky. The interior nodes are numbered
+row-major, so a node couples only to nodes at most one grid row away: the
+bandwidth b is 1 on the interval and n on the n x n square (the SW-NE
+diagonal neighbour sits n interior indices on). The band is read off the
+stored entries; the factor costs O(m b^2) and each solve O(m b) for m
+interior nodes.
 """
 
 from __future__ import annotations
@@ -24,7 +32,6 @@ from typing import Callable, Optional
 import numpy as np
 import scipy.sparse as sp
 from scipy.linalg import cho_solve_banded, cholesky_banded
-from scipy.sparse.linalg import splu
 from scipy.special import gamma as gamma_fn
 
 from .errors import InsufficientHistoryError, NumericalError, ParameterError, ShapeError
@@ -114,16 +121,17 @@ def _assemble_1d(grid: Grid1D, a, q):
 
     nn = grid.n_nodes
     diag_a = np.zeros(nn)
-    off_a = np.zeros(nn - 1)
     diag_a[:-1] += a_bar / h + m00
     diag_a[1:] += a_bar / h + m11
-    off_a[:] = s_off + m01
+    off_a = s_off + m01
 
     diag_m = np.zeros(nn)
     off_m = np.full(nn - 1, h / 6.0)
     diag_m[:-1] += h / 3.0
     diag_m[1:] += h / 3.0
-    return (diag_m, off_m), (diag_a, off_a)
+    M = sp.diags([off_m, diag_m, off_m], [-1, 0, 1], format="csr")
+    A = sp.diags([off_a, diag_a, off_a], [-1, 0, 1], format="csr")
+    return M, A
 
 
 def _assemble_2d(grid: Grid2D, a, q):
@@ -189,82 +197,60 @@ def _assemble_2d(grid: Grid2D, a, q):
     return M, A
 
 
+def _upper_band(K: sp.spmatrix) -> np.ndarray:
+    """Upper band storage of the symmetric K, as `cholesky_banded` reads it:
+    ab[u + i - j, j] = K[i, j] for i <= j, with the bandwidth u measured
+    from the stored entries."""
+    K = K.tocoo()
+    upper = K.col >= K.row
+    rows, cols = K.row[upper], K.col[upper]
+    u = int(np.max(cols - rows))
+    ab = np.zeros((u + 1, K.shape[0]))
+    ab[u + rows - cols, cols] = K.data[upper]
+    return ab
+
+
 class FemOperator:
-    """Assembled mass M and elliptic A = S_a + M_q on all nodes, with the
-    interior reduction and a reusable factorization of (c M + A)_II."""
+    """Sparse mass M and elliptic A = S_a + M_q on all nodes, the interior
+    block M_II, and a banded Cholesky factor of (c M + A)_II per scale c.
+
+    One factorization path serves both grids: with the row-major interior
+    numbering, (c M + A)_II is SPD with bandwidth 1 on the interval and n on
+    the n x n square, so `cholesky_banded` factors it on either.
+    """
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
-        self.potential = potential
         if isinstance(grid, Grid1D):
-            self._dim = 1
-            (self._m_diag, self._m_off), (self._a_diag, self._a_off) = _assemble_1d(
-                grid, diffusion, potential
-            )
+            self.M, self.A = _assemble_1d(grid, diffusion, potential)
             self.interior = np.arange(1, grid.n)
         else:
-            self._dim = 2
-            self._M2, self._A2 = _assemble_2d(grid, diffusion, potential)
+            self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior = np.where(grid.interior_mask())[0]
-        self._factor_cache: dict[float, object] = {}
-
-    # -- full-node matvecs ---------------------------------------------------
-    def _tri_matvec(self, diag, off, v):
-        if v.ndim == 1:
-            out = diag * v
-            out[:-1] += off * v[1:]
-            out[1:] += off * v[:-1]
-        else:
-            out = diag[:, None] * v
-            out[:-1] += off[:, None] * v[1:]
-            out[1:] += off[:, None] * v[:-1]
-        return out
+        self.M_II = self.M[self.interior][:, self.interior]
+        self._factor_cache: dict[float, np.ndarray] = {}
 
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
-        if self._dim == 1:
-            return self._tri_matvec(self._m_diag, self._m_off, v)
-        return self._M2 @ v
+        return self.M @ v
 
     def elliptic_apply(self, v: np.ndarray) -> np.ndarray:
-        if self._dim == 1:
-            return self._tri_matvec(self._a_diag, self._a_off, v)
-        return self._A2 @ v
+        return self.A @ v
 
     def mass_apply_interior(self, v_int: np.ndarray) -> np.ndarray:
         """M_II v (interior-to-interior)."""
-        if self._dim == 1:
-            full_shape = (self.grid.n_nodes,) + v_int.shape[1:]
-            full = np.zeros(full_shape)
-            full[self.interior] = v_int
-            return self.mass_apply(full)[self.interior]
-        return (self._M2[self.interior][:, self.interior]) @ v_int
+        return self.M_II @ v_int
 
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs; cached per scale c."""
         key = float(c)
         if key not in self._factor_cache:
-            if self._dim == 1:
-                diag = (c * self._m_diag + self._a_diag)[self.interior]
-                off = (c * self._m_off + self._a_off)[self.interior[:-1]]
-                ab = np.zeros((2, diag.size))
-                ab[0, 1:] = off
-                ab[1, :] = diag
-                try:
-                    cb = cholesky_banded(ab)
-                except Exception as exc:  # pragma: no cover - guarded by a>=a_min
-                    raise NumericalError(f"banded factorization failed: {exc}")
-                self._factor_cache[key] = ("banded", cb)
-            else:
-                K = (c * self._M2 + self._A2).tocsc()[self.interior][:, self.interior]
-                try:
-                    lu = splu(K.tocsc())
-                except Exception as exc:  # pragma: no cover
-                    raise NumericalError(f"sparse factorization failed: {exc}")
-                self._factor_cache[key] = ("splu", lu)
-        kind, solver = self._factor_cache[key]
-        if kind == "banded":
-            return lambda rhs: cho_solve_banded((solver, False), rhs)
-        return lambda rhs: solver.solve(rhs)
+            K = (c * self.M + self.A)[self.interior][:, self.interior]
+            try:
+                self._factor_cache[key] = cholesky_banded(_upper_band(K))
+            except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover - SPD
+                raise NumericalError(f"banded factorization failed: {exc}")
+        cb = self._factor_cache[key]
+        return lambda rhs: cho_solve_banded((cb, False), rhs)
 
 
 @dataclass

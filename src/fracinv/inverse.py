@@ -28,6 +28,7 @@ columns simultaneously through the L1 recursion.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional, Union
 
 import numpy as np
@@ -180,45 +181,49 @@ class InverseSetup:
         self.g = g if g is not None else (lambda t: 1.0)
         self.dirichlet = dirichlet
         self.basis = None if basis is None else np.asarray(basis, float)
-        self._op_cache: dict = {}
 
     # -- parametrization ------------------------------------------------------
 
     def interior(self) -> np.ndarray:
-        return self._operator_for().interior
+        return self.fixed_operator.interior
 
     def param_to_nodal(self, p: np.ndarray) -> np.ndarray:
         """Expand a parameter vector to a full nodal field (zero boundary)."""
-        v = np.zeros(self.grid.n_nodes)
         if self.basis is not None:
             return self.basis.T @ p
+        v = np.zeros(self.grid.n_nodes)
         v[self.interior()] = p
         return v
 
     def nodal_to_param(self, v_nodal: np.ndarray) -> np.ndarray:
         if self.basis is not None:
             # L2 projection onto the basis span
-            W = _mass_dense_apply(self.grid, self.basis.T)  # (nodes, p)
-            G = self.basis @ W
-            return np.linalg.solve(G, W.T @ v_nodal)
+            W = self.fixed_operator.mass_apply(self.basis.T)  # (nodes, p)
+            return np.linalg.solve(self.param_gram, W.T @ v_nodal)
         return np.asarray(v_nodal, float)[self.interior()]
 
+    @cached_property
     def param_gram(self) -> np.ndarray:
         """L2 Gram matrix of the parameter space (the penalty metric)."""
         if self.basis is not None:
-            return self.basis @ _mass_dense_apply(self.grid, self.basis.T)
-        op = self._operator_for()
-        return op.mass_apply_interior(np.eye(op.interior.size))
+            P = self.basis @ self.fixed_operator.mass_apply(self.basis.T)
+        else:
+            P = self.fixed_operator.M_II.toarray()
+        P.setflags(write=False)  # built once, shared by every LM step
+        return P
 
     # -- forward machinery ------------------------------------------------------
 
-    def _operator_for(self, v_nodal: Optional[np.ndarray] = None) -> FemOperator:
-        if self.kind == "ipp" and v_nodal is not None:
+    @cached_property
+    def fixed_operator(self) -> FemOperator:
+        """The operator of the known coefficients; its mass M serves every kind."""
+        return FemOperator(self.grid, self.diffusion, self.potential)
+
+    def _operator_for(self, v_nodal: np.ndarray) -> FemOperator:
+        """The operator of F(v, .): rebuilt for each potential iterate."""
+        if self.kind == "ipp":
             return FemOperator(self.grid, self.diffusion, v_nodal)
-        key = "fixed"
-        if key not in self._op_cache:
-            self._op_cache[key] = FemOperator(self.grid, self.diffusion, self.potential)
-        return self._op_cache[key]
+        return self.fixed_operator
 
     def spec_for(self, v_nodal: np.ndarray, T: float) -> ProblemSpec:
         domain = "interval" if isinstance(self.grid, Grid1D) else "unit_square"
@@ -236,12 +241,6 @@ class InverseSetup:
                            source=TimeIndependentSource(self.f),
                            diffusion=self.diffusion, potential=v_nodal,
                            dirichlet=self.dirichlet, domain=domain)
-
-
-def _mass_dense_apply(grid: GridLike, V: np.ndarray) -> np.ndarray:
-    from .fem import _mass_for
-
-    return _mass_for(grid).mass_apply(V)
 
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
@@ -262,7 +261,7 @@ def forward_map(setup: InverseSetup, v, T: float,
     if setup.kind == "ipp":
         v_nodal = _clamp_ipp(v_nodal)
     spec = setup.spec_for(v_nodal, T)
-    op = setup._operator_for(v_nodal if setup.kind == "ipp" else None)
+    op = setup._operator_for(v_nodal)
     traj = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, T), op=op)
     return traj if return_trajectory else traj.final
 
@@ -280,7 +279,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     tg = TimeGrid(setup.n_steps, T)
     if setup.kind == "ipp":
         v_nodal = _clamp_ipp(v_nodal)
-    op = setup._operator_for(v_nodal if setup.kind == "ipp" else None)
+    op = setup._operator_for(v_nodal)
     m = op.interior.size
     if setup.basis is not None:
         cols0 = setup.basis.T[op.interior]  # (m, p)
@@ -309,8 +308,13 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
         w0 = np.zeros((m, p))
 
         def load_at(k):
+            # -B(u^k) cols0 on the interior nodes 1..n-1; B is tridiagonal
             diag, off = _trilinear_mass_1d(grid, base.values[k])
-            return -op._tri_matvec(diag[op.interior], off[op.interior[:-1]], cols0)
+            d, o = diag[1:-1, None], off[1:-1, None]
+            load = d * cols0
+            load[:-1] += o * cols0[1:]
+            load[1:] += o * cols0[:-1]
+            return -load
 
     final = l1_evolve(op, setup.alpha, tg, w0, load_at, keep_history=False)
     J = np.zeros((setup.grid.n_nodes, p))
@@ -341,9 +345,8 @@ def jacobian_v_adjoint_apply(setup: InverseSetup, v, T: float, w) -> np.ndarray:
     """Adjoint J* w in the discrete L2 pairing: P^{-1} J^T M w."""
     J = jacobian_v_matrix(setup, v, T)
     w_nodal = w.nodal() if isinstance(w, Field) else as_nodal_values(w, setup.grid)
-    Mw = _mass_dense_apply(setup.grid, w_nodal)
-    P = setup.param_gram()
-    coeffs = np.linalg.solve(P, J.T @ Mw)
+    Mw = setup.fixed_operator.mass_apply(w_nodal)
+    coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
     return setup.param_to_nodal(coeffs)
 
 
@@ -412,16 +415,15 @@ def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig
     J = jacobian_v_matrix(setup, state.v, state.T, base)
     JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, base.final)
 
-    MJ = _mass_dense_apply(setup.grid, J)
-    MJT = _mass_dense_apply(setup.grid, JT)
+    MJ = setup.fixed_operator.mass_apply(J)
+    MJT = setup.fixed_operator.mass_apply(JT)
     G = J.T @ MJ
     cross = J.T @ MJT
     d = float(JT @ MJT)
     gv = MJ.T @ r
     gT = float(MJT @ r)
-    P = setup.param_gram()
 
-    dp, dT = _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P)
+    dp, dT = _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, setup.param_gram)
     dT = float(np.clip(dT, -cfg.t_step_cap * state.T, cfg.t_step_cap * state.T))
     # keep the time iterate positive: damp the time step, not the space step
     while state.T + dT <= cfg.deltaT:

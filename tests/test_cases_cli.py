@@ -139,6 +139,24 @@ class TestCli:
         rc = cli_main(["estimate-t", "--config", str(p)])
         assert rc == 2
 
+    def test_auto_prior_on_square_is_config_error(self, tmp_path, capsys):
+        # no 2D estimator exists, and the true time must not stand in for one
+        p = tmp_path / "sq.cfg"
+        p.write_text("[experiment]\ncase = 5.1ii\nalphas = 0.5\nt_init = auto\n"
+                     "max_iter = 1\n[mesh]\nn = 8\nsteps = 8\n")
+        rc = cli_main(["table", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "5.1ii" in err and "t_init" in err
+
+    def test_threads_only_on_table(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\n")
+        with pytest.raises(SystemExit) as exc:
+            cli_main(["forward", "--config", str(p), "--threads", "2"])
+        assert exc.value.code == 2
+        assert "--threads" in capsys.readouterr().err
+
     def test_forward_byte_deterministic(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(

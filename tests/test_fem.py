@@ -4,8 +4,10 @@ from scipy.special import gamma
 
 from fracinv.errors import InsufficientHistoryError
 from fracinv.fem import (
+    FemOperator,
     L1Weights,
     Trajectory,
+    _upper_band,
     caputo_derivative_at_T,
     convergence_study,
     mass_inner,
@@ -200,6 +202,46 @@ class TestSolveFem2D:
         pts = grid.nodes
         ref = factor * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
         assert mass_norm(grid, u - ref) < 5e-3
+
+
+class TestFemOperator:
+    """One sparse form and one banded Cholesky on both grids, checked against
+    dense linear algebra, with variable diffusion and a nonzero potential."""
+
+    C = 7.5  # a scale c of (c M + A)_II, as an L1 step would use
+
+    @pytest.fixture(params=["1d", "2d"])
+    def op(self, request):
+        if request.param == "1d":
+            return FemOperator(Grid1D(64), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                               lambda x: 2.0 + np.cos(3 * x))
+        return FemOperator(Grid2D(8), lambda x, y: 1.0 + x * y * (1 - y),
+                           lambda x, y: 1.0 + x + y**2)
+
+    def _dense(self, op):
+        I = op.interior
+        return (self.C * op.M + op.A).toarray()[np.ix_(I, I)], op.M.toarray()[np.ix_(I, I)]
+
+    def test_factorized_matches_dense_solve(self, op):
+        K, _ = self._dense(op)
+        rng = np.random.default_rng(0)
+        solve = op.factorized(self.C)
+        for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
+            ref = np.linalg.solve(K, rhs)
+            assert np.max(np.abs(solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_mass_apply_interior_matches_dense(self, op):
+        _, M_II = self._dense(op)
+        v = np.random.default_rng(1).standard_normal((M_II.shape[0], 3))
+        ref = M_II @ v
+        assert np.max(np.abs(op.mass_apply_interior(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.array_equal(op.M_II.toarray(), M_II)
+
+    def test_measured_bandwidth(self, op):
+        I = op.interior
+        ab = _upper_band((self.C * op.M + op.A)[I][:, I])
+        expected = op.grid.n if isinstance(op.grid, Grid2D) else 1
+        assert ab.shape == (expected + 1, I.size)
 
 
 class TestSpectralFemAgreement:
