@@ -19,9 +19,8 @@ from .errors import ConfigError
 from .fem import solve_fem
 from .grids import Field, Grid1D, Grid2D, GridLike
 from .inverse import InverseSetup, LMConfig
-from .mittag_leffler import ml_neg
 from .problems import ProblemSpec, TimeGrid, TimeIndependentSource
-from .spectral import build_eigendecomposition, estimate_T
+from .spectral import build_eigendecomposition, estimate_T, propagate_modes
 
 __all__ = ["BenchmarkCase", "get_case", "CASE_IDS", "exact_observation",
            "make_setup", "lm_config_for", "tensor_sine_basis",
@@ -239,8 +238,7 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
         else:
             u0c = case.ref_sine_coeff(ns)
             fc = case.truth_sine_coeff(ns)
-        e1 = ml_neg(alpha, 1.0, lam * T**alpha)
-        coeffs = e1 * u0c + (1.0 - e1) / lam * fc
+        coeffs = propagate_modes(alpha, lam, T, u0c, fc)
         x = grid.nodes
         return (np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * x))).T @ coeffs
 

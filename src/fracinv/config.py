@@ -9,12 +9,12 @@ Sections and keys (all optional unless noted):
   seed     = 1234
   t_init   = auto | <float>     (auto: asymptotic-estimator prior; 1D cases
                                 only, a 2D case needs a number)
-  max_iter = 24
+  max_iter = 24                 (>= 0)
   stop     = oracle | discrepancy | max_iter
 
   [mesh]
-  n     = 128          (cells per side)
-  steps = 512          (time steps)
+  n     = 128          (cells per side, >= 2)
+  steps = 512          (time steps, >= 1)
 
   [lm]                 (overrides of the per-case defaults)
   gamma0, mu0, rho, deltaT, t_step_cap, eta
@@ -113,6 +113,8 @@ def parse_config(path) -> ExperimentConfig:
             cfg.max_iter = int(exp["max_iter"])
         except ValueError:
             raise ConfigError("max_iter must be an integer", source=where)
+        if cfg.max_iter < 0:
+            raise ConfigError(f"max_iter must be >= 0, got {cfg.max_iter}", source=where)
     if "stop" in exp:
         cfg.stop = exp["stop"].strip()
         if cfg.stop not in ("oracle", "discrepancy", "max_iter"):
@@ -128,6 +130,9 @@ def parse_config(path) -> ExperimentConfig:
                 cfg.steps = int(mesh["steps"])
         except ValueError:
             raise ConfigError("mesh sizes must be integers", source=where)
+        for key, value, least in (("n", cfg.n, 2), ("steps", cfg.steps, 1)):
+            if value is not None and value < least:
+                raise ConfigError(f"{key} must be >= {least}, got {value}", source=where)
 
     if cp.has_section("lm"):
         where = f"{path}:[lm]"

@@ -104,6 +104,8 @@ class LMConfig:
             raise ParameterError(f"unknown stop rule {self.stop!r}")
         if self.t_step_cap <= 0:
             raise ParameterError("t_step_cap must be positive")
+        if self.max_iter < 0:
+            raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Eigen-decompositions of -u'' + q u on (0,1), spectral solution operators,
-Sobolev-scale diagnostics, and the terminal-time estimator.
+"""Eigen-decompositions of -u'' + q u on (0,1), the modal solver (the FEM
+engine's test oracle) and the terminal-time estimator.
 
 The decay factor of mode n at time t is E_{alpha,1}(-lambda_n t^alpha); its
 product with lambda_n approaches 1/(Gamma(1-alpha) t^alpha) as n grows, which
@@ -9,13 +9,11 @@ estimator extrapolates that product from a window of mode ratios.
 
 from __future__ import annotations
 
-import hashlib
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.integrate import quad_vec
-from scipy.linalg import eigh_tridiagonal, solve_banded
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import gamma as gamma_fn
 
 from .errors import (
@@ -27,22 +25,15 @@ from .errors import (
 )
 from .grids import Field, Grid1D, as_nodal_values
 from .mittag_leffler import ml_neg
-from .problems import ProblemSpec, TimeIndependentSource
+from .problems import ProblemSpec
 
 __all__ = [
     "EigenDecomposition",
     "build_eigendecomposition",
-    "sine_basis",
-    "hs_norm",
-    "apply_F",
+    "propagate_modes",
     "solve_spectral",
-    "solve_spectral_ipp",
     "estimate_T",
     "TEstimate",
-    "coefficient_decay_rate",
-    "save_eigendecomposition",
-    "load_eigendecomposition",
-    "eigendecomposition_cache_key",
 ]
 
 
@@ -142,78 +133,14 @@ def build_eigendecomposition(
     )
 
 
-def sine_basis(n_modes: int, grid: Optional[Grid1D] = None) -> EigenDecomposition:
-    """Pure sine basis sqrt(2) sin(n pi x) with eigenvalues (n pi)^2."""
-    return build_eigendecomposition(0.0, n_modes, grid)
-
-
 # ---------------------------------------------------------------------------
-# cache sidecar
-
-
-def eigendecomposition_cache_key(q_nodal: np.ndarray, grid_n: int, n_modes: int) -> str:
-    payload = np.asarray(q_nodal, float).tobytes() + f"|{grid_n}|{n_modes}".encode()
-    return hashlib.sha256(payload).hexdigest()[:16]
-
-
-def save_eigendecomposition(ed: EigenDecomposition, path) -> None:
-    """Binary sidecar (.npz): eigenvalues, eigenfunctions, potential, grid_n,
-    count, asymptotic_gap."""
-    np.savez_compressed(
-        path,
-        eigenvalues=ed.eigenvalues,
-        eigenfunctions=ed.eigenfunctions,
-        potential=ed.potential,
-        grid_n=np.array([ed.grid.n]),
-        count=np.array([ed.count]),
-        asymptotic_gap=np.array([ed.asymptotic_gap]),
-    )
-
-
-def load_eigendecomposition(path) -> EigenDecomposition:
-    with np.load(path) as data:
-        return EigenDecomposition(
-            eigenvalues=data["eigenvalues"],
-            eigenfunctions=data["eigenfunctions"],
-            potential=data["potential"],
-            grid=Grid1D(int(data["grid_n"][0])),
-            count=int(data["count"][0]),
-            asymptotic_gap=float(data["asymptotic_gap"][0]),
-        )
-
-
-# ---------------------------------------------------------------------------
-# Sobolev scale
-
-
-def hs_norm(v, ed: EigenDecomposition, s: float) -> float:
-    """(sum_n lambda_n^s (v, phi_n)^2)^(1/2) over the available modes.
-
-    For s >= 0 this is a truncated lower bound of the full-scale norm.
-    """
-    if not -2.0 <= s <= 2.0:
-        raise ParameterError(f"Sobolev index must lie in [-2, 2], got {s}")
-    c = v.spectral(ed) if isinstance(v, Field) else ed.project(np.asarray(v, float))
-    return float(np.sqrt(np.sum(ed.eigenvalues**s * c**2)))
-
-
-# ---------------------------------------------------------------------------
-# solution operators
+# modal solver
 
 
 def _coeffs_of(v, ed: EigenDecomposition) -> np.ndarray:
     if isinstance(v, Field):
         return v.spectral(ed)
     return ed.project(as_nodal_values(v, ed.grid))
-
-
-def apply_F(ed: EigenDecomposition, alpha: float, t: float, v) -> Field:
-    """F(t) v = sum_n E_{alpha,1}(-lambda_n t^alpha) (v, phi_n) phi_n."""
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    c = _coeffs_of(v, ed)
-    decay = ml_neg(alpha, 1.0, ed.eigenvalues * t**alpha)
-    return Field(grid=ed.grid, coeffs=decay * c, basis=ed)
 
 
 def _truncation_meta(ed: EigenDecomposition, nodal: np.ndarray, coeffs: np.ndarray) -> dict:
@@ -224,33 +151,19 @@ def _truncation_meta(ed: EigenDecomposition, nodal: np.ndarray, coeffs: np.ndarr
     return {}
 
 
-def duhamel_coefficients(
-    ed: EigenDecomposition, alpha: float, t: float, g, rtol: float = 1e-11
-) -> np.ndarray:
-    """Per-mode integral int_0^t s^(alpha-1) E_{alpha,alpha}(-lambda s^alpha)
-    g(t-s) ds.
-
-    Substituting y = (s/t)^alpha absorbs the endpoint singularity exactly:
-    (t^alpha/alpha) int_0^1 E_{alpha,alpha}(-lambda t^alpha y) g(t(1-y^(1/alpha))) dy,
-    evaluated by adaptive vector quadrature over all modes at once.
-    """
-    if t == 0.0:
-        return np.zeros(ed.count)
-    lam_ta = ed.eigenvalues * t**alpha
-
-    def integrand(y):
-        return ml_neg(alpha, alpha, lam_ta * y) * g(t * (1.0 - y ** (1.0 / alpha)))
-
-    val, _err = quad_vec(integrand, 0.0, 1.0, epsabs=1e-14, epsrel=rtol, limit=200)
-    return t**alpha / alpha * val
+def propagate_modes(alpha: float, lam: np.ndarray, t: float,
+                    u0c: np.ndarray, fc: np.ndarray) -> np.ndarray:
+    """Modal coefficients of u(t) for the time-independent source f:
+    E_{alpha,1}(-lambda_n t^alpha) (u0, phi_n)
+    + (1 - E_{alpha,1}(-lambda_n t^alpha)) / lambda_n (f, phi_n)."""
+    e1 = ml_neg(alpha, 1.0, lam * t**alpha)
+    return e1 * u0c + (1.0 - e1) / lam * fc
 
 
 def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> Field:
-    """Exact modal solve at time t (1D, diffusion == 1).
-
-    Time-independent source: E1 u0_n + (1 - E1)/lambda_n f_n per mode.
-    Separable source g(t) psi: Duhamel integral per mode by quadrature.
-    """
+    """Exact modal solve at time t: 1D, diffusion == 1, a time-independent
+    source (spec.sample("f") rejects a separable one) and zero boundary
+    values, on eigenpairs built for spec.potential."""
     if spec.domain != "interval":
         raise ParameterError("spectral solver is one-dimensional")
     a = as_nodal_values(spec.diffusion, ed.grid)
@@ -259,75 +172,18 @@ def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> Field
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if spec.dirichlet is not None and any(abs(v) > 0 for v in spec.dirichlet):
-        return solve_spectral_ipp(spec, ed, t)
+        raise ParameterError("spectral solver requires zero boundary values")
+    if np.max(np.abs(spec.sample("potential", ed.grid) - ed.potential)) > 1e-12:
+        raise ParameterError("eigendecomposition was built for a different potential")
 
     u0_nodal = spec.sample("u0", ed.grid)
     u0c = ed.project(u0_nodal)
-    meta = _truncation_meta(ed, u0_nodal, u0c)
-    e1 = ml_neg(spec.alpha, 1.0, ed.eigenvalues * t**spec.alpha)
-    if isinstance(spec.source, TimeIndependentSource):
-        f_nodal = spec.sample("f", ed.grid)
-        fc = ed.project(f_nodal)
-        meta.update(_truncation_meta(ed, f_nodal, fc))
-        coeffs = e1 * u0c + (1.0 - e1) / ed.eigenvalues * fc
-    else:
-        psi_nodal = spec.sample("psi", ed.grid)
-        pc = ed.project(psi_nodal)
-        meta.update(_truncation_meta(ed, psi_nodal, pc))
-        coeffs = e1 * u0c + duhamel_coefficients(ed, spec.alpha, t, spec.source.g) * pc
-    return Field(grid=ed.grid, coeffs=coeffs, basis=ed, meta=meta)
-
-
-def poisson_solve(grid: Grid1D, q_nodal: np.ndarray, f_nodal: np.ndarray,
-                  bc: tuple[float, float]) -> np.ndarray:
-    """-u'' + q u = f on (0,1) with u(0), u(1) given; FD banded solve."""
-    h = grid.h
-    m = grid.n - 1
-    ab = np.zeros((3, m))
-    ab[0, 1:] = -1.0 / h**2
-    ab[1, :] = 2.0 / h**2 + q_nodal[grid.interior]
-    ab[2, :-1] = -1.0 / h**2
-    rhs = f_nodal[grid.interior].astype(float).copy()
-    rhs[0] += bc[0] / h**2
-    rhs[-1] += bc[1] / h**2
-    u = np.empty(grid.n_nodes)
-    u[0], u[-1] = bc
-    u[grid.interior] = solve_banded((1, 1), ab, rhs)
-    return u
-
-
-def harmonic_lift(grid: Grid1D, q_nodal: np.ndarray, bc: tuple[float, float]) -> np.ndarray:
-    """phi with -phi'' + q phi = 0, phi(0) = a0, phi(1) = a1."""
-    return poisson_solve(grid, q_nodal, np.zeros(grid.n_nodes), bc)
-
-
-def solve_spectral_ipp(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> Field:
-    """Modal solve of the potential-problem form with constant Dirichlet data.
-
-    Writes u(t) = steady + F(t)(u0 - steady) where steady solves the
-    stationary equation with the boundary values; the steady part comes from
-    a grid solve (no truncation), only the decaying part is truncated.
-    """
-    if spec.domain != "interval":
-        raise ParameterError("spectral solver is one-dimensional")
-    if not isinstance(spec.source, TimeIndependentSource):
-        raise ParameterError("the potential-problem form uses a time-independent source")
-    if t < 0:
-        raise ParameterError("t must be nonnegative")
-    bc = spec.dirichlet if spec.dirichlet is not None else (0.0, 0.0)
-    q_nodal = spec.sample("potential", ed.grid)
-    if np.max(np.abs(q_nodal - ed.potential)) > 1e-12:
-        raise ParameterError("eigendecomposition was built for a different potential")
     f_nodal = spec.sample("f", ed.grid)
-    u0_nodal = spec.sample("u0", ed.grid)
-
-    steady = poisson_solve(ed.grid, q_nodal, f_nodal, bc)
-    w0 = u0_nodal - steady
-    w0c = ed.project(w0)
-    meta = _truncation_meta(ed, w0, w0c)
-    e1 = ml_neg(spec.alpha, 1.0, ed.eigenvalues * t**spec.alpha)
-    values = steady + ed.synthesize(e1 * w0c)
-    return Field(grid=ed.grid, values=values, meta=meta)
+    fc = ed.project(f_nodal)
+    meta = _truncation_meta(ed, u0_nodal, u0c)
+    meta.update(_truncation_meta(ed, f_nodal, fc))
+    coeffs = propagate_modes(spec.alpha, ed.eigenvalues, t, u0c, fc)
+    return Field(grid=ed.grid, coeffs=coeffs, basis=ed, meta=meta)
 
 
 # ---------------------------------------------------------------------------
@@ -470,18 +326,3 @@ def estimate_T(
         per_mode_t=per_mode_t,
         diagnostics=diagnostics,
     )
-
-
-def coefficient_decay_rate(v, ed: EigenDecomposition, window: Optional[tuple[int, int]] = None) -> float:
-    """Heuristic decay diagnostic: least-squares slope of log|(v, phi_n)|
-    against log lambda_n. No finite test decides the underlying decay class;
-    this only summarizes the resolved modes."""
-    c = _coeffs_of(v, ed)
-    lam = ed.eigenvalues
-    if window is not None:
-        c = c[window[0] - 1 : window[1]]
-        lam = lam[window[0] - 1 : window[1]]
-    keep = np.abs(c) > 1e-300
-    if keep.sum() < 2:
-        raise DegenerateReferenceError("too few nonzero coefficients for a decay fit")
-    return float(np.polyfit(np.log(lam[keep]), np.log(np.abs(c[keep])), 1)[0])

@@ -125,6 +125,16 @@ dir = results
         with pytest.raises(ConfigError):
             parse_config(tmp_path / "absent.cfg")
 
+    @pytest.mark.parametrize("section, key, value", [
+        ("mesh", "n", 0), ("mesh", "n", 1), ("mesh", "steps", 0),
+        ("experiment", "max_iter", -1),
+    ])
+    def test_out_of_range_rejected(self, tmp_path, section, key, value):
+        # zero mesh sizes used to fall back to the case defaults silently
+        p = self._write(tmp_path, f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=key):
+            parse_config(p)
+
 
 class TestCli:
     def test_ml_eval_prints_15_digits(self, capsys):
@@ -138,6 +148,14 @@ class TestCli:
         p.write_text("[experiment]\ncase = not-a-case\n")
         rc = cli_main(["estimate-t", "--config", str(p)])
         assert rc == 2
+
+    def test_negative_max_iter_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "neg.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nt_init = 0.45\nmax_iter = -1\n"
+                     "stop = max_iter\n[mesh]\nn = 8\nsteps = 8\n")
+        rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        assert "max_iter" in capsys.readouterr().err
 
     def test_auto_prior_on_square_is_config_error(self, tmp_path, capsys):
         # no 2D estimator exists, and the true time must not stand in for one

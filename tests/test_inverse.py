@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from fracinv.errors import ParameterError, PositivityError
-from fracinv.fem import TimeGrid, mass_inner, mass_norm, solve_fem
+from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
     InverseSetup,
@@ -197,13 +197,14 @@ class TestJacobians:
     def test_jacobian_T_steady_state_zero(self):
         # start at the discrete steady state; nothing moves with T
         setup = ipp_setup(n=48, steps=48)
-        from fracinv.spectral import poisson_solve
-
-        q = SIN4(setup.grid.nodes)
-        f = np.abs(np.sin(2 * np.pi * setup.grid.nodes))
-        # u0 equal to the FEM steady state: load the setup accordingly
-        steady_setup = InverseSetup("ipp", setup.grid, 0.5, 48,
-                                    u0=poisson_solve(setup.grid, q, f, (0.0, 0.0)),
+        grid = setup.grid
+        q = SIN4(grid.nodes)
+        f = np.abs(np.sin(2 * np.pi * grid.nodes))
+        # u0 equal to the FEM steady state (A u)_I = (M f)_I, zero on the boundary
+        op = FemOperator(grid, 1.0, q)
+        steady = np.zeros(grid.n_nodes)
+        steady[op.interior] = op.factorized(0.0)(op.mass_apply(f)[op.interior])
+        steady_setup = InverseSetup("ipp", grid, 0.5, 48, u0=steady,
                                     f=f, dirichlet=(0.0, 0.0))
         JT = jacobian_T(steady_setup, q, 0.5, 1e-3)
         assert mass_norm(setup.grid, JT) < 1e-4
@@ -309,6 +310,10 @@ class TestLMReconstruct:
         cfg = LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4)
         with pytest.raises(ParameterError):
             lm_reconstruct(setup, obs, cfg, truth=None)
+
+    def test_negative_max_iter_rejected(self):
+        with pytest.raises(ParameterError, match="max_iter"):
+            LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=-1)
 
     def test_exact_data_monotone_residual_start(self):
         # with exact data the residual is nonincreasing over the first

@@ -17,20 +17,10 @@ from fracinv.grids import Field, Grid1D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec, SeparableSource, TimeIndependentSource
 from fracinv.spectral import (
-    apply_F,
     build_eigendecomposition,
-    coefficient_decay_rate,
-    duhamel_coefficients,
-    eigendecomposition_cache_key,
     estimate_T,
-    harmonic_lift,
-    hs_norm,
     lambda_to_time,
-    load_eigendecomposition,
-    save_eigendecomposition,
-    sine_basis,
     solve_spectral,
-    solve_spectral_ipp,
 )
 
 Q_SIN4 = lambda x: np.sin(np.pi * x) ** 4
@@ -95,40 +85,11 @@ class TestEigendecomposition:
         with pytest.raises(ResolutionError):
             build_eigendecomposition(0.0, 300, grid=Grid1D(1024))
 
-    def test_cache_roundtrip(self, tmp_path):
-        ed = build_eigendecomposition(Q_SIN4, 5, grid=Grid1D(512))
-        key = eigendecomposition_cache_key(ed.potential, ed.grid.n, ed.count)
-        path = tmp_path / f"ed_{key}.npz"
-        save_eigendecomposition(ed, path)
-        ed2 = load_eigendecomposition(path)
-        assert np.array_equal(ed.eigenvalues, ed2.eigenvalues)
-        assert np.array_equal(ed.eigenfunctions, ed2.eigenfunctions)
-        assert ed2.grid.n == ed.grid.n
-
-
-class TestHsNorm:
-    def test_single_mode_l2(self):
-        ed = build_eigendecomposition(0.0, 4)
-        phi1 = Field(grid=ed.grid, values=ed.eigenfunctions[0])
-        assert hs_norm(phi1, ed, 0.0) == pytest.approx(1.0, abs=1e-10)
-
-    def test_single_mode_h2(self):
-        ed = build_eigendecomposition(0.0, 4)
-        phi1 = Field(grid=ed.grid, values=ed.eigenfunctions[0])
-        assert hs_norm(phi1, ed, 2.0) == pytest.approx(math.pi**2, rel=1e-9)
-
-    def test_two_mode_h1(self):
-        # sin(pi x) + sin(3 pi x): orthonormal coefficients 1/sqrt(2) each,
-        # frozen value pi * sqrt(5) = 7.024814731040727
-        ed = build_eigendecomposition(0.0, 4)
-        x = ed.grid.nodes
-        v = Field(grid=ed.grid, values=np.sin(np.pi * x) + np.sin(3 * np.pi * x))
-        assert hs_norm(v, ed, 1.0) == pytest.approx(7.024814731040727, rel=1e-9)
-
-    def test_index_range_enforced(self):
-        ed = build_eigendecomposition(0.0, 4)
-        with pytest.raises(ParameterError):
-            hs_norm(Field(grid=ed.grid, values=ed.eigenfunctions[0]), ed, 2.5)
+def apply_F(ed, alpha, t, v, potential=0.0):
+    """F(t) v: the modal solve from v with a zero source."""
+    spec = ProblemSpec(alpha=alpha, T=1.0, u0=v, source=TimeIndependentSource(0.0),
+                       potential=potential)
+    return solve_spectral(spec, ed, t)
 
 
 class TestSolutionOperators:
@@ -160,7 +121,8 @@ class TestSolutionOperators:
         ed = build_eigendecomposition(Q_SIN4, 32, grid=Grid1D(1024))
         x = ed.grid.nodes
         v = np.minimum(x, 1 - x)
-        norms = [ed.norm(apply_F(ed, 0.4, t, v).nodal()) for t in np.linspace(0, 3, 12)]
+        norms = [ed.norm(apply_F(ed, 0.4, t, v, potential=Q_SIN4).nodal())
+                 for t in np.linspace(0, 3, 12)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
 
@@ -182,24 +144,24 @@ class TestSolveSpectral:
         u = solve_spectral(spec, ed, 1e15).nodal()
         assert np.max(np.abs(u - np.sin(np.pi * x) / np.pi**2)) < 1e-8
 
-    def test_separable_quadrature_matches_closed_form(self):
-        # g == 1 reduces the Duhamel integral to (1 - E1)/lambda per mode
-        ed = build_eigendecomposition(0.0, 48)
-        alpha, t = 0.6, 0.37
-        got = duhamel_coefficients(ed, alpha, t, lambda s: 1.0)
-        e1 = ml_neg(alpha, 1.0, ed.eigenvalues * t**alpha)
-        ref = (1.0 - e1) / ed.eigenvalues
-        assert np.max(np.abs(got - ref) / ref) < 1e-9
+    def test_potential_must_match_basis(self):
+        # a q = 0 basis would silently return the q = 0 solution
+        ed = build_eigendecomposition(0.0, 16, grid=Grid1D(256))
+        spec = ProblemSpec(alpha=0.5, T=1.0, u0=lambda x: np.sin(np.pi * x),
+                           source=TimeIndependentSource(0.0),
+                           potential=lambda x: 10.0 * Q_SIN4(x))
+        with pytest.raises(ParameterError, match="potential"):
+            solve_spectral(spec, ed, 0.5)
 
-    def test_separable_source_full_solution(self):
-        ed = build_eigendecomposition(0.0, 32)
-        x = ed.grid.nodes
-        base = dict(alpha=0.5, T=1.0, u0=lambda x: np.sin(2 * np.pi * x))
-        s1 = ProblemSpec(source=SeparableSource(lambda t: 1.0, lambda x: np.sin(3 * np.pi * x)), **base)
-        s2 = ProblemSpec(source=TimeIndependentSource(lambda x: np.sin(3 * np.pi * x)), **base)
-        u1 = solve_spectral(s1, ed, 0.5).nodal()
-        u2 = solve_spectral(s2, ed, 0.5).nodal()
-        assert np.max(np.abs(u1 - u2)) < 1e-10
+    @pytest.mark.parametrize("source, dirichlet", [
+        (TimeIndependentSource(0.0), (0.5, 0.25)),
+        (SeparableSource(lambda t: 1.0, 0.0), None),
+    ])
+    def test_outside_the_modal_form_rejected(self, source, dirichlet):
+        ed = build_eigendecomposition(0.0, 16, grid=Grid1D(256))
+        spec = ProblemSpec(alpha=0.5, T=1.0, u0=0.0, source=source, dirichlet=dirichlet)
+        with pytest.raises(ParameterError):
+            solve_spectral(spec, ed, 0.5)
 
     def test_truncation_warning_attached(self):
         ed = build_eigendecomposition(0.0, 3)
@@ -207,58 +169,6 @@ class TestSolveSpectral:
         spec = ProblemSpec(alpha=0.5, T=1.0, u0=rough, source=TimeIndependentSource(0.0))
         u = solve_spectral(spec, ed, 0.1)
         assert "truncation_warning" in u.meta
-
-
-class TestSolveSpectralIpp:
-    def test_harmonic_lift_zero_potential_affine(self):
-        grid = Grid1D(256)
-        phi = harmonic_lift(grid, np.zeros(grid.n_nodes), (2.0, 3.0))
-        x = grid.nodes
-        assert np.max(np.abs(phi - (2.0 * (1 - x) + 3.0 * x))) < 1e-12
-
-    def test_initial_time_recovers_u0(self):
-        ed = build_eigendecomposition(Q_SIN4, 256, grid=Grid1D(2048))
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=1.0,
-                           source=TimeIndependentSource(lambda x: np.abs(np.sin(2 * np.pi * x))),
-                           potential=Q_SIN4, dirichlet=(0.0, 0.0))
-        u = solve_spectral_ipp(spec, ed, 0.0)
-        # u0 == 1 clashes with the boundary values, so convergence is only in
-        # L2 and limited by truncation of the non-decayed tail
-        interior = ed.grid.nodes[(ed.grid.nodes > 0.1) & (ed.grid.nodes < 0.9)]
-        vals = np.interp(interior, ed.grid.nodes, u.nodal())
-        assert np.max(np.abs(vals - 1.0)) < 0.05
-
-    def test_long_time_steady_state_vs_bvp_oracle(self):
-        from scipy.integrate import solve_bvp
-
-        ed = build_eigendecomposition(Q_SIN4, 128, grid=Grid1D(1024))
-        f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=1.0, source=TimeIndependentSource(f),
-                           potential=Q_SIN4, dirichlet=(0.5, 0.25))
-        t_large = 1e8
-        u = solve_spectral_ipp(spec, ed, t_large).nodal()
-
-        def rhs(x, y):
-            return np.vstack([y[1], (np.sin(np.pi * x) ** 4) * y[0] - f(x)])
-
-        def bc(ya, yb):
-            return np.array([ya[0] - 0.5, yb[0] - 0.25])
-
-        xs = np.linspace(0, 1, 201)
-        sol = solve_bvp(rhs, bc, xs, np.vstack([0.5 + xs * 0, xs * 0]), tol=1e-10)
-        ref = sol.sol(ed.grid.nodes)[0]
-        assert np.max(np.abs(u - ref)) < 1e-4
-
-    def test_zero_bc_matches_plain_solver(self):
-        # the ipp form resolves the stationary part on the grid while the
-        # plain solver truncates it, so agreement is limited by the source
-        # tail beyond the basis and the grid solve's O(h^2)
-        ed = build_eigendecomposition(0.0, 64)
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(lambda x: np.minimum(x, 1 - x)))
-        u1 = solve_spectral(spec, ed, 0.5).nodal()
-        u2 = solve_spectral_ipp(spec, ed, 0.5).nodal()
-        assert np.max(np.abs(u1 - u2)) < 1e-5
 
 
 def synth_bp_observation(ed, alpha, T, u0_coeffs, f_coeffs):
@@ -346,7 +256,7 @@ class TestEstimateT:
     def test_ipp_ratio_sequence(self):
         # pure sine basis; synthetic observation built from the potential-form
         # representation with q = 0 so the spectral shortcut is exact
-        basis = sine_basis(256)
+        basis = build_eigendecomposition(0.0, 256)
         alpha, T = 0.5, 0.5
         ns = np.arange(1, 257)
         u0c = 1.0 / ns
@@ -369,10 +279,3 @@ def test_field_roundtrip():
     back = Field(grid=ed.grid, coeffs=c, basis=ed).nodal()
     assert ed.norm(back - v) < 1e-10 * max(1.0, ed.norm(v))
 
-
-def test_decay_rate_diagnostic():
-    ed = build_eigendecomposition(0.0, 128)
-    c = ed.eigenvalues ** (-1.5)
-    v = Field(grid=ed.grid, coeffs=c, basis=ed)
-    slope = coefficient_decay_rate(v, ed)
-    assert slope == pytest.approx(-1.5, abs=0.01)
