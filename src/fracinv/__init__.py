@@ -15,7 +15,7 @@ Modules:
 
 from .grids import Field, Grid1D, Grid2D
 from .mittag_leffler import MLParams, ml_eval, ml_neg
-from .problems import ProblemSpec, SeparableSource, TimeGrid, TimeIndependentSource
+from .problems import ProblemSpec, TimeGrid
 from .spectral import EigenDecomposition, build_eigendecomposition, estimate_T, solve_spectral
 from .fem import L1Weights, Trajectory, caputo_derivative_at_T, convergence_study, solve_fem
 from .inverse import (

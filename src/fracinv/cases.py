@@ -1,8 +1,8 @@
 """Built-in benchmark cases for the three inverse problems.
 
 Case ids follow the experiment-config contract: "5.1i" and "5.1ii" recover
-an initial state (1D / 2D), "5.2i" and "5.2ii" a separable source factor
-(1D / 2D), "5.3" a potential (1D). Each case fixes the known fields, the
+an initial state (1D / 2D), "5.2i" and "5.2ii" a space-dependent source
+f(x) (1D / 2D), "5.3" a potential (1D). Each case fixes the known fields, the
 hidden truth, the true terminal time 0.5, and per-order Levenberg-Marquardt
 defaults. Exact data is generated on a finer space-time mesh than the
 inversion mesh (spectrally where the modal solver applies).
@@ -19,7 +19,7 @@ from .errors import ConfigError
 from .fem import solve_fem
 from .grids import Field, Grid1D, Grid2D, GridLike
 from .inverse import InverseSetup, LMConfig
-from .problems import ProblemSpec, TimeGrid, TimeIndependentSource
+from .problems import TimeGrid
 from .spectral import build_eigendecomposition, estimate_T, propagate_modes
 
 __all__ = ["BenchmarkCase", "get_case", "CASE_IDS", "exact_observation",
@@ -40,7 +40,7 @@ class BenchmarkCase:
     domain: str  # interval | unit_square
     truth: Callable
     u0: Optional[Callable]  # known initial state (isp/ipp); None for bp
-    f: Optional[Callable]  # known time-independent source (bp/ipp)
+    f: Optional[Callable]  # known source (bp/ipp); None for isp
     diffusion: Callable | float
     dirichlet: Optional[tuple[float, float]]
     lm_defaults: dict  # alpha -> (gamma0, mu0, rho)
@@ -184,8 +184,7 @@ def make_setup(case: BenchmarkCase, alpha: float, n: Optional[int] = None,
         n_steps,
         diffusion=case.diffusion,
         u0=case.u0,
-        f=case.f if case.kind != "isp" else None,
-        g=None,
+        f=case.f,
         dirichlet=case.dirichlet,
         basis=basis,
     )
@@ -227,8 +226,6 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
     time steps on a mesh DATA_REFINE times finer than `grid`, restricted to
     its nodes.
     """
-    truth_field = case.truth
-
     if case.domain == "interval" and case.kind in ("bp", "isp"):
         ns = np.arange(1, DATA_MODES + 1, dtype=float)
         lam = (ns * np.pi) ** 2
@@ -242,27 +239,12 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
         x = grid.nodes
         return (np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * x))).T @ coeffs
 
-    n_fine = grid.n * DATA_REFINE
     steps = DATA_STEPS[case.domain]
-    fine = Grid1D(n_fine) if case.domain == "interval" else Grid2D(n_fine)
-    if case.kind == "ipp":
-        spec = ProblemSpec(alpha=alpha, T=T, u0=case.u0,
-                           source=TimeIndependentSource(case.f),
-                           potential=truth_field, dirichlet=case.dirichlet)
-    elif case.kind == "bp":
-        spec = ProblemSpec(alpha=alpha, T=T, u0=truth_field,
-                           source=TimeIndependentSource(case.f),
-                           diffusion=case.diffusion, domain=case.domain)
-    else:
-        from .problems import SeparableSource
-
-        spec = ProblemSpec(alpha=alpha, T=T, u0=case.u0,
-                           source=SeparableSource(lambda t: 1.0, truth_field),
-                           diffusion=case.diffusion, domain=case.domain)
-    u = solve_fem(spec, fine, TimeGrid(steps, T)).final
+    fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=steps)
+    u = solve_fem(fine.spec_for(case.truth, T), fine.grid, TimeGrid(steps, T)).final
     if case.domain == "interval":
         return u[::DATA_REFINE]
-    side = n_fine + 1
+    side = fine.grid.n + 1
     return u.reshape(side, side)[::DATA_REFINE, ::DATA_REFINE].ravel()
 
 

@@ -4,8 +4,8 @@ Sections and keys (all optional unless noted):
 
   [experiment]
   case     = 5.1i | 5.1ii | 5.2i | 5.2ii | 5.3     (required for most commands)
-  alphas   = 0.25 0.5 0.75
-  epsilons = 0 1e-3 5e-3 1e-2 2e-2 5e-2
+  alphas   = 0.25 0.5 0.75         (each in (0, 1])
+  epsilons = 0 1e-3 5e-3 1e-2 2e-2 5e-2   (each finite, >= 0)
   seed     = 1234
   t_init   = auto | <float>     (auto: asymptotic-estimator prior; 1D cases
                                 only, a 2D case needs a number)
@@ -92,8 +92,13 @@ def parse_config(path) -> ExperimentConfig:
         cfg.case_id = exp["case"].strip()
     if "alphas" in exp:
         cfg.alphas = _floats(exp["alphas"], where)
+        if not all(0.0 < a <= 1.0 for a in cfg.alphas):
+            raise ConfigError(f"alphas must lie in (0, 1], got {cfg.alphas}", source=where)
     if "epsilons" in exp:
         cfg.epsilons = _floats(exp["epsilons"], where)
+        if not all(0.0 <= e < float("inf") for e in cfg.epsilons):
+            raise ConfigError(f"epsilons must be finite and >= 0, got {cfg.epsilons}",
+                              source=where)
     if "seed" in exp:
         try:
             cfg.seed = int(exp["seed"])

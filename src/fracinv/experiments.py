@@ -33,7 +33,7 @@ from .errors import ConfigError, FracinvError
 from .fem import convergence_study, mass_norm
 from .grids import Grid2D
 from .inverse import ReconstructionResult, add_noise, lm_reconstruct
-from .problems import ProblemSpec, TimeIndependentSource
+from .problems import ProblemSpec
 
 __all__ = [
     "TableReport",
@@ -194,6 +194,8 @@ def _table_cell(args):
 
 def run_table(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> TableReport:
     """Full (alpha x epsilon) grid of reconstructions in study mode."""
+    if threads < 1:
+        raise ConfigError(f"threads must be >= 1, got {threads}")
     case = get_case(cfg.case_id)
     priors = {alpha: _prior_for(case, alpha, cfg) for alpha in cfg.alphas}
     jobs = []
@@ -247,8 +249,7 @@ def emit_plot_data(result: ReconstructionResult, truth, grid, out_dir, prefix: s
 def run_convergence(cfg: ExperimentConfig, out_dir=None):
     """Solver validation orders on the single-mode problem."""
     alpha = cfg.alphas[0]
-    spec = ProblemSpec(alpha=alpha, T=0.5, u0=lambda x: np.sin(np.pi * x),
-                       source=TimeIndependentSource(0.0))
+    spec = ProblemSpec(alpha=alpha, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
     t0 = time.time()
     report = convergence_study(spec)
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)

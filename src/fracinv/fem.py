@@ -36,7 +36,7 @@ from scipy.special import gamma as gamma_fn
 
 from .errors import InsufficientHistoryError, NumericalError, ParameterError, ShapeError
 from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
-from .problems import ProblemSpec, TimeGrid, TimeIndependentSource
+from .problems import ProblemSpec, TimeGrid
 
 __all__ = [
     "L1Weights",
@@ -299,11 +299,6 @@ def l1_evolve(
     return past if keep_history else past[-1]
 
 
-def _load_vector(op: FemOperator, f_nodal: np.ndarray) -> np.ndarray:
-    """Interior Galerkin load of a P1-interpolated source: (M f)_I."""
-    return op.mass_apply(f_nodal)[op.interior]
-
-
 def _lift_vector(spec: ProblemSpec, grid: GridLike) -> np.ndarray:
     if spec.dirichlet is None:
         return np.zeros(grid.n_nodes)
@@ -322,24 +317,9 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
     lift = _lift_vector(spec, grid)
     w0 = (u0 - lift)[op.interior]
 
-    if isinstance(spec.source, TimeIndependentSource):
-        f_nodal = spec.sample("f", grid)
-        base = _load_vector(op, f_nodal) - op.elliptic_apply(lift)[op.interior]
-
-        def load_at(k):
-            return base
-
-    else:
-        psi_nodal = spec.sample("psi", grid)
-        psi_load = _load_vector(op, psi_nodal)
-        lift_load = op.elliptic_apply(lift)[op.interior]
-        g = spec.source.g
-        times = tg.times
-
-        def load_at(k):
-            return float(g(times[k])) * psi_load - lift_load
-
-    hist = l1_evolve(op, spec.alpha, tg, w0, load_at)
+    # the Galerkin load of the P1-interpolated source, less the lift's: constant in time
+    load = (op.mass_apply(spec.sample("f", grid)) - op.elliptic_apply(lift))[op.interior]
+    hist = l1_evolve(op, spec.alpha, tg, w0, lambda k: load)
     values = np.tile(lift, (tg.n_steps + 1, 1))
     values[:, op.interior] += hist
     values[0] = u0

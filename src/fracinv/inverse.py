@@ -19,7 +19,7 @@ problem's sensitivity load and the time difference, and F(v_k, T_k + dT).
 
 Sensitivity systems (direction h):
   backward problem:   d_t^alpha w + A w = 0,        w(0) = h
-  source problem:     d_t^alpha w + A w = g(t) h,   w(0) = 0
+  source problem:     d_t^alpha w + A w = h,        w(0) = 0
   potential problem:  d_t^alpha w + A w = -h u(v),  w(0) = 0
 Jacobians are assembled column-by-column at desk scale by propagating all
 columns simultaneously through the L1 recursion.
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -48,8 +48,8 @@ from .fem import (
     mass_norm,
     solve_fem,
 )
-from .grids import Field, Grid1D, GridLike, as_nodal_values
-from .problems import ProblemSpec, SeparableSource, TimeGrid, TimeIndependentSource
+from .grids import Grid1D, GridLike, as_nodal_values
+from .problems import ProblemSpec, TimeGrid
 
 __all__ = [
     "LMConfig",
@@ -70,6 +70,8 @@ __all__ = [
 
 IPP_CLAMP_MAX = 2.0
 IPP_CLAMP_SLACK = 0.5
+# the ProblemSpec field that the unknown v fills, per problem kind
+_UNKNOWN_FIELD = {"bp": "u0", "isp": "f", "ipp": "potential"}
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,6 @@ class LMConfig:
     T_init: float
     deltaT: float = 1e-3
     max_iter: int = 30
-    v_init: Optional[np.ndarray] = None
     stop: str = "oracle"  # "oracle" | "discrepancy" | "max_iter"
     eta: float = 1.1
     # trust-region guard on the scalar time step: |dT| <= t_step_cap * T_k.
@@ -121,9 +122,9 @@ class Observation:
 
 
 def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) -> Observation:
-    if epsilon < 0:
-        raise ParameterError("epsilon must be nonnegative")
-    g = g_dag.nodal() if isinstance(g_dag, Field) else np.asarray(g_dag, float)
+    if not epsilon >= 0:
+        raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+    g = np.asarray(g_dag, float)
     scale = float(np.max(np.abs(g)))
     if epsilon == 0.0:
         return Observation(g_delta=g.copy(), epsilon=0.0, seed=seed,
@@ -142,8 +143,8 @@ class InverseSetup:
     """Fixed context of one inverse problem: everything except (v, T).
 
     kind selects which parameter v stands for:
-      "bp"  - initial state (source f known, time-independent)
-      "isp" - spatial source factor (u0 and g(t) known)
+      "bp"  - initial state (source f known)
+      "isp" - source f(x) (u0 known)
       "ipp" - potential (u0, f, boundary values known; v clamped to [0, 2])
     basis, if given, restricts v to span(rows): v = basis.T @ c.
     """
@@ -156,15 +157,13 @@ class InverseSetup:
         n_steps: int,
         *,
         diffusion=1.0,
-        potential=0.0,
         u0=None,
         f=None,
-        g: Optional[Callable[[float], float]] = None,
         dirichlet: Optional[tuple[float, float]] = None,
         basis: Optional[np.ndarray] = None,
     ):
         kind = kind.lower()
-        if kind not in ("bp", "isp", "ipp"):
+        if kind not in _UNKNOWN_FIELD:
             raise ParameterError(f"unknown problem kind {kind!r}")
         if kind == "bp" and f is None:
             raise ParameterError("bp needs the known source f")
@@ -177,10 +176,8 @@ class InverseSetup:
         self.alpha = float(alpha)
         self.n_steps = int(n_steps)
         self.diffusion = diffusion
-        self.potential = potential
         self.u0 = u0
         self.f = f
-        self.g = g if g is not None else (lambda t: 1.0)
         self.dirichlet = dirichlet
         self.basis = None if basis is None else np.asarray(basis, float)
 
@@ -219,7 +216,7 @@ class InverseSetup:
     @cached_property
     def fixed_operator(self) -> FemOperator:
         """The operator of the known coefficients; its mass M serves every kind."""
-        return FemOperator(self.grid, self.diffusion, self.potential)
+        return FemOperator(self.grid, self.diffusion)
 
     def _operator_for(self, v_nodal: np.ndarray) -> FemOperator:
         """The operator of F(v, .): rebuilt for each potential iterate."""
@@ -227,22 +224,13 @@ class InverseSetup:
             return FemOperator(self.grid, self.diffusion, v_nodal)
         return self.fixed_operator
 
-    def spec_for(self, v_nodal: np.ndarray, T: float) -> ProblemSpec:
+    def spec_for(self, v, T: float) -> ProblemSpec:
+        """The forward problem F(v, T): v fills the field its kind names."""
+        fields = {"u0": self.u0, "f": self.f, "potential": 0.0}
+        fields[_UNKNOWN_FIELD[self.kind]] = v
         domain = "interval" if isinstance(self.grid, Grid1D) else "unit_square"
-        if self.kind == "bp":
-            return ProblemSpec(alpha=self.alpha, T=T, u0=v_nodal,
-                               source=TimeIndependentSource(self.f),
-                               diffusion=self.diffusion, potential=self.potential,
-                               dirichlet=self.dirichlet, domain=domain)
-        if self.kind == "isp":
-            return ProblemSpec(alpha=self.alpha, T=T, u0=self.u0,
-                               source=SeparableSource(self.g, v_nodal),
-                               diffusion=self.diffusion, potential=self.potential,
-                               dirichlet=self.dirichlet, domain=domain)
-        return ProblemSpec(alpha=self.alpha, T=T, u0=self.u0,
-                           source=TimeIndependentSource(self.f),
-                           diffusion=self.diffusion, potential=v_nodal,
-                           dirichlet=self.dirichlet, domain=domain)
+        return ProblemSpec(alpha=self.alpha, T=T, diffusion=self.diffusion,
+                           dirichlet=self.dirichlet, domain=domain, **fields)
 
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
@@ -259,7 +247,7 @@ def forward_map(setup: InverseSetup, v, T: float,
     """u(v)(., T) on grid nodes via the FEM + L1 solver."""
     if T <= 0:
         raise ParameterError("T must be positive")
-    v_nodal = v.nodal() if isinstance(v, Field) else as_nodal_values(v, setup.grid)
+    v_nodal = as_nodal_values(v, setup.grid)
     if setup.kind == "ipp":
         v_nodal = _clamp_ipp(v_nodal)
     spec = setup.spec_for(v_nodal, T)
@@ -277,7 +265,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     load needs the trajectory of F(v, T); pass it as `base` if it is at hand,
     otherwise it is solved for here.
     """
-    v_nodal = v.nodal() if isinstance(v, Field) else as_nodal_values(v, setup.grid)
+    v_nodal = as_nodal_values(v, setup.grid)
     tg = TimeGrid(setup.n_steps, T)
     if setup.kind == "ipp":
         v_nodal = _clamp_ipp(v_nodal)
@@ -295,11 +283,9 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     elif setup.kind == "isp":
         w0 = np.zeros((m, p))
         mass_cols = op.mass_apply_interior(cols0)
-        times = tg.times
-        g = setup.g
 
         def load_at(k):
-            return float(g(times[k])) * mass_cols
+            return mass_cols
 
     else:
         grid = setup.grid
@@ -339,15 +325,13 @@ def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, n
 def jacobian_v_apply(setup: InverseSetup, v, T: float, h) -> np.ndarray:
     """Directional derivative dF(v,T)[h] as a nodal field."""
     J = jacobian_v_matrix(setup, v, T)
-    h_nodal = h.nodal() if isinstance(h, Field) else as_nodal_values(h, setup.grid)
-    return J @ setup.nodal_to_param(h_nodal)
+    return J @ setup.nodal_to_param(as_nodal_values(h, setup.grid))
 
 
 def jacobian_v_adjoint_apply(setup: InverseSetup, v, T: float, w) -> np.ndarray:
     """Adjoint J* w in the discrete L2 pairing: P^{-1} J^T M w."""
     J = jacobian_v_matrix(setup, v, T)
-    w_nodal = w.nodal() if isinstance(w, Field) else as_nodal_values(w, setup.grid)
-    Mw = setup.fixed_operator.mass_apply(w_nodal)
+    Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
     coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
     return setup.param_to_nodal(coeffs)
 
@@ -453,13 +437,7 @@ def lm_reconstruct(
     """
     if cfg.stop == "oracle" and truth is None:
         raise ParameterError("oracle stopping needs the ground truth")
-    if cfg.v_init is not None:
-        v0 = as_nodal_values(cfg.v_init, setup.grid)
-    else:
-        v0 = np.zeros(setup.grid.n_nodes)
-        if setup.kind == "ipp":
-            v0 = np.clip(v0, 0.0, IPP_CLAMP_MAX)
-    state = LMState(v=v0, T=cfg.T_init, k=0)
+    state = LMState(v=np.zeros(setup.grid.n_nodes), T=cfg.T_init, k=0)
 
     history = []
     v_hist = []

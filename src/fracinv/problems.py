@@ -1,4 +1,5 @@
-"""Forward-problem description shared by the spectral and FEM solvers."""
+"""Forward-problem description shared by the spectral and FEM solvers: one
+time-independent source f(x), the field the source problem recovers."""
 
 from __future__ import annotations
 
@@ -10,22 +11,9 @@ import numpy as np
 from .errors import ParameterError
 from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
 
-__all__ = ["TimeIndependentSource", "SeparableSource", "ProblemSpec", "TimeGrid"]
+__all__ = ["ProblemSpec", "TimeGrid"]
 
 FieldData = Union[float, np.ndarray, Callable]
-
-
-@dataclass(frozen=True)
-class TimeIndependentSource:
-    f: FieldData
-
-
-@dataclass(frozen=True)
-class SeparableSource:
-    """Source g(t) * psi(x) with a strictly positive time factor g."""
-
-    g: Callable[[float], float]
-    psi: FieldData
 
 
 @dataclass(frozen=True)
@@ -40,7 +28,7 @@ class ProblemSpec:
     alpha: float
     T: float
     u0: FieldData
-    source: Union[TimeIndependentSource, SeparableSource]
+    f: FieldData
     diffusion: FieldData = 1.0
     potential: FieldData = 0.0
     dirichlet: Optional[tuple[float, float]] = None
@@ -59,16 +47,14 @@ class ProblemSpec:
             a0, a1 = self.dirichlet
             if a0 < 0 or a1 < 0:
                 raise ParameterError("Dirichlet constants must be nonnegative")
-        if not isinstance(self.source, (TimeIndependentSource, SeparableSource)):
-            raise ParameterError("source must be TimeIndependentSource or SeparableSource")
 
     def grid_for(self, n: int) -> GridLike:
         return Grid1D(n) if self.domain == "interval" else Grid2D(n)
 
     def sample(self, what: str, grid: GridLike) -> np.ndarray:
-        """Nodal samples of u0 / f / psi / diffusion / potential, validated."""
-        if what == "u0":
-            return as_nodal_values(self.u0, grid)
+        """Nodal samples of u0 / f / diffusion / potential, validated."""
+        if what in ("u0", "f"):
+            return as_nodal_values(getattr(self, what), grid)
         if what == "diffusion":
             a = as_nodal_values(self.diffusion, grid)
             if a.min() <= 0.0:
@@ -79,14 +65,6 @@ class ProblemSpec:
             if q.min() < 0.0:
                 raise ParameterError("potential must be nonnegative")
             return q
-        if what == "f":
-            if not isinstance(self.source, TimeIndependentSource):
-                raise ParameterError("source is separable; ask for 'psi'")
-            return as_nodal_values(self.source.f, grid)
-        if what == "psi":
-            if not isinstance(self.source, SeparableSource):
-                raise ParameterError("source is time-independent; ask for 'f'")
-            return as_nodal_values(self.source.psi, grid)
         raise ParameterError(f"unknown field {what!r}")
 
 

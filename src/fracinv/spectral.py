@@ -161,9 +161,10 @@ def propagate_modes(alpha: float, lam: np.ndarray, t: float,
 
 
 def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> Field:
-    """Exact modal solve at time t: 1D, diffusion == 1, a time-independent
-    source (spec.sample("f") rejects a separable one) and zero boundary
-    values, on eigenpairs built for spec.potential."""
+    """Exact modal solve at time t of any spec in the modal form: 1D,
+    diffusion == 1 and zero boundary values, on eigenpairs built for
+    spec.potential. Backward- and source-problem specs are alike here: each
+    is a pair (u0, f), whichever of the two is the unknown."""
     if spec.domain != "interval":
         raise ParameterError("spectral solver is one-dimensional")
     a = as_nodal_values(spec.diffusion, ed.grid)

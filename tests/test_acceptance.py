@@ -32,7 +32,7 @@ from fracinv.inverse import (
     lm_reconstruct,
 )
 from fracinv.mittag_leffler import ml_derivative_identity_residual, ml_neg
-from fracinv.problems import ProblemSpec, TimeIndependentSource
+from fracinv.problems import ProblemSpec
 from fracinv.spectral import build_eigendecomposition, estimate_T
 
 from oracles import ml_reference
@@ -211,7 +211,7 @@ def test_criterion_4_t_estimator():
 def test_criterion_5_solver_cross_validation():
     alpha = 0.5
     spec = ProblemSpec(alpha=alpha, T=T_TRUE, u0=lambda x: np.sin(np.pi * x),
-                       source=TimeIndependentSource(0.0))
+                       f=0.0)
     grid = Grid1D(512)
     u = solve_fem(spec, grid, TimeGrid(1024, T_TRUE)).final
     factor = float(ml_neg(alpha, 1.0, np.array([np.pi**2 * T_TRUE**alpha]))[0])

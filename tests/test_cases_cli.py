@@ -128,9 +128,14 @@ dir = results
     @pytest.mark.parametrize("section, key, value", [
         ("mesh", "n", 0), ("mesh", "n", 1), ("mesh", "steps", 0),
         ("experiment", "max_iter", -1),
+        ("experiment", "epsilons", "nan"), ("experiment", "epsilons", "0 inf"),
+        ("experiment", "epsilons", -0.01), ("experiment", "alphas", 1.5),
+        ("experiment", "alphas", 0), ("experiment", "alphas", "nan"),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
-        # zero mesh sizes used to fall back to the case defaults silently
+        # zero mesh sizes used to fall back to the case defaults silently; a NaN
+        # epsilon used to write all-NaN data, and out-of-range alphas and
+        # epsilons used to surface as numerical failures
         p = self._write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
@@ -174,6 +179,15 @@ class TestCli:
             cli_main(["forward", "--config", str(p), "--threads", "2"])
         assert exc.value.code == 2
         assert "--threads" in capsys.readouterr().err
+
+    def test_zero_threads_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nt_init = 0.45\n")
+        rc = cli_main(["table", "--config", str(p), "--out", str(tmp_path / "o"),
+                       "--threads", "0"])
+        assert rc == 2
+        assert "threads" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_forward_byte_deterministic(self, tmp_path):
         p = tmp_path / "exp.cfg"

@@ -1,8 +1,10 @@
-"""Every exported name resolves.
+"""Every exported name resolves, and every imported name is used.
 
 A name left in a module's `__all__` after its definition is deleted breaks
 only `from fracinv.<module> import *`; the checks here turn it into a test
-failure. The package's own imports are checked the same way.
+failure. The package's own imports are checked the same way. An import left
+behind after its last use is deleted breaks nothing at all, so it is found
+by reading each module's syntax tree.
 """
 
 import ast
@@ -33,3 +35,36 @@ def test_package_imports_resolve():
     for module, name in imported:
         assert hasattr(fracinv, name), name
         assert name in importlib.import_module(f"fracinv.{module}").__all__, (module, name)
+
+
+def _annotations(tree):
+    for node in ast.walk(tree):
+        if isinstance(node, ast.arg):
+            yield node.annotation
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield node.returns
+        elif isinstance(node, ast.AnnAssign):
+            yield node.annotation
+
+
+def _used_names(tree) -> set:
+    """Names read anywhere in the tree, including inside string annotations."""
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for annotation in filter(None, _annotations(tree)):
+        for node in ast.walk(annotation):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                used |= _used_names(ast.parse(node.value, mode="eval"))
+    return used
+
+
+@pytest.mark.parametrize("name", MODULES)
+def test_imports_are_used(name):
+    # the package __init__ imports only to re-export; it is checked above
+    tree = ast.parse(Path(importlib.import_module(name).__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {a.asname or a.name.split(".")[0] for a in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported |= {a.asname or a.name for a in node.names}
+    assert sorted(imported - _used_names(tree)) == []

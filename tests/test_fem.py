@@ -16,7 +16,7 @@ from fracinv.fem import (
 )
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.mittag_leffler import ml_neg
-from fracinv.problems import ProblemSpec, SeparableSource, TimeGrid, TimeIndependentSource
+from fracinv.problems import ProblemSpec, TimeGrid
 
 
 class TestL1Weights:
@@ -72,16 +72,14 @@ class TestSolveFem1D:
         alpha, T = 0.5, 0.5
         grid = Grid1D(512)
         tg = TimeGrid(1024, T)
-        spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(0.0))
+        spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x), f=0.0)
         u = solve_fem(spec, grid, tg).final
         ref = spectral_single_mode(alpha, T, grid)
         assert mass_norm(grid, u - ref) <= 5e-4
 
     def test_steady_state_long_run(self):
         grid = Grid1D(128)
-        spec = ProblemSpec(alpha=0.5, T=200.0, u0=0.0,
-                           source=TimeIndependentSource(lambda x: np.sin(np.pi * x)))
+        spec = ProblemSpec(alpha=0.5, T=200.0, u0=0.0, f=lambda x: np.sin(np.pi * x))
         u = solve_fem(spec, grid, TimeGrid(256, spec.T)).final
         ref = np.sin(np.pi * grid.nodes) / np.pi**2
         # discrete steady state of the P1 operator differs from the exact one
@@ -92,7 +90,7 @@ class TestSolveFem1D:
         grid = Grid1D(64)
         tg = TimeGrid(32, 0.5)
         spec = ProblemSpec(alpha=0.4, T=0.5, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(lambda x: np.minimum(x, 1 - x)),
+                           f=lambda x: np.minimum(x, 1 - x),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         u1 = solve_fem(spec, grid, tg).values
         u2 = solve_fem(spec, grid, tg).values
@@ -102,8 +100,7 @@ class TestSolveFem1D:
         # all data symmetric about x = 1/2: solution symmetric at every step
         grid = Grid1D(128)
         tg = TimeGrid(64, 0.5)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
-                           source=TimeIndependentSource(lambda x: np.abs(np.sin(2 * np.pi * x))),
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         vals = solve_fem(spec, grid, tg).values
         assert np.max(np.abs(vals - vals[:, ::-1])) < 1e-12
@@ -111,8 +108,7 @@ class TestSolveFem1D:
     def test_positivity_nonneg_data(self):
         grid = Grid1D(128)
         tg = TimeGrid(128, 0.5)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
-                           source=TimeIndependentSource(lambda x: np.abs(np.sin(2 * np.pi * x))),
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         vals = solve_fem(spec, grid, tg).values
         assert vals.min() >= -1e-10
@@ -123,8 +119,7 @@ class TestSolveFem1D:
         tg = TimeGrid(512, 0.5)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
-                           source=TimeIndependentSource(f), potential=q)
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=f, potential=q)
         traj = solve_fem(spec, grid, tg)
         dalpha = caputo_derivative_at_T(traj, tg, 0.5)
         x = grid.nodes[grid.interior]
@@ -140,7 +135,7 @@ class TestSolveFem1D:
         grid = Grid1D(256)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, T=500.0, u0=1.0, source=TimeIndependentSource(f),
+        spec = ProblemSpec(alpha=0.5, T=500.0, u0=1.0, f=f,
                            potential=q, dirichlet=(0.5, 0.25))
         u = solve_fem(spec, grid, TimeGrid(256, spec.T)).final
         assert u[0] == pytest.approx(0.5) and u[-1] == pytest.approx(0.25)
@@ -156,16 +151,6 @@ class TestSolveFem1D:
         ref = sol.sol(grid.nodes)[0]
         assert np.max(np.abs(u - ref)) < 5e-3
 
-    def test_separable_source_matches_constant(self):
-        grid = Grid1D(64)
-        tg = TimeGrid(64, 0.5)
-        base = dict(alpha=0.5, T=0.5, u0=lambda x: np.sin(2 * np.pi * x))
-        s1 = ProblemSpec(source=SeparableSource(lambda t: 1.0, lambda x: np.sin(3 * np.pi * x)), **base)
-        s2 = ProblemSpec(source=TimeIndependentSource(lambda x: np.sin(3 * np.pi * x)), **base)
-        u1 = solve_fem(s1, grid, tg).final
-        u2 = solve_fem(s2, grid, tg).final
-        assert np.array_equal(u1, u2)
-
 
 class TestSolveFem2D:
     def _spec_2d(self):
@@ -173,9 +158,7 @@ class TestSolveFem2D:
             alpha=0.5, T=0.5, domain="unit_square",
             u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
             diffusion=lambda x, y: 1.0 + np.sin(np.pi * x) * y * (1 - y),
-            source=TimeIndependentSource(
-                lambda x, y: np.minimum(x, 1 - x) * np.exp(x) * np.sin(2 * np.pi * y)
-            ),
+            f=lambda x, y: np.minimum(x, 1 - x) * np.exp(x) * np.sin(2 * np.pi * y),
         )
 
     def test_2d_self_convergence(self):
@@ -193,7 +176,7 @@ class TestSolveFem2D:
         spec = ProblemSpec(
             alpha=0.5, T=0.5, domain="unit_square",
             u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-            source=TimeIndependentSource(0.0),
+            f=0.0,
         )
         grid = Grid2D(48)
         u = solve_fem(spec, grid, TimeGrid(96, spec.T)).final
@@ -252,7 +235,7 @@ class TestSpectralFemAgreement:
 
         alpha, T = 0.5, 0.5
         spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(lambda x: np.minimum(x, 1 - x)))
+                           f=lambda x: np.minimum(x, 1 - x))
         ed = build_eigendecomposition(0.0, 200, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, T).nodal()
         grid = Grid1D(512)
@@ -267,7 +250,7 @@ class TestSpectralFemAgreement:
 
         q = lambda x: np.sin(np.pi * x) ** 4
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(lambda x: np.minimum(x, 1 - x)),
+                           f=lambda x: np.minimum(x, 1 - x),
                            potential=q)
         ed = build_eigendecomposition(q, 128, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, 0.5).nodal()
@@ -283,8 +266,7 @@ class TestSpectralFemAgreement:
 
 class TestConvergence:
     def test_orders_single_mode(self):
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(0.0))
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
 
         def reference(grid):
             return spectral_single_mode(0.5, 0.5, grid)
@@ -297,8 +279,7 @@ class TestConvergence:
         assert report.time_order >= 0.5
 
     def test_identical_runs_identical_errors(self):
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x),
-                           source=TimeIndependentSource(0.0))
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
 
         def reference(grid):
             return spectral_single_mode(0.5, 0.5, grid)

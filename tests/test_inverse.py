@@ -20,7 +20,7 @@ from fracinv.inverse import (
     metrics,
 )
 from fracinv.mittag_leffler import ml_neg
-from fracinv.problems import ProblemSpec, TimeIndependentSource
+from fracinv.problems import ProblemSpec
 
 
 HAT = lambda x: np.minimum(x, 1 - x)
@@ -66,12 +66,20 @@ class TestAddNoise:
 
 
 class TestForwardMap:
-    def test_bp_consistency_with_solver(self):
-        setup = bp_setup()
-        truth = np.sin(np.pi * setup.grid.nodes)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=truth, source=TimeIndependentSource(HAT))
+    @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
+    def test_consistency_with_solver(self, kind):
+        # v lands in u0, f or the potential; sin(pi x) is an admissible potential
+        setup = {"bp": bp_setup, "isp": isp_setup, "ipp": ipp_setup}[kind]()
+        v = np.sin(np.pi * setup.grid.nodes)
+        spec = {
+            "bp": ProblemSpec(alpha=0.5, T=0.5, u0=v, f=HAT),
+            "isp": ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
+            "ipp": ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
+                               f=lambda x: np.abs(np.sin(2 * np.pi * x)),
+                               potential=v, dirichlet=(0.0, 0.0)),
+        }[kind]
         direct = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, 0.5)).final
-        via_map = forward_map(setup, truth, 0.5)
+        via_map = forward_map(setup, v, 0.5)
         assert np.array_equal(direct, via_map)
 
     def test_isp_zero_source_is_pure_decay(self):
@@ -331,8 +339,7 @@ class TestLMReconstruct:
 class TestDirectIpp:
     def _trajectory(self, n=512, steps=512, q=SIN4):
         grid = Grid1D(n)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
-                           source=TimeIndependentSource(lambda x: np.abs(np.sin(2 * np.pi * x))),
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=q, dirichlet=(0.0, 0.0))
         tg = TimeGrid(steps, 0.5)
         return solve_fem(spec, grid, tg), tg, grid
