@@ -17,14 +17,13 @@ from .grids import Field, Grid1D, Grid2D
 from .mittag_leffler import MLParams, ml_eval, ml_neg
 from .problems import ProblemSpec, TimeGrid
 from .spectral import EigenDecomposition, build_eigendecomposition, estimate_T, solve_spectral
-from .fem import L1Weights, Trajectory, caputo_derivative_at_T, convergence_study, solve_fem
+from .fem import L1Weights, Trajectory, convergence_study, solve_fem
 from .inverse import (
     InverseSetup,
     LMConfig,
     Observation,
     ReconstructionResult,
     add_noise,
-    direct_ipp_reconstruct,
     forward_map,
     lm_reconstruct,
     lm_step,

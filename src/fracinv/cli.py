@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .config import parse_config
+from .config import check_seed, parse_config
 from .errors import ConfigError, FracinvError
 from .mittag_leffler import MLParams, ml_eval
 
@@ -45,7 +45,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _load_config(args):
     cfg = parse_config(args.config)
     if args.seed is not None:
-        cfg.seed = args.seed
+        cfg.seed = check_seed(args.seed, "--seed")
     if args.out is not None:
         cfg.out_dir = args.out
     return cfg

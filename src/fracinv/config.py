@@ -6,9 +6,9 @@ Sections and keys (all optional unless noted):
   case     = 5.1i | 5.1ii | 5.2i | 5.2ii | 5.3     (required for most commands)
   alphas   = 0.25 0.5 0.75         (each in (0, 1])
   epsilons = 0 1e-3 5e-3 1e-2 2e-2 5e-2   (each finite, >= 0)
-  seed     = 1234
-  t_init   = auto | <float>     (auto: asymptotic-estimator prior; 1D cases
-                                only, a 2D case needs a number)
+  seed     = 1234                 (>= 0)
+  t_init   = auto | <float>     (a number must exceed deltaT; auto: the
+                                asymptotic-estimator prior, 1D cases only)
   max_iter = 24                 (>= 0)
   stop     = oracle | discrepancy | max_iter
 
@@ -18,6 +18,7 @@ Sections and keys (all optional unless noted):
 
   [lm]                 (overrides of the per-case defaults)
   gamma0, mu0, rho, deltaT, t_step_cap, eta
+                       (rho in (0, 1); gamma0, mu0, deltaT, t_step_cap > 0)
 
   [output]
   dir = out
@@ -28,10 +29,12 @@ Unknown sections or keys are rejected with the offending location.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
-from .errors import ConfigError
+from .errors import ConfigError, ParameterError
+from .inverse import LMConfig
 
 _KNOWN = {
     "experiment": {"case", "alphas", "epsilons", "seed", "t_init", "max_iter", "stop"},
@@ -101,9 +104,10 @@ def parse_config(path) -> ExperimentConfig:
                               source=where)
     if "seed" in exp:
         try:
-            cfg.seed = int(exp["seed"])
+            seed = int(exp["seed"])
         except ValueError:
             raise ConfigError(f"seed must be an integer, got {exp['seed']!r}", source=where)
+        cfg.seed = check_seed(seed, where)
     if "t_init" in exp:
         raw = exp["t_init"].strip()
         if raw.lower() == "auto":
@@ -118,12 +122,8 @@ def parse_config(path) -> ExperimentConfig:
             cfg.max_iter = int(exp["max_iter"])
         except ValueError:
             raise ConfigError("max_iter must be an integer", source=where)
-        if cfg.max_iter < 0:
-            raise ConfigError(f"max_iter must be >= 0, got {cfg.max_iter}", source=where)
     if "stop" in exp:
         cfg.stop = exp["stop"].strip()
-        if cfg.stop not in ("oracle", "discrepancy", "max_iter"):
-            raise ConfigError(f"unknown stop rule {cfg.stop!r}", source=where)
 
     if cp.has_section("mesh"):
         mesh = cp["mesh"]
@@ -149,4 +149,25 @@ def parse_config(path) -> ExperimentConfig:
 
     if cp.has_section("output") and "dir" in cp["output"]:
         cfg.out_dir = cp["output"]["dir"].strip()
+    _check_lm(cfg, str(path))
     return cfg
+
+
+def check_seed(seed: int, source) -> int:
+    """The noise generator (PCG64) takes seeds >= 0 only."""
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}", source=source)
+    return seed
+
+
+def _check_lm(cfg: ExperimentConfig, source: str) -> None:
+    """Apply LMConfig's own rules to the LM settings the config gives. The
+    fields the case fills in at run time (its weights, and the estimator's
+    prior under t_init = auto) take values that pass."""
+    given = dict(cfg.lm_overrides, max_iter=cfg.max_iter, stop=cfg.stop)
+    if cfg.t_init != "auto":
+        given["T_init"] = cfg.t_init
+    try:
+        LMConfig(**{"gamma0": 1.0, "mu0": 1.0, "rho": 0.5, "T_init": math.inf, **given})
+    except ParameterError as exc:
+        raise ConfigError(f"{exc} (set by t_init, max_iter, stop or [lm])", source=source)

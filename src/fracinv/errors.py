@@ -45,16 +45,8 @@ class InconsistentDataError(NumericalError):
         self.lambda_hat = lambda_hat
 
 
-class PositivityError(NumericalError):
-    """A quantity required to stay positive dropped below its floor."""
-
-
 class AdmissibilityError(NumericalError):
     """An iterate left the admissible set by more than the clamping tolerance."""
-
-
-class InsufficientHistoryError(FracinvError, ValueError):
-    """A time-history operation needs more stored steps than available."""
 
 
 class ConfigError(FracinvError, ValueError):

@@ -21,6 +21,10 @@ bandwidth b is 1 on the interval and n on the n x n square (the SW-NE
 diagonal neighbour sits n interior indices on). The band is read off the
 stored entries; the factor costs O(m b^2) and each solve O(m b) for m
 interior nodes.
+
+The same scheme also runs mode by mode: in the eigenbasis of the pencil
+(A_II, M_II) each step is a scalar division (`l1_responses`), which is how
+the inversion solves the backward and source problems on the interval.
 """
 
 from __future__ import annotations
@@ -31,10 +35,10 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
 from scipy.special import gamma as gamma_fn
 
-from .errors import InsufficientHistoryError, NumericalError, ParameterError, ShapeError
+from .errors import NumericalError, ParameterError
 from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
 from .problems import ProblemSpec, TimeGrid
 
@@ -42,8 +46,8 @@ __all__ = [
     "L1Weights",
     "FemOperator",
     "Trajectory",
+    "l1_responses",
     "solve_fem",
-    "caputo_derivative_at_T",
     "convergence_study",
     "ConvergenceReport",
     "mass_inner",
@@ -252,6 +256,15 @@ class FemOperator:
         cb = self._factor_cache[key]
         return lambda rhs: cho_solve_banded((cb, False), rhs)
 
+    @cached_property
+    def modes(self) -> tuple[np.ndarray, np.ndarray]:
+        """Eigenpairs (lam, V) of the pencil (A_II, M_II), V^T M_II V = I.
+
+        One dense `eigh`: O(m^3) time and O(m^2) memory, once per operator.
+        """
+        A_II = self.A[self.interior][:, self.interior]
+        return eigh(A_II.toarray(), self.M_II.toarray())
+
 
 @dataclass
 class Trajectory:
@@ -299,6 +312,30 @@ def l1_evolve(
     return past if keep_history else past[-1]
 
 
+def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray,
+                 keep_history: bool = True) -> tuple[np.ndarray, np.ndarray]:
+    """The L1 scheme on one mode of eigenvalue lam_j, for all modes at once.
+
+    In the eigenbasis of the pencil (A_II, M_II) the step (c M + A) w^k =
+    c M combo_k + F splits into (c + lam_j) a_j^k = c combo_k(a_j) + F_j, so
+    each mode's state at step k is r_j^k a_j^0 + s_j^k F_j, with the
+    responses r (a^0 = 1, no load) and s (a^0 = 0, unit load). The history
+    coefficients sum to 1, so the steady state a = F / lam is a fixed point
+    and s = (1 - r) / lam: one recursion serves both. Returns (r, s) at every
+    step, (n_steps+1, m) each, or at the final step only.
+    """
+    weights = L1Weights(alpha, tg.n_steps)
+    c = weights.scale(tg.tau)
+    gain = c / (c + lam)
+    r = np.empty((tg.n_steps + 1, lam.size))
+    r[0] = 1.0
+    for k in range(1, tg.n_steps + 1):
+        r[k] = (weights.history_coefficients(k) @ r[:k]) * gain
+    if not keep_history:
+        r = r[-1]
+    return r, (1.0 - r) / lam
+
+
 def _lift_vector(spec: ProblemSpec, grid: GridLike) -> np.ndarray:
     if spec.dirichlet is None:
         return np.zeros(grid.n_nodes)
@@ -309,8 +346,13 @@ def _lift_vector(spec: ProblemSpec, grid: GridLike) -> np.ndarray:
 
 
 def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
-              op: Optional[FemOperator] = None) -> Trajectory:
-    """P1 + L1 forward solve; returns the full nodal trajectory."""
+              op: Optional[FemOperator] = None, modal: bool = False) -> Trajectory:
+    """P1 + L1 forward solve; returns the full nodal trajectory.
+
+    modal=True runs the same scheme mode by mode on `op.modes`, with no
+    linear solves: W = V (r o V^T M_II w0 + s o V^T load), which equals the
+    time-stepped solution up to rounding.
+    """
     if op is None:
         op = FemOperator(grid, spec.diffusion, spec.potential)
     u0 = as_nodal_values(spec.u0, grid)
@@ -319,24 +361,16 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
 
     # the Galerkin load of the P1-interpolated source, less the lift's: constant in time
     load = (op.mass_apply(spec.sample("f", grid)) - op.elliptic_apply(lift))[op.interior]
-    hist = l1_evolve(op, spec.alpha, tg, w0, lambda k: load)
+    if modal:
+        lam, V = op.modes
+        r, s = l1_responses(spec.alpha, tg, lam)
+        hist = (r * (V.T @ op.mass_apply_interior(w0)) + s * (V.T @ load)) @ V.T
+    else:
+        hist = l1_evolve(op, spec.alpha, tg, w0, lambda k: load)
     values = np.tile(lift, (tg.n_steps + 1, 1))
     values[:, op.interior] += hist
     values[0] = u0
     return Trajectory(grid=grid, times=tg.times, values=values)
-
-
-def caputo_derivative_at_T(traj: Trajectory, tg: TimeGrid, alpha: float) -> np.ndarray:
-    """Discrete L1 evaluation of the order-alpha time derivative at t = T."""
-    if traj.values.shape[0] < 2:
-        raise InsufficientHistoryError("need at least two stored steps")
-    if traj.values.shape[0] != tg.n_steps + 1:
-        raise ShapeError("trajectory length does not match the time grid")
-    weights = L1Weights(alpha, tg.n_steps)
-    c = weights.scale(tg.tau)
-    N = tg.n_steps
-    coef = weights.history_coefficients(N)
-    return c * (traj.values[N] - np.tensordot(coef, traj.values[:N], axes=1))
 
 
 # ---------------------------------------------------------------------------

@@ -30,8 +30,7 @@ Note on the expansion: several references print the asymptotic sum with a
 fixed 1/z in every term; the correct expansion carries z^{-k}, which is what
 is implemented and tested here (order checks would fail otherwise).
 
-All functions are pure and hold no mutable state, apart from a small
-memoized calibration table for the two-sided decay-bound check.
+All functions are pure and hold no mutable state.
 """
 
 from __future__ import annotations
@@ -50,8 +49,6 @@ __all__ = [
     "MLParams",
     "ml_eval",
     "ml_neg",
-    "ml_e1_bounds_check",
-    "ml_derivative_identity_residual",
 ]
 
 # Largest positive argument served by the series-only region.
@@ -369,63 +366,3 @@ def _highprec_scalar(alpha: float, beta: float, z: float) -> float:
                     f"high-precision series did not converge (alpha={alpha}, z={z})"
                 )
         return float(s)
-
-
-# ---------------------------------------------------------------------------
-# derived checks used by tests and diagnostics
-
-
-_BOUNDS_CACHE: dict[float, tuple[float, float]] = {}
-
-
-def _calibrated_bounds(alpha: float) -> tuple[float, float]:
-    """Empirical constants (c0, c1) with c0/(1+x) <= E_{a,1}(-x) <= c1/(1+x).
-
-    The two-sided decay bound holds with alpha-dependent constants that no
-    closed form supplies; we calibrate them on a coarse grid (with a safety
-    margin) and treat the bound as a regression property on finer grids.
-    """
-    key = round(alpha, 12)
-    if key not in _BOUNDS_CACHE:
-        xs = np.concatenate([[0.0], np.logspace(-3, 7, 41)])
-        e = ml_neg(alpha, 1.0, xs)
-        ratio = e * (1.0 + xs)
-        c0 = float(ratio.min()) * (1.0 - 1e-9)
-        c1 = float(ratio.max()) * (1.0 + 1e-9)
-        _BOUNDS_CACHE[key] = (c0, c1)
-    return _BOUNDS_CACHE[key]
-
-
-def ml_e1_bounds_check(alpha: float, x: float) -> tuple[bool, bool]:
-    """Check c0/(1+x) <= E_{alpha,1}(-x) <= c1/(1+x) with calibrated c0, c1."""
-    if not (0.1 <= alpha <= 0.9):
-        raise ParameterError("bounds check calibrated for alpha in [0.1, 0.9]")
-    if x < 0:
-        raise ParameterError("x must be nonnegative")
-    c0, c1 = _calibrated_bounds(alpha)
-    e = float(ml_neg(alpha, 1.0, np.asarray([x]))[0])
-    ref = 1.0 / (1.0 + x)
-    return (e >= c0 * ref, e <= c1 * ref)
-
-
-def ml_derivative_identity_residual(
-    alpha: float, lam: float, t: float, h: float
-) -> float:
-    """|centered difference of E_{a,1}(-lam t^a) minus the closed-form derivative|.
-
-    The time derivative of the modal decay factor equals
-    -lam * t^(a-1) * E_{a,a}(-lam t^a); the centered difference of the left
-    side should match to O(h^2).
-    """
-    if lam <= 0 or t <= 0 or h <= 0:
-        raise ParameterError("lam, t, h must be positive")
-    if t - h <= 0:
-        raise ParameterError("need t - h > 0")
-
-    def e1(s):
-        return float(ml_neg(alpha, 1.0, np.asarray([lam * s**alpha]))[0])
-
-    cd = (e1(t + h) - e1(t - h)) / (2.0 * h)
-    eaa = float(ml_neg(alpha, alpha, np.asarray([lam * t**alpha]))[0])
-    rhs = -lam * t ** (alpha - 1.0) * eaa
-    return abs(cd - rhs)

@@ -31,11 +31,11 @@ from fracinv.inverse import (
     jacobian_v_matrix,
     lm_reconstruct,
 )
-from fracinv.mittag_leffler import ml_derivative_identity_residual, ml_neg
+from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 from fracinv.spectral import build_eigendecomposition, estimate_T
 
-from oracles import ml_reference
+from oracles import ml_derivative_identity_residual, ml_reference
 
 T_TRUE = 0.5
 

@@ -131,11 +131,14 @@ dir = results
         ("experiment", "epsilons", "nan"), ("experiment", "epsilons", "0 inf"),
         ("experiment", "epsilons", -0.01), ("experiment", "alphas", 1.5),
         ("experiment", "alphas", 0), ("experiment", "alphas", "nan"),
+        ("experiment", "seed", -1), ("lm", "rho", 2), ("experiment", "t_init", -1),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
         # zero mesh sizes used to fall back to the case defaults silently; a NaN
         # epsilon used to write all-NaN data, and out-of-range alphas and
-        # epsilons used to surface as numerical failures
+        # epsilons used to surface as numerical failures; a negative seed
+        # ended in a traceback from the noise generator, and out-of-range LM
+        # settings were reported as numerical failures
         p = self._write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
@@ -161,6 +164,15 @@ class TestCli:
         rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "max_iter" in capsys.readouterr().err
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nepsilons = 0.01\n[mesh]\nn = 8\nsteps = 8\n")
+        rc = cli_main(["forward", "--config", str(p), "--out", str(tmp_path / "o"),
+                       "--seed", "-5"])
+        assert rc == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_auto_prior_on_square_is_config_error(self, tmp_path, capsys):
         # no 2D estimator exists, and the true time must not stand in for one

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracinv.errors import ParameterError, PositivityError
+from fracinv.errors import ParameterError
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
@@ -9,7 +9,6 @@ from fracinv.inverse import (
     LMConfig,
     LMState,
     add_noise,
-    direct_ipp_reconstruct,
     forward_map,
     jacobian_T,
     jacobian_v_adjoint_apply,
@@ -80,7 +79,11 @@ class TestForwardMap:
         }[kind]
         direct = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, 0.5)).final
         via_map = forward_map(setup, v, 0.5)
-        assert np.array_equal(direct, via_map)
+        if setup.modal:
+            # bp/isp run the same L1 scheme mode by mode: equal up to rounding
+            assert np.max(np.abs(via_map - direct)) <= 1e-10 * np.max(np.abs(direct))
+        else:
+            assert np.array_equal(direct, via_map)
 
     def test_isp_zero_source_is_pure_decay(self):
         setup = isp_setup()
@@ -114,6 +117,65 @@ class TestForwardMap:
         }
         for i, val in golden.items():
             assert u[i] == pytest.approx(val, rel=1e-12)
+
+
+class _Stepped(InverseSetup):
+    """The same setup on the L1 time stepper: the modal engine's oracle."""
+
+    modal = False
+
+
+def _relative_gap(a, b):
+    return np.max(np.abs(a - b)) / np.max(np.abs(b))
+
+
+_COEFFICIENTS = {
+    "unit": {},
+    "variable_diffusion": {"diffusion": lambda x: 1.0 + 0.5 * np.sin(np.pi * x)},
+    "dirichlet": {"dirichlet": (0.3, 0.7)},
+}
+_MODAL_CASES = [(n, alpha, "unit") for n in (48, 64, 96, 128) for alpha in (0.25, 0.5, 0.75)]
+_MODAL_CASES += [(64, 0.5, "variable_diffusion"), (64, 0.5, "dirichlet")]
+
+
+class TestModalEngine:
+    @pytest.mark.parametrize("kind", ["bp", "isp"])
+    @pytest.mark.parametrize("n, alpha, coefficients", _MODAL_CASES)
+    def test_matches_time_stepper(self, n, alpha, coefficients, kind):
+        known = {"bp": {"f": HAT}, "isp": {"u0": lambda x: np.sin(2 * np.pi * x)}}[kind]
+        known.update(_COEFFICIENTS[coefficients])
+        setup = InverseSetup(kind, Grid1D(n), alpha, 256, **known)
+        oracle = _Stepped(kind, Grid1D(n), alpha, 256, **known)
+        assert setup.modal and not oracle.modal
+        x = setup.grid.nodes
+        v = np.sin(np.pi * x) + 0.5 * HAT(3 * x % 1.0)
+        assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
+                             jacobian_v_matrix(oracle, v, 0.45)) <= 1e-10
+        assert _relative_gap(forward_map(setup, v, 0.45), forward_map(oracle, v, 0.45)) <= 1e-10
+
+    def test_only_interval_bp_isp_are_modal(self):
+        assert bp_setup().modal and isp_setup().modal
+        assert not ipp_setup().modal
+        assert not InverseSetup("bp", Grid2D(8), 0.5, 8, f=0.0).modal
+
+    @pytest.mark.parametrize("make", [bp_setup, isp_setup])
+    def test_one_eigensolve_per_setup(self, make, monkeypatch):
+        import fracinv.fem as fem_mod
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return eigh(*args, **kwargs)
+
+        eigh = fem_mod.eigh
+        monkeypatch.setattr(fem_mod, "eigh", counting)
+        setup = make(n=32, steps=32)
+        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
+                       max_iter=4, stop="max_iter")
+        lm_reconstruct(setup, obs, cfg)
+        assert len(calls) == 1
 
 
 class TestJacobians:
@@ -334,40 +396,6 @@ class TestLMReconstruct:
         res = lm_reconstruct(setup, obs, cfg, truth=truth)
         rs = [h[1] for h in res.history[:6]]
         assert all(a >= b - 1e-14 for a, b in zip(rs, rs[1:]))
-
-
-class TestDirectIpp:
-    def _trajectory(self, n=512, steps=512, q=SIN4):
-        grid = Grid1D(n)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
-                           potential=q, dirichlet=(0.0, 0.0))
-        tg = TimeGrid(steps, 0.5)
-        return solve_fem(spec, grid, tg), tg, grid
-
-    def test_recovers_smooth_potential(self):
-        traj, tg, grid = self._trajectory()
-        q_hat = direct_ipp_reconstruct(traj, tg, 0.5, lambda x: np.abs(np.sin(2 * np.pi * x)))
-        assert mass_norm(grid, q_hat - SIN4(grid.nodes)) <= 5e-2
-
-    def test_zero_potential(self):
-        traj, tg, grid = self._trajectory(q=0.0)
-        q_hat = direct_ipp_reconstruct(traj, tg, 0.5, lambda x: np.abs(np.sin(2 * np.pi * x)))
-        assert np.max(q_hat) <= 5e-3
-
-    def test_homogeneity(self):
-        traj, tg, grid = self._trajectory(n=128, steps=128)
-        f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        q1 = direct_ipp_reconstruct(traj, tg, 0.5, f)
-        traj2 = type(traj)(grid=grid, times=traj.times, values=2.0 * traj.values)
-        q2 = direct_ipp_reconstruct(traj2, tg, 0.5, lambda x: 2.0 * f(x))
-        assert np.allclose(q1, q2, atol=1e-12)
-
-    def test_positivity_floor(self):
-        traj, tg, grid = self._trajectory(n=64, steps=32)
-        bad = type(traj)(grid=grid, times=traj.times,
-                         values=traj.values - traj.values[-1].max())
-        with pytest.raises(PositivityError):
-            direct_ipp_reconstruct(bad, tg, 0.5, lambda x: np.abs(np.sin(2 * np.pi * x)))
 
 
 class Test2DRestrictedRecovery:

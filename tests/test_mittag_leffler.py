@@ -7,8 +7,6 @@ from scipy.special import erfcx, gamma
 from fracinv.errors import DomainError, ParameterError
 from fracinv.mittag_leffler import (
     MLParams,
-    ml_derivative_identity_residual,
-    ml_e1_bounds_check,
     ml_eval,
     ml_neg,
     _asymptotic_batch,
@@ -16,7 +14,7 @@ from fracinv.mittag_leffler import (
     _series_batch,
 )
 
-from oracles import ml_reference
+from oracles import ml_derivative_identity_residual, ml_e1_bounds_check, ml_reference
 
 # E_{1/2,1}(-5) = exp(25) erfc(5), frozen from a 40-digit computation
 E_HALF_AT_M5 = 0.1107046377330686263702
