@@ -7,8 +7,8 @@ Sections and keys (all optional unless noted):
   alphas   = 0.25 0.5 0.75         (each in (0, 1])
   epsilons = 0 1e-3 5e-3 1e-2 2e-2 5e-2   (each finite, >= 0)
   seed     = 1234                 (>= 0)
-  t_init   = auto | <float>     (a number must exceed deltaT; auto: the
-                                asymptotic-estimator prior, 1D cases only)
+  t_init   = auto | <float>     (finite, > deltaT; auto: the asymptotic-
+                                estimator prior, 1D cases only)
   max_iter = 24                 (>= 0)
   stop     = oracle | discrepancy | max_iter
 
@@ -18,7 +18,8 @@ Sections and keys (all optional unless noted):
 
   [lm]                 (overrides of the per-case defaults)
   gamma0, mu0, rho, deltaT, t_step_cap, eta
-                       (rho in (0, 1); gamma0, mu0, deltaT, t_step_cap > 0)
+                       (rho in (0, 1); gamma0, mu0, deltaT, eta finite and
+                       > 0; t_step_cap > 0 or inf for no cap; never nan)
 
   [output]
   dir = out
@@ -29,7 +30,7 @@ Unknown sections or keys are rejected with the offending location.
 from __future__ import annotations
 
 import configparser
-import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Union
 
@@ -162,12 +163,12 @@ def check_seed(seed: int, source) -> int:
 
 def _check_lm(cfg: ExperimentConfig, source: str) -> None:
     """Apply LMConfig's own rules to the LM settings the config gives. The
-    fields the case fills in at run time (its weights, and the estimator's
-    prior under t_init = auto) take values that pass."""
+    fields the case fills in at run time take values that pass: its weights,
+    and for the prior under t_init = auto the largest float (> any deltaT)."""
     given = dict(cfg.lm_overrides, max_iter=cfg.max_iter, stop=cfg.stop)
     if cfg.t_init != "auto":
         given["T_init"] = cfg.t_init
     try:
-        LMConfig(**{"gamma0": 1.0, "mu0": 1.0, "rho": 0.5, "T_init": math.inf, **given})
+        LMConfig(**{"gamma0": 1.0, "mu0": 1.0, "rho": 0.5, "T_init": sys.float_info.max, **given})
     except ParameterError as exc:
         raise ConfigError(f"{exc} (set by t_init, max_iter, stop or [lm])", source=source)

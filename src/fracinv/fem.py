@@ -24,7 +24,8 @@ interior nodes.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar division (`l1_responses`), which is how
-the inversion solves the backward and source problems on the interval.
+the inversion solves the backward and source problems on the interval and
+forms the potential problem's v-Jacobian.
 """
 
 from __future__ import annotations
@@ -284,15 +285,15 @@ def l1_evolve(
     alpha: float,
     tg: TimeGrid,
     w0_int: np.ndarray,
-    load_at: Optional[Callable[[int], np.ndarray]] = None,
+    load: Optional[np.ndarray] = None,
     keep_history: bool = True,
 ) -> np.ndarray:
     """March the zero-boundary unknown w on interior nodes through all steps.
 
     w0_int may be a vector (m,) or a matrix (m, p) of p simultaneous states;
-    load_at(k) returns the interior load at step k with matching trailing
-    shape (or None). Returns the full history (n_steps+1, m[, p]) or just the
-    final state when keep_history is False.
+    load is the interior load, constant in time, with matching shape (or
+    None). Returns the full history (n_steps+1, m[, p]) or just the final
+    state when keep_history is False.
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
@@ -304,10 +305,8 @@ def l1_evolve(
     for k in range(1, tg.n_steps + 1):
         combo = np.tensordot(weights.history_coefficients(k), past[:k], axes=1)
         rhs = c * op.mass_apply_interior(combo)
-        if load_at is not None:
-            f = load_at(k)
-            if f is not None:
-                rhs = rhs + f
+        if load is not None:
+            rhs = rhs + load
         past[k] = solve(rhs)
     return past if keep_history else past[-1]
 
@@ -366,7 +365,7 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
         r, s = l1_responses(spec.alpha, tg, lam)
         hist = (r * (V.T @ op.mass_apply_interior(w0)) + s * (V.T @ load)) @ V.T
     else:
-        hist = l1_evolve(op, spec.alpha, tg, w0, lambda k: load)
+        hist = l1_evolve(op, spec.alpha, tg, w0, load)
     values = np.tile(lift, (tg.n_steps + 1, 1))
     values[:, op.interior] += hist
     values[0] = u0

@@ -22,20 +22,23 @@ Sensitivity systems (direction h):
   source problem:     d_t^alpha w + A w = h,        w(0) = 0
   potential problem:  d_t^alpha w + A w = -h u(v),  w(0) = 0
 
-Two engines run the same FEM + L1 scheme. For the backward and source
-problems on the interval the operator does not depend on v, so the pencil
-(A_II, M_II) is diagonalized once per setup (A_II V = M_II V diag(lam),
-V^T M_II V = I) and the scheme splits into one scalar recursion per mode:
-with the final-step responses r (w(0) = 1, no load) and s (w(0) = 0, unit
-load), F_I = V (r o V^T M_II w0 + s o V^T load) and J_II = V diag(r or s)
-V^T M_II, with no linear solves. The potential problem (whose operator
-moves with v) and the square (where the dense eigensolve raises the peak
-memory by a third) step all Jacobian columns simultaneously through the L1
-recursion instead; that path is also the modal engine's test oracle.
+Three engines run the same FEM + L1 scheme. (1) bp/isp on the interval: the
+fixed pencil (A_II, M_II) is diagonalized once per setup (A_II V = M_II V
+diag(lam), V^T M_II V = I); with the final-step mode responses r (w(0) = 1,
+no load) and s (w(0) = 0, unit load), F_I = V (r o V^T M_II w0 + s o V^T
+load) and J_II = V diag(r or s) V^T M_II. (2) ipp (interval only): A_q moves
+with v, so F is time-stepped. Its sensitivity starts from zero, so the scheme
+is shift-invariant: on the modes of the iterate's A_q, mode j answers a unit
+load n steps later with K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is
+-V_j^T B(U_j)_II, U_j = sum_k K_j(N - k) u^k: O(N m^2) plus one eigh per
+iterate. (3) bp/isp on the square, where a dense eigensolve raises the peak
+memory by a third: all Jacobian columns step together through the L1
+scheme, which is also (1)'s test oracle.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional, Union
@@ -89,6 +92,10 @@ class LMConfig:
     t_step_cap: float = 0.05
 
     def __post_init__(self):
+        for name in ("gamma0", "mu0", "rho", "T_init", "deltaT", "max_iter", "eta", "t_step_cap"):
+            value = getattr(self, name)  # t_step_cap = inf is no cap on the time step
+            if math.isnan(value) or (math.isinf(value) and name != "t_step_cap"):
+                raise ParameterError(f"{name} must be a finite number, got {value}")
         if not (0.0 < self.rho < 1.0):
             raise ParameterError(f"rho must be in (0, 1), got {self.rho}")
         if self.deltaT <= 0.0:
@@ -96,7 +103,9 @@ class LMConfig:
         if self.T_init <= self.deltaT:
             raise ParameterError("T_init must exceed deltaT")
         if self.gamma0 <= 0 or self.mu0 <= 0:
-            raise ParameterError("regularization weights must be positive")
+            raise ParameterError("the weights gamma0 and mu0 must be positive")
+        if self.eta <= 0:
+            raise ParameterError(f"eta must be positive, got {self.eta}")
         if self.stop not in ("oracle", "discrepancy", "max_iter"):
             raise ParameterError(f"unknown stop rule {self.stop!r}")
         if self.t_step_cap <= 0:
@@ -167,6 +176,8 @@ class InverseSetup:
             raise ParameterError("isp needs the known initial state")
         if kind == "ipp" and (u0 is None or f is None):
             raise ParameterError("ipp needs u0 and f")
+        if kind == "ipp" and not isinstance(grid, Grid1D):
+            raise ParameterError("potential reconstruction is one-dimensional")
         self.kind = kind
         self.grid = grid
         self.alpha = float(alpha)
@@ -179,15 +190,12 @@ class InverseSetup:
 
     # -- parametrization ------------------------------------------------------
 
-    def interior(self) -> np.ndarray:
-        return self.fixed_operator.interior
-
     def param_to_nodal(self, p: np.ndarray) -> np.ndarray:
         """Expand a parameter vector to a full nodal field (zero boundary)."""
         if self.basis is not None:
             return self.basis.T @ p
         v = np.zeros(self.grid.n_nodes)
-        v[self.interior()] = p
+        v[self.fixed_operator.interior] = p
         return v
 
     def nodal_to_param(self, v_nodal: np.ndarray) -> np.ndarray:
@@ -195,7 +203,7 @@ class InverseSetup:
             # L2 projection onto the basis span
             W = self.fixed_operator.mass_apply(self.basis.T)  # (nodes, p)
             return np.linalg.solve(self.param_gram, W.T @ v_nodal)
-        return np.asarray(v_nodal, float)[self.interior()]
+        return np.asarray(v_nodal, float)[self.fixed_operator.interior]
 
     @cached_property
     def param_gram(self) -> np.ndarray:
@@ -218,10 +226,10 @@ class InverseSetup:
     def modal(self) -> bool:
         """Whether F and the v-Jacobian run on the modes of the fixed operator.
 
-        bp/isp on the interval do. ipp does not, because its operator moves
-        with v; nor does the square, where the dense m x m eigh (m = 961 at
-        n = 32) raised the peak memory of a 5.1ii reconstruction by a third,
-        from 106 to 140 MB.
+        bp/isp on the interval do. ipp's operator moves with v, so only its
+        v-Jacobian is modal, on each iterate's modes. On the square the dense
+        m x m eigh (m = 961 at n = 32) raised the peak memory of a 5.1ii
+        reconstruction by a third, from 106 to 140 MB.
         """
         return self.kind != "ipp" and isinstance(self.grid, Grid1D)
 
@@ -269,24 +277,19 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     """Dense Jacobian of F in the space parameter, (n_nodes, n_params).
 
     Boundary rows are zero (Dirichlet data does not move with v). Where
-    `setup.modal`, J_II is V diag(r or s) V^T M_II from the mode responses
-    at T; otherwise the columns are sensitivity solves propagated
-    simultaneously through the L1 time stepper. The potential problem's load
-    needs the trajectory of F(v, T); pass it as `base` if it is at hand,
-    otherwise it is solved for here.
+    `setup.modal`, J_II = V diag(r or s) V^T M_II; for ipp, J_II = -V R with
+    row j of R = V_j^T B(U_j)_II on the modes of the iterate's operator (see
+    the module docstring), where U_j needs the trajectory of F(v, T): pass it
+    as `base` if at hand, else it is solved for here. On the square the
+    columns are sensitivity solves stepped together through the L1 scheme.
     """
     v_nodal = as_nodal_values(v, setup.grid)
     tg = TimeGrid(setup.n_steps, T)
     if setup.kind == "ipp":
         v_nodal = _clamp_ipp(v_nodal)
     op = setup._operator_for(v_nodal)
-    m = op.interior.size
-    if setup.basis is not None:
-        cols0 = setup.basis.T[op.interior]  # (m, p)
-    else:
-        cols0 = np.eye(m)
-    p = cols0.shape[1]
-    J = np.zeros((setup.grid.n_nodes, p))
+    cols0 = np.eye(op.interior.size) if setup.basis is None else setup.basis.T[op.interior]
+    J = np.zeros((setup.grid.n_nodes, cols0.shape[1]))
 
     if setup.modal:
         # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
@@ -295,46 +298,38 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
         resp = r if setup.kind == "bp" else s
         J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
         return J
-    if setup.kind == "bp":
-        w0 = cols0
-        load_at = None
-    elif setup.kind == "isp":
-        w0 = np.zeros((m, p))
-        mass_cols = op.mass_apply_interior(cols0)
-
-        def load_at(k):
-            return mass_cols
-
-    else:
-        grid = setup.grid
-        if not isinstance(grid, Grid1D):
-            raise ParameterError("potential reconstruction is one-dimensional")
+    if setup.kind == "ipp":
+        # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
         if base is None:
             base = forward_map(setup, v_nodal, T, return_trajectory=True)
-        w0 = np.zeros((m, p))
-
-        def load_at(k):
-            # -B(u^k) cols0 on the interior nodes 1..n-1; B is tridiagonal
-            diag, off = _trilinear_mass_1d(grid, base.values[k])
-            d, o = diag[1:-1, None], off[1:-1, None]
-            load = d * cols0
-            load[:-1] += o * cols0[1:]
-            load[1:] += o * cols0[:-1]
-            return -load
-
-    J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load_at, keep_history=False)
+        lam, V = op.modes
+        r, _ = l1_responses(setup.alpha, tg, lam)
+        K = (r[:-1] - r[1:]) / lam  # (N, m), K[n] = K(n)
+        U = K[::-1].T @ base.values[1:]  # (m, n_nodes)
+        diag, off = _trilinear_mass_1d(setup.grid, U)
+        d, o, Vt = diag[:, 1:-1], off[:, 1:-1], V.T
+        R = d * Vt  # row j: (B(U_j)_II V_j)^T, B tridiagonal
+        R[:, :-1] += o * Vt[:, 1:]
+        R[:, 1:] += o * Vt[:, :-1]
+        J[op.interior] = -V @ (R @ cols0)
+        return J
+    # bp/isp on the square (and the modal engine's oracle): columns stepped in time
+    if setup.kind == "bp":
+        w0, load = cols0, None
+    else:
+        w0, load = np.zeros(cols0.shape), op.mass_apply_interior(cols0)
+    J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load, keep_history=False)
     return J
 
 
 def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Diagonal and off-diagonal of the tridiagonal B(u) on all nodes, with
-    B_ij = int phi_i phi_j u dx, u P1 (exact)."""
+    B_ij = int phi_i phi_j u dx, u P1 (exact); leading axes of u carry over."""
     h = grid.h
-    ul = u_nodal[:-1]
-    ur = u_nodal[1:]
-    diag = np.zeros(grid.n_nodes)
-    diag[:-1] += h * (ul / 4.0 + ur / 12.0)
-    diag[1:] += h * (ul / 12.0 + ur / 4.0)
+    ul, ur = u_nodal[..., :-1], u_nodal[..., 1:]
+    diag = np.zeros(u_nodal.shape)
+    diag[..., :-1] += h * (ul / 4.0 + ur / 12.0)
+    diag[..., 1:] += h * (ul / 12.0 + ur / 4.0)
     return diag, h * (ul + ur) / 12.0
 
 

@@ -5,7 +5,9 @@ closed forms via scipy.special, arbitrary-precision summation via mpmath, and
 a composite fixed-node Gauss-Legendre quadrature of the cut integral for
 arguments where summation is infeasible. The derived checks below them (decay
 bounds, the derivative identity, the L1 derivative at the final time) are
-properties the tests assert of the production code.
+properties the tests assert of the production code. The potential problem's
+v-Jacobian has a column oracle that steps every sensitivity through the L1
+time stepper, against which the modal Jacobian is checked.
 """
 
 from __future__ import annotations
@@ -17,7 +19,9 @@ import numpy as np
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.fem import L1Weights
+from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, forward_map
 from fracinv.mittag_leffler import ml_neg
+from fracinv.problems import TimeGrid
 
 
 def ml_reference(alpha: float, beta: float, x: float) -> float:
@@ -172,3 +176,32 @@ def caputo_derivative_at_T(traj, tg, alpha: float) -> np.ndarray:
     N = tg.n_steps
     coef = weights.history_coefficients(N)
     return c * (traj.values[N] - np.tensordot(coef, traj.values[:N], axes=1))
+
+
+def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
+    """The potential problem's v-Jacobian (n_nodes, m), one column per interior
+    node i, each the sensitivity solve d_t^alpha w + A_q w = -B(u) e_i,
+    w(0) = 0, stepped through the L1 scheme with the trajectory u^k of F(v, T)
+    (a load that changes at every step)."""
+    v_nodal = _clamp_ipp(np.asarray(v_nodal, float))
+    base = forward_map(setup, v_nodal, T, return_trajectory=True)
+    op = setup._operator_for(v_nodal)
+    tg = TimeGrid(setup.n_steps, T)
+    weights = L1Weights(setup.alpha, tg.n_steps)
+    c = weights.scale(tg.tau)
+    solve = op.factorized(c)
+    m = op.interior.size
+    cols0 = np.eye(m)
+    w = np.zeros((tg.n_steps + 1, m, m))
+    for k in range(1, tg.n_steps + 1):
+        # B(u^k) cols0 on the interior nodes 1..n-1; B is tridiagonal
+        diag, off = _trilinear_mass_1d(setup.grid, base.values[k])
+        d, o = diag[1:-1, None], off[1:-1, None]
+        load = d * cols0
+        load[:-1] += o * cols0[1:]
+        load[1:] += o * cols0[:-1]
+        combo = np.tensordot(weights.history_coefficients(k), w[:k], axes=1)
+        w[k] = solve(c * op.mass_apply_interior(combo) - load)
+    J = np.zeros((setup.grid.n_nodes, m))
+    J[op.interior] = w[-1]
+    return J

@@ -132,16 +132,25 @@ dir = results
         ("experiment", "epsilons", -0.01), ("experiment", "alphas", 1.5),
         ("experiment", "alphas", 0), ("experiment", "alphas", "nan"),
         ("experiment", "seed", -1), ("lm", "rho", 2), ("experiment", "t_init", -1),
+        ("experiment", "t_init", "inf"), ("experiment", "t_init", "nan"),
+        ("lm", "gamma0", "nan"), ("lm", "mu0", "inf"), ("lm", "deltaT", "nan"),
+        ("lm", "eta", -1), ("lm", "eta", 0), ("lm", "t_step_cap", "nan"),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
         # zero mesh sizes used to fall back to the case defaults silently; a NaN
         # epsilon used to write all-NaN data, and out-of-range alphas and
         # epsilons used to surface as numerical failures; a negative seed
         # ended in a traceback from the noise generator, and out-of-range LM
-        # settings were reported as numerical failures
+        # settings were reported as numerical failures; t_init = inf ran to
+        # T_hat = inf, and a NaN or infinite weight or deltaT ended in a
+        # traceback from cho_factor
         p = self._write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
             parse_config(p)
+
+    def test_infinite_time_step_cap_is_no_cap(self, tmp_path):
+        p = self._write(tmp_path, "[lm]\nt_step_cap = inf\n")
+        assert parse_config(p).lm_overrides == {"t_step_cap": float("inf")}
 
 
 class TestCli:

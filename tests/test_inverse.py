@@ -5,6 +5,7 @@ from fracinv.errors import ParameterError
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
+    _trilinear_mass_1d,
     InverseSetup,
     LMConfig,
     LMState,
@@ -20,6 +21,8 @@ from fracinv.inverse import (
 )
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
+
+from oracles import ipp_jacobian_columns
 
 
 HAT = lambda x: np.minimum(x, 1 - x)
@@ -136,6 +139,8 @@ _COEFFICIENTS = {
 }
 _MODAL_CASES = [(n, alpha, "unit") for n in (48, 64, 96, 128) for alpha in (0.25, 0.5, 0.75)]
 _MODAL_CASES += [(64, 0.5, "variable_diffusion"), (64, 0.5, "dirichlet")]
+_IPP_CASES = [(n, alpha, "unit") for n in (48, 64, 96, 128) for alpha in (0.25, 0.5, 0.75)]
+_IPP_CASES += [(64, 0.5, "variable_diffusion")]
 
 
 class TestModalEngine:
@@ -158,27 +163,73 @@ class TestModalEngine:
         assert not ipp_setup().modal
         assert not InverseSetup("bp", Grid2D(8), 0.5, 8, f=0.0).modal
 
+    def test_ipp_on_square_rejected(self):
+        # rejected before any forward solve, not first by the Jacobian
+        with pytest.raises(ParameterError, match="one-dimensional"):
+            InverseSetup("ipp", Grid2D(8), 0.5, 8, u0=1.0, f=0.0)
+
+    @pytest.mark.parametrize("n, alpha, coefficients", _IPP_CASES)
+    def test_ipp_matches_column_oracle(self, n, alpha, coefficients):
+        # 5.3's known data (u0 = 1, zero boundary values) at a non-constant
+        # admissible potential iterate
+        setup = InverseSetup("ipp", Grid1D(n), alpha, 256, u0=1.0,
+                             f=lambda x: np.abs(np.sin(2 * np.pi * x)),
+                             dirichlet=(0.0, 0.0), **_COEFFICIENTS[coefficients])
+        x = setup.grid.nodes
+        v = 0.8 * SIN4(x) + 0.3 * HAT(3 * x % 1.0)
+        assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
+                             ipp_jacobian_columns(setup, v, 0.45)) <= 1e-10
+
     @pytest.mark.parametrize("make", [bp_setup, isp_setup])
     def test_one_eigensolve_per_setup(self, make, monkeypatch):
-        import fracinv.fem as fem_mod
+        assert _eigh_calls(make, 4, monkeypatch) == 1
 
-        calls = []
+    @pytest.mark.parametrize("make", [ipp_setup], ids=["ipp"])
+    def test_one_eigensolve_per_iterate(self, make, monkeypatch):
+        # the potential problem's operator moves with v: one eigh per Jacobian
+        assert _eigh_calls(make, 3, monkeypatch) == 3
 
-        def counting(*args, **kwargs):
-            calls.append(1)
-            return eigh(*args, **kwargs)
 
-        eigh = fem_mod.eigh
-        monkeypatch.setattr(fem_mod, "eigh", counting)
-        setup = make(n=32, steps=32)
-        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
-        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
-                       max_iter=4, stop="max_iter")
-        lm_reconstruct(setup, obs, cfg)
-        assert len(calls) == 1
+def _eigh_calls(make, max_iter, monkeypatch) -> int:
+    """The number of eigh calls in a max_iter-step reconstruction."""
+    import fracinv.fem as fem_mod
+
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return eigh(*args, **kwargs)
+
+    eigh = fem_mod.eigh
+    monkeypatch.setattr(fem_mod, "eigh", counting)
+    setup = make(n=32, steps=32)
+    obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
+    cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
+                   max_iter=max_iter, stop="max_iter")
+    lm_reconstruct(setup, obs, cfg)
+    return len(calls)
 
 
 class TestJacobians:
+    def test_trilinear_mass_is_potential_mass(self):
+        # B(u) is the potential's part of A: A(q = u) - A(q = 0), here from
+        # FemOperator's Gauss quadrature of the same P1 product. A tiny
+        # diffusion keeps the stiffness (a / h) from cancelling in the
+        # difference, which would cost digits at the 1e-14 level
+        grid = Grid1D(64)
+        rng = np.random.default_rng(3)
+        us = rng.random((3, grid.n_nodes))
+        diag, off = _trilinear_mass_1d(grid, us)
+        A0 = FemOperator(grid, 1e-12, 0.0).A
+        for u, d, o in zip(us, diag, off):
+            B = (FemOperator(grid, 1e-12, u).A - A0).toarray()
+            scale = np.max(np.abs(B))
+            assert np.max(np.abs(np.diag(B) - d)) <= 1e-14 * scale
+            assert np.max(np.abs(np.diag(B, 1) - o)) <= 1e-14 * scale
+            assert np.max(np.abs(np.diag(B, -1) - o)) <= 1e-14 * scale
+            single = _trilinear_mass_1d(grid, u)
+            assert np.array_equal(single[0], d) and np.array_equal(single[1], o)
+
     def test_bp_zero_direction(self):
         setup = bp_setup()
         out = jacobian_v_apply(setup, np.zeros(setup.grid.n_nodes), 0.5,
@@ -384,6 +435,19 @@ class TestLMReconstruct:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ParameterError, match="max_iter"):
             LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=-1)
+
+    @pytest.mark.parametrize("name, value", [
+        ("gamma0", np.nan), ("gamma0", np.inf), ("mu0", np.inf), ("mu0", np.nan),
+        ("rho", np.nan), ("T_init", np.inf), ("T_init", np.nan), ("deltaT", np.nan),
+        ("deltaT", np.inf), ("eta", np.inf), ("eta", np.nan), ("eta", 0.0), ("eta", -1.0),
+        ("t_step_cap", np.nan), ("max_iter", np.nan),
+    ])
+    def test_non_finite_or_negative_settings_rejected(self, name, value):
+        # these used to run to T_hat = inf, a diverged residual, a traceback
+        # from cho_factor, or (eta <= 0) a discrepancy rule that never fires
+        given = {"gamma0": 1e-2, "mu0": 1e-3, "rho": 0.8, "T_init": 0.4, name: value}
+        with pytest.raises(ParameterError, match=name):
+            LMConfig(**given)
 
     def test_exact_data_monotone_residual_start(self):
         # with exact data the residual is nonincreasing over the first
