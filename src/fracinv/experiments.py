@@ -32,7 +32,7 @@ from .config import ExperimentConfig
 from .errors import ConfigError, FracinvError
 from .fem import convergence_study, mass_norm
 from .grids import Grid2D
-from .inverse import ReconstructionResult, add_noise, lm_reconstruct
+from .inverse import LMConfig, ReconstructionResult, add_noise, lm_reconstruct
 from .problems import ProblemSpec
 
 __all__ = [
@@ -77,7 +77,12 @@ def _prior_for(case, alpha, cfg: ExperimentConfig) -> float:
         # the mode-ratio estimator is one-dimensional; never substitute the truth
         raise ConfigError(f"case {case.case_id}: t_init = auto needs the 1D "
                           "estimator; set an explicit t_init")
-    return estimate_prior_T(case, alpha)
+    prior = estimate_prior_T(case, alpha)  # parse_config could not check deltaT against it
+    deltaT = cfg.lm_overrides.get("deltaT", LMConfig.deltaT)
+    if prior <= deltaT:
+        raise ConfigError(f"[lm] deltaT = {deltaT:g} must be below the prior "
+                          f"T_init = {prior:.6g} of t_init = auto (alpha = {alpha:g})")
+    return prior
 
 
 def run_forward(cfg: ExperimentConfig, out_dir=None) -> list:
@@ -127,13 +132,17 @@ def run_estimate_t(cfg: ExperimentConfig) -> list:
     return out
 
 
-def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int,
-                      prior: float) -> tuple[ReconstructionResult, np.ndarray, object]:
+def _snapshot(case, alpha, cfg: ExperimentConfig) -> np.ndarray:
+    """The exact snapshot on the inversion mesh, shared by every epsilon."""
+    return exact_observation(case, alpha, make_setup(case, alpha, n=cfg.n).grid)
+
+
+def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int, prior: float,
+                      g_dag: np.ndarray) -> tuple[ReconstructionResult, np.ndarray, object]:
     basis = None
     if case.domain == "unit_square":
         basis = tensor_sine_basis(Grid2D(cfg.n or case.default_n), 6)
     setup = make_setup(case, alpha, n=cfg.n, n_steps=cfg.steps, basis=basis)
-    g_dag = exact_observation(case, alpha, setup.grid)
     truth = case.truth_nodal(setup.grid)
     obs = add_noise(g_dag, eps, seed=seed, t_true=case_mod.T_TRUE)
     lm = lm_config_for(case, alpha, T_init=prior, max_iter=cfg.max_iter,
@@ -150,7 +159,8 @@ def run_recover(cfg: ExperimentConfig, kind: str, out_dir=None) -> Reconstructio
         raise ConfigError(f"case {case.case_id} is a {case.kind} benchmark, not {kind}")
     alpha, eps = cfg.alphas[0], cfg.epsilons[0]
     prior = _prior_for(case, alpha, cfg)
-    res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, prior)
+    res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, prior,
+                                         _snapshot(case, alpha, cfg))
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)
     emit_plot_data(res, truth, grid, out, f"{case.case_id}_a{alpha:g}_e{eps:g}")
@@ -181,10 +191,10 @@ class TableReport:
 
 
 def _table_cell(args):
-    case_id, alpha, eps, cfg, seed, prior = args
+    case_id, alpha, eps, cfg, seed, prior, g_dag = args
     case = get_case(case_id)
     try:
-        res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, seed, prior)
+        res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, seed, prior, g_dag)
         e = mass_norm(grid, res.v_hat - truth)
         return (case_id, alpha, eps, e, res.k_star, res.T_hat, "")
     except FracinvError as exc:
@@ -201,8 +211,9 @@ def run_table(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> TableRep
     jobs = []
     cell = 0
     for alpha in cfg.alphas:
+        g_dag = _snapshot(case, alpha, cfg)
         for eps in cfg.epsilons:
-            jobs.append((case.case_id, alpha, eps, cfg, cfg.seed + cell, priors[alpha]))
+            jobs.append((case.case_id, alpha, eps, cfg, cfg.seed + cell, priors[alpha], g_dag))
             cell += 1
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:

@@ -24,8 +24,9 @@ interior nodes.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar division (`l1_responses`), which is how
-the inversion solves the backward and source problems on the interval and
-forms the potential problem's v-Jacobian.
+the inversion runs the forward map and the v-Jacobian of all three problems
+on the interval. The time stepper (`l1_evolve`, its history summed in blocks
+of steps by GEMMs) serves the square, data synthesis and the tests' oracles.
 """
 
 from __future__ import annotations
@@ -57,6 +58,7 @@ __all__ = [
 
 _GAUSS_XI = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
+HISTORY_BLOCK = 32  # steps per block of the time stepper's history; see l1_evolve
 
 
 @dataclass(frozen=True)
@@ -294,20 +296,38 @@ def l1_evolve(
     load is the interior load, constant in time, with matching shape (or
     None). Returns the full history (n_steps+1, m[, p]) or just the final
     state when keep_history is False.
+
+    The history runs in blocks of HISTORY_BLOCK steps (after Hairer, Lubich
+    and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): one GEMM writes the
+    settled steps' share into the block's rows of `past`, and each step adds
+    its in-block terms. On the 5.3 data synthesis (2,048 cells, 1,024 steps;
+    2-core VM, 2 BLAS threads) blocks of 16/32/64/128/256 steps took
+    0.14/0.13/0.13/0.13/0.17 s, one step at a time 0.28 s.
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
+    b = weights.b
+    drop = b[:-1] - b[1:]  # drop[i] weighs u^(k-1-i) in step k's history, for k-1-i >= 1
+    # step k weighs rows k0..k by the last k - k0 + 1 entries (row k: the settled share)
+    inblock = np.append(drop[:HISTORY_BLOCK - 1][::-1], 1.0)
 
     # the memory term needs the full history regardless of keep_history
     past = np.empty((tg.n_steps + 1,) + w0_int.shape)
     past[0] = w0_int
-    for k in range(1, tg.n_steps + 1):
-        combo = np.tensordot(weights.history_coefficients(k), past[:k], axes=1)
-        rhs = c * op.mass_apply_interior(combo)
-        if load is not None:
-            rhs = rhs + load
-        past[k] = solve(rhs)
+    flat = past.reshape(tg.n_steps + 1, -1)
+    for k0 in range(1, tg.n_steps + 1, HISTORY_BLOCK):
+        k1 = min(k0 + HISTORY_BLOCK, tg.n_steps + 1)
+        ks = np.arange(k0, k1)
+        panel = drop[ks[:, None] - np.arange(k0) - 1]
+        panel[:, 0] = b[ks - 1]
+        np.matmul(panel, flat[:k0], out=flat[k0:k1])
+        for k in ks:
+            combo = np.tensordot(inblock[k0 - k - 1:], past[k0:k + 1], axes=1)
+            rhs = c * op.mass_apply_interior(combo)
+            if load is not None:
+                rhs += load
+            past[k] = solve(rhs)
     return past if keep_history else past[-1]
 
 
@@ -332,7 +352,9 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray,
         r[k] = (weights.history_coefficients(k) @ r[:k]) * gain
     if not keep_history:
         r = r[-1]
-    return r, (1.0 - r) / lam
+    s = 1.0 - r
+    s /= lam
+    return r, s
 
 
 def _lift_vector(spec: ProblemSpec, grid: GridLike) -> np.ndarray:
@@ -363,11 +385,15 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
     if modal:
         lam, V = op.modes
         r, s = l1_responses(spec.alpha, tg, lam)
-        hist = (r * (V.T @ op.mass_apply_interior(w0)) + s * (V.T @ load)) @ V.T
+        r *= V.T @ op.mass_apply_interior(w0)
+        s *= V.T @ load
+        r += s
+        hist = np.matmul(r, V.T, out=s)
     else:
         hist = l1_evolve(op, spec.alpha, tg, w0, load)
+    hist += lift[op.interior]
     values = np.tile(lift, (tg.n_steps + 1, 1))
-    values[:, op.interior] += hist
+    values[:, op.interior] = hist
     values[0] = u0
     return Trajectory(grid=grid, times=tg.times, values=values)
 

@@ -22,18 +22,19 @@ Sensitivity systems (direction h):
   source problem:     d_t^alpha w + A w = h,        w(0) = 0
   potential problem:  d_t^alpha w + A w = -h u(v),  w(0) = 0
 
-Three engines run the same FEM + L1 scheme. (1) bp/isp on the interval: the
-fixed pencil (A_II, M_II) is diagonalized once per setup (A_II V = M_II V
-diag(lam), V^T M_II V = I); with the final-step mode responses r (w(0) = 1,
-no load) and s (w(0) = 0, unit load), F_I = V (r o V^T M_II w0 + s o V^T
-load) and J_II = V diag(r or s) V^T M_II. (2) ipp (interval only): A_q moves
-with v, so F is time-stepped. Its sensitivity starts from zero, so the scheme
-is shift-invariant: on the modes of the iterate's A_q, mode j answers a unit
-load n steps later with K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is
--V_j^T B(U_j)_II, U_j = sum_k K_j(N - k) u^k: O(N m^2) plus one eigh per
-iterate. (3) bp/isp on the square, where a dense eigensolve raises the peak
-memory by a third: all Jacobian columns step together through the L1
-scheme, which is also (1)'s test oracle.
+Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
+(A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I),
+once per setup for bp/isp and once per iterate for ipp, whose A_q moves with
+v; F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT) share that operator and
+its eigh. With the mode responses r (w(0) = 1, no load) and s (w(0) = 0,
+unit load), F_I = V (r o V^T M_II w0 + s o V^T load), and for bp/isp
+J_II = V diag(r or s) V^T M_II. ipp's sensitivity starts from zero, so the
+scheme is shift-invariant: mode j answers a unit load n steps later with
+K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is -V_j^T B(U_j)_II,
+U_j = sum_k K_j(N - k) u^k: O(N m^2) against the O(N^2 m^2) of stepping all
+m columns. (2) bp/isp on the square, where a dense eigensolve raises the
+peak memory by a third: F and all Jacobian columns step through the L1
+time stepper, which is also (1)'s test oracle.
 """
 
 from __future__ import annotations
@@ -187,6 +188,7 @@ class InverseSetup:
         self.f = f
         self.dirichlet = dirichlet
         self.basis = None if basis is None else np.asarray(basis, float)
+        self._ipp_operator: tuple = (None, None)  # (v_nodal bytes, FemOperator)
 
     # -- parametrization ------------------------------------------------------
 
@@ -224,20 +226,20 @@ class InverseSetup:
 
     @property
     def modal(self) -> bool:
-        """Whether F and the v-Jacobian run on the modes of the fixed operator.
-
-        bp/isp on the interval do. ipp's operator moves with v, so only its
-        v-Jacobian is modal, on each iterate's modes. On the square the dense
-        m x m eigh (m = 961 at n = 32) raised the peak memory of a 5.1ii
-        reconstruction by a third, from 106 to 140 MB.
-        """
-        return self.kind != "ipp" and isinstance(self.grid, Grid1D)
+        """Whether F runs on the modes of its operator: the fixed one for
+        bp/isp, each iterate's for ipp. The interval does; on the square the
+        dense m x m eigh (m = 961 at n = 32) raised the peak memory of a 5.1ii
+        reconstruction by a third, from 106 to 140 MB."""
+        return isinstance(self.grid, Grid1D)
 
     def _operator_for(self, v_nodal: np.ndarray) -> FemOperator:
-        """The operator of F(v, .): rebuilt for each potential iterate."""
-        if self.kind == "ipp":
-            return FemOperator(self.grid, self.diffusion, v_nodal)
-        return self.fixed_operator
+        """The operator of F(v, .); for ipp, built once per distinct potential."""
+        if self.kind != "ipp":
+            return self.fixed_operator
+        key = v_nodal.tobytes()
+        if self._ipp_operator[0] != key:
+            self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal))
+        return self._ipp_operator[1]
 
     def spec_for(self, v, T: float) -> ProblemSpec:
         """The forward problem F(v, T): v fills the field its kind names."""
@@ -276,12 +278,11 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
                       base: Optional[Trajectory] = None) -> np.ndarray:
     """Dense Jacobian of F in the space parameter, (n_nodes, n_params).
 
-    Boundary rows are zero (Dirichlet data does not move with v). Where
-    `setup.modal`, J_II = V diag(r or s) V^T M_II; for ipp, J_II = -V R with
-    row j of R = V_j^T B(U_j)_II on the modes of the iterate's operator (see
-    the module docstring), where U_j needs the trajectory of F(v, T): pass it
-    as `base` if at hand, else it is solved for here. On the square the
-    columns are sensitivity solves stepped together through the L1 scheme.
+    Boundary rows are zero (Dirichlet data does not move with v). For ipp,
+    J_II = -V R with row j of R = V_j^T B(U_j)_II on the iterate's modes (see
+    the module docstring); U_j needs the trajectory of F(v, T), passed as
+    `base` if at hand, else solved for here. For bp/isp, J_II = V diag(r or s)
+    V^T M_II on the interval; on the square the columns step through L1.
     """
     v_nodal = as_nodal_values(v, setup.grid)
     tg = TimeGrid(setup.n_steps, T)
@@ -291,20 +292,13 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     cols0 = np.eye(op.interior.size) if setup.basis is None else setup.basis.T[op.interior]
     J = np.zeros((setup.grid.n_nodes, cols0.shape[1]))
 
-    if setup.modal:
-        # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
-        lam, V = op.modes
-        r, s = l1_responses(setup.alpha, tg, lam, keep_history=False)
-        resp = r if setup.kind == "bp" else s
-        J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
-        return J
     if setup.kind == "ipp":
         # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
         if base is None:
             base = forward_map(setup, v_nodal, T, return_trajectory=True)
         lam, V = op.modes
-        r, _ = l1_responses(setup.alpha, tg, lam)
-        K = (r[:-1] - r[1:]) / lam  # (N, m), K[n] = K(n)
+        s = l1_responses(setup.alpha, tg, lam)[1]
+        K = s[1:] - s[:-1]  # (N, m), K[n] = K(n)
         U = K[::-1].T @ base.values[1:]  # (m, n_nodes)
         diag, off = _trilinear_mass_1d(setup.grid, U)
         d, o, Vt = diag[:, 1:-1], off[:, 1:-1], V.T
@@ -312,6 +306,13 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
         R[:, :-1] += o * Vt[:, 1:]
         R[:, 1:] += o * Vt[:, :-1]
         J[op.interior] = -V @ (R @ cols0)
+        return J
+    if setup.modal:
+        # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
+        lam, V = op.modes
+        r, s = l1_responses(setup.alpha, tg, lam, keep_history=False)
+        resp = r if setup.kind == "bp" else s
+        J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
         return J
     # bp/isp on the square (and the modal engine's oracle): columns stepped in time
     if setup.kind == "bp":

@@ -5,9 +5,11 @@ closed forms via scipy.special, arbitrary-precision summation via mpmath, and
 a composite fixed-node Gauss-Legendre quadrature of the cut integral for
 arguments where summation is infeasible. The derived checks below them (decay
 bounds, the derivative identity, the L1 derivative at the final time) are
-properties the tests assert of the production code. The potential problem's
-v-Jacobian has a column oracle that steps every sensitivity through the L1
-time stepper, against which the modal Jacobian is checked.
+properties the tests assert of the production code. The L1 time stepper has
+a step-by-step oracle that sums each step's history directly, against which
+the blocked history is checked. The potential problem's v-Jacobian has a
+column oracle that steps every sensitivity through the L1 time stepper,
+against which the modal Jacobian is checked.
 """
 
 from __future__ import annotations
@@ -176,6 +178,26 @@ def caputo_derivative_at_T(traj, tg, alpha: float) -> np.ndarray:
     N = tg.n_steps
     coef = weights.history_coefficients(N)
     return c * (traj.values[N] - np.tensordot(coef, traj.values[:N], axes=1))
+
+
+def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None,
+                       keep_history: bool = True) -> np.ndarray:
+    """`fem.l1_evolve` with each step's history summed over all earlier steps
+    at that step, with no blocking."""
+    weights = L1Weights(alpha, tg.n_steps)
+    c = weights.scale(tg.tau)
+    solve = op.factorized(c)
+
+    # the memory term needs the full history regardless of keep_history
+    past = np.empty((tg.n_steps + 1,) + w0_int.shape)
+    past[0] = w0_int
+    for k in range(1, tg.n_steps + 1):
+        combo = np.tensordot(weights.history_coefficients(k), past[:k], axes=1)
+        rhs = c * op.mass_apply_interior(combo)
+        if load is not None:
+            rhs = rhs + load
+        past[k] = solve(rhs)
+    return past if keep_history else past[-1]
 
 
 def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:

@@ -193,6 +193,16 @@ class TestCli:
         err = capsys.readouterr().err
         assert "5.1ii" in err and "t_init" in err
 
+    def test_deltaT_above_auto_prior_exit_2(self, tmp_path, capsys):
+        # only the estimator's prior shows that deltaT does not fit below it
+        p = tmp_path / "dt.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nt_init = auto\n"
+                     "max_iter = 1\n[mesh]\nn = 16\nsteps = 16\n[lm]\ndeltaT = 0.9\n")
+        rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "[lm] deltaT" in err and "prior" in err
+
     def test_threads_only_on_table(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"
         p.write_text("[experiment]\ncase = 5.1i\n")
@@ -297,6 +307,24 @@ class TestTable:
         cli_main(["table", "--config", str(p), "--out", str(out1)])
         cli_main(["table", "--config", str(p), "--out", str(out2), "--threads", "2"])
         assert (out1 / "table_5.2i.csv").read_bytes() == (out2 / "table_5.2i.csv").read_bytes()
+
+    def test_one_snapshot_per_alpha(self, tmp_path, monkeypatch):
+        # the snapshot depends on (case, alpha, mesh), not on epsilon
+        import fracinv.experiments as experiments
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return exact_observation(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "exact_observation", counting)
+        p = tmp_path / "four.cfg"
+        p.write_text(self.CFG.replace("alphas = 0.5", "alphas = 0.25 0.5")
+                     .replace("epsilons = 0", "epsilons = 0 1e-2")
+                     .replace("max_iter = 2", "max_iter = 1"))
+        assert cli_main(["table", "--config", str(p), "--out", str(tmp_path / "o")]) == 0
+        assert calls == [0.25, 0.5]
 
 
 class TestPlotData:

@@ -3,11 +3,13 @@ import pytest
 from scipy.special import gamma
 
 from fracinv.fem import (
+    HISTORY_BLOCK,
     FemOperator,
     L1Weights,
     Trajectory,
     _upper_band,
     convergence_study,
+    l1_evolve,
     mass_inner,
     mass_norm,
     solve_fem,
@@ -16,7 +18,7 @@ from fracinv.grids import Grid1D, Grid2D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec, TimeGrid
 
-from oracles import caputo_derivative_at_T
+from oracles import caputo_derivative_at_T, l1_evolve_stepwise
 
 
 class TestL1Weights:
@@ -225,6 +227,29 @@ class TestFemOperator:
         ab = _upper_band((self.C * op.M + op.A)[I][:, I])
         expected = op.grid.n if isinstance(op.grid, Grid2D) else 1
         assert ab.shape == (expected + 1, I.size)
+
+
+class TestBlockedHistory:
+    """The blocked history sum of `l1_evolve` against the step-by-step sum."""
+
+    @pytest.mark.parametrize("grid", [Grid1D(64), Grid2D(8)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("n_steps", [1, HISTORY_BLOCK - 1, HISTORY_BLOCK,
+                                         HISTORY_BLOCK + 1, 100])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])  # 1.0: backward Euler, b_0 = 1
+    @pytest.mark.parametrize("loaded", [False, True], ids=["free", "load"])
+    def test_matches_stepwise(self, grid, n_steps, p, alpha, loaded):
+        op = FemOperator(grid, 1.0, 0.5)
+        shape = (op.interior.size,) if p == 1 else (op.interior.size, p)
+        rng = np.random.default_rng(n_steps + 7 * p)
+        w0 = rng.standard_normal(shape)
+        load = rng.standard_normal(shape) if loaded else None
+        tg = TimeGrid(n_steps, 0.5)
+        ours = l1_evolve(op, alpha, tg, w0, load)
+        ref = l1_evolve_stepwise(op, alpha, tg, w0, load)
+        assert ours.shape == ref.shape
+        assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(l1_evolve(op, alpha, tg, w0, load, keep_history=False), ours[-1])
 
 
 class TestSpectralFemAgreement:

@@ -141,26 +141,36 @@ _MODAL_CASES = [(n, alpha, "unit") for n in (48, 64, 96, 128) for alpha in (0.25
 _MODAL_CASES += [(64, 0.5, "variable_diffusion"), (64, 0.5, "dirichlet")]
 _IPP_CASES = [(n, alpha, "unit") for n in (48, 64, 96, 128) for alpha in (0.25, 0.5, 0.75)]
 _IPP_CASES += [(64, 0.5, "variable_diffusion")]
+_KNOWN = {
+    "bp": {"f": HAT},
+    "isp": {"u0": lambda x: np.sin(2 * np.pi * x)},
+    # 5.3's known data: u0 = 1 and zero boundary values
+    "ipp": {"u0": 1.0, "f": lambda x: np.abs(np.sin(2 * np.pi * x)), "dirichlet": (0.0, 0.0)},
+}
 
 
 class TestModalEngine:
-    @pytest.mark.parametrize("kind", ["bp", "isp"])
-    @pytest.mark.parametrize("n, alpha, coefficients", _MODAL_CASES)
+    @pytest.mark.parametrize(
+        "n, alpha, coefficients, kind",
+        [case + (kind,) for case in _MODAL_CASES for kind in ("bp", "isp")]
+        + [case + ("ipp",) for case in _IPP_CASES])
     def test_matches_time_stepper(self, n, alpha, coefficients, kind):
-        known = {"bp": {"f": HAT}, "isp": {"u0": lambda x: np.sin(2 * np.pi * x)}}[kind]
-        known.update(_COEFFICIENTS[coefficients])
+        known = dict(_KNOWN[kind], **_COEFFICIENTS[coefficients])
         setup = InverseSetup(kind, Grid1D(n), alpha, 256, **known)
         oracle = _Stepped(kind, Grid1D(n), alpha, 256, **known)
         assert setup.modal and not oracle.modal
         x = setup.grid.nodes
-        v = np.sin(np.pi * x) + 0.5 * HAT(3 * x % 1.0)
+        v = np.sin(np.pi * x) + 0.5 * HAT(3 * x % 1.0)  # in [0, 2]: an admissible potential
         assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
                              jacobian_v_matrix(oracle, v, 0.45)) <= 1e-10
         assert _relative_gap(forward_map(setup, v, 0.45), forward_map(oracle, v, 0.45)) <= 1e-10
+        # the whole trajectory, which the potential problem's Jacobian reads
+        ours = forward_map(setup, v, 0.45, return_trajectory=True).values
+        theirs = forward_map(oracle, v, 0.45, return_trajectory=True).values
+        assert _relative_gap(ours, theirs) <= 1e-10
 
-    def test_only_interval_bp_isp_are_modal(self):
-        assert bp_setup().modal and isp_setup().modal
-        assert not ipp_setup().modal
+    def test_interval_is_modal_square_is_not(self):
+        assert bp_setup().modal and isp_setup().modal and ipp_setup().modal
         assert not InverseSetup("bp", Grid2D(8), 0.5, 8, f=0.0).modal
 
     def test_ipp_on_square_rejected(self):
@@ -170,11 +180,9 @@ class TestModalEngine:
 
     @pytest.mark.parametrize("n, alpha, coefficients", _IPP_CASES)
     def test_ipp_matches_column_oracle(self, n, alpha, coefficients):
-        # 5.3's known data (u0 = 1, zero boundary values) at a non-constant
-        # admissible potential iterate
-        setup = InverseSetup("ipp", Grid1D(n), alpha, 256, u0=1.0,
-                             f=lambda x: np.abs(np.sin(2 * np.pi * x)),
-                             dirichlet=(0.0, 0.0), **_COEFFICIENTS[coefficients])
+        # at a non-constant admissible potential iterate
+        setup = InverseSetup("ipp", Grid1D(n), alpha, 256,
+                             **_KNOWN["ipp"], **_COEFFICIENTS[coefficients])
         x = setup.grid.nodes
         v = 0.8 * SIN4(x) + 0.3 * HAT(3 * x % 1.0)
         assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
@@ -186,8 +194,10 @@ class TestModalEngine:
 
     @pytest.mark.parametrize("make", [ipp_setup], ids=["ipp"])
     def test_one_eigensolve_per_iterate(self, make, monkeypatch):
-        # the potential problem's operator moves with v: one eigh per Jacobian
-        assert _eigh_calls(make, 3, monkeypatch) == 3
+        # the potential problem's operator moves with v: one eigh for the
+        # data synthesis and one per iterate 0..3, shared by F(v_k, T_k), the
+        # v-Jacobian and F(v_k, T_k + dT)
+        assert _eigh_calls(make, 3, monkeypatch) == 5
 
 
 def _eigh_calls(make, max_iter, monkeypatch) -> int:
