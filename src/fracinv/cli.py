@@ -8,11 +8,12 @@ table, convergence, ml-eval. Exit codes: 0 success, 2 configuration error,
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 
 from .config import check_seed, parse_config
-from .errors import ConfigError, FracinvError
-from .mittag_leffler import MLParams, ml_eval
+from .errors import ConfigError, FracinvError, ParameterError
+from .mittag_leffler import POSITIVE_Z_MAX, MLParams, ml_eval
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -51,11 +52,22 @@ def _load_config(args):
     return cfg
 
 
+def _ml_params(args) -> MLParams:
+    """The order pair of `ml-eval`, with its arguments checked as configuration."""
+    try:
+        params = MLParams(args.alpha, args.beta)
+    except ParameterError as exc:
+        raise ConfigError(str(exc)) from None
+    if not (math.isfinite(args.z) and args.z <= POSITIVE_Z_MAX):
+        raise ConfigError(f"z must be finite and at most {POSITIVE_Z_MAX}, got {args.z}")
+    return params
+
+
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         if args.command == "ml-eval":
-            value = ml_eval(MLParams(args.alpha, args.beta), args.z)
+            value = ml_eval(_ml_params(args), args.z)
             print(f"{value:.15g}")
             return EXIT_OK
 

@@ -23,10 +23,12 @@ stored entries; the factor costs O(m b^2) and each solve O(m b) for m
 interior nodes.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
-(A_II, M_II) each step is a scalar division (`l1_responses`), which is how
+(A_II, M_II) each step is a scalar product (`l1_responses`), which is how
 the inversion runs the forward map and the v-Jacobian of all three problems
-on the interval. The time stepper (`l1_evolve`, its history summed in blocks
-of steps by GEMMs) serves the square, data synthesis and the tests' oracles.
+on the interval. The time stepper (`l1_evolve`) serves the square, data
+synthesis and the tests' oracles. Both engines run on one march
+(`_l1_march`), which sums the history in blocks of steps by GEMMs; they
+differ only in the step that turns a history combination into u^k.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded, eigh
+from scipy.linalg import cho_solve_banded, cholesky_banded
 from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, ParameterError
@@ -58,7 +60,7 @@ __all__ = [
 
 _GAUSS_XI = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
-HISTORY_BLOCK = 32  # steps per block of the time stepper's history; see l1_evolve
+HISTORY_BLOCK = 32  # steps per block of the L1 history; see _l1_march
 
 
 @dataclass(frozen=True)
@@ -82,16 +84,6 @@ class L1Weights:
 
     def scale(self, tau: float) -> float:
         return 1.0 / (gamma_fn(2.0 - self.alpha) * tau**self.alpha)
-
-    def history_coefficients(self, k: int) -> np.ndarray:
-        """coef[j] multiplying u^j, j = 0..k-1, in the history combination."""
-        b = self.b
-        coef = np.empty(k)
-        coef[0] = b[k - 1]
-        if k > 1:
-            j = np.arange(1, k)
-            coef[1:] = b[k - 1 - j] - b[k - j]
-        return coef
 
 
 # ---------------------------------------------------------------------------
@@ -263,10 +255,16 @@ class FemOperator:
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
         """Eigenpairs (lam, V) of the pencil (A_II, M_II), V^T M_II V = I.
 
-        One dense `eigh`: O(m^3) time and O(m^2) memory, once per operator.
+        A Cholesky reduction: M_II = L L^T, L^-1 A_II L^-T = W diag(lam) W^T,
+        V = L^-T W. Dense, O(m^3) time and O(m^2) memory, once per operator.
         """
-        A_II = self.A[self.interior][:, self.interior]
-        return eigh(A_II.toarray(), self.M_II.toarray())
+        # numpy's LAPACK, not scipy's: the numpy and scipy wheels each bundle
+        # their own OpenBLAS, and after a scipy LAPACK call scipy's idle BLAS
+        # threads keep spinning and slow the GEMMs of the L1 march that follow
+        A_II = self.A[self.interior][:, self.interior].toarray()
+        L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II.toarray()))
+        lam, W = np.linalg.eigh(L_inv @ A_II @ L_inv.T)
+        return lam, L_inv.T @ W
 
 
 @dataclass
@@ -282,57 +280,67 @@ class Trajectory:
         return self.values[-1]
 
 
+def _l1_march(weights: L1Weights, first: np.ndarray,
+              step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
+    """The L1 history u^0 = first, u^k = step(combo_k), k = 1..n_steps, with
+    combo_k what the bracket in the module docstring subtracts from u^k.
+    Returns the whole history, (n_steps+1,) + first.shape.
+
+    The history runs in blocks of HISTORY_BLOCK steps (after Hairer, Lubich
+    and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): one GEMM writes the
+    settled steps' share into the block's rows of the history, and each step
+    adds its in-block terms. On the 5.3 data synthesis (2,048 cells, 1,024
+    steps; 2-core VM, 2 BLAS threads) blocks of 16/32/64/128/256 steps took
+    0.14/0.13/0.13/0.13/0.17 s, one step at a time 0.28 s.
+    """
+    b = weights.b
+    drop = b[:-1] - b[1:]  # drop[i] weighs u^(k-1-i) in step k's history, for k-1-i >= 1
+    # step k weighs rows k0..k by the last k - k0 + 1 entries (row k: the settled share)
+    inblock = np.append(drop[:HISTORY_BLOCK - 1][::-1], 1.0)
+
+    n = weights.n_steps
+    past = np.empty((n + 1,) + first.shape)
+    past[0] = first
+    flat = past.reshape(n + 1, -1)
+    for k0 in range(1, n + 1, HISTORY_BLOCK):
+        k1 = min(k0 + HISTORY_BLOCK, n + 1)
+        ks = np.arange(k0, k1)
+        panel = drop[ks[:, None] - np.arange(k0) - 1]
+        panel[:, 0] = b[ks - 1]
+        np.matmul(panel, flat[:k0], out=flat[k0:k1])
+        for k in ks:
+            past[k] = step((inblock[k0 - k - 1:] @ flat[k0:k + 1]).reshape(first.shape))
+    return past
+
+
 def l1_evolve(
     op: FemOperator,
     alpha: float,
     tg: TimeGrid,
     w0_int: np.ndarray,
     load: Optional[np.ndarray] = None,
-    keep_history: bool = True,
 ) -> np.ndarray:
     """March the zero-boundary unknown w on interior nodes through all steps.
 
     w0_int may be a vector (m,) or a matrix (m, p) of p simultaneous states;
     load is the interior load, constant in time, with matching shape (or
-    None). Returns the full history (n_steps+1, m[, p]) or just the final
-    state when keep_history is False.
-
-    The history runs in blocks of HISTORY_BLOCK steps (after Hairer, Lubich
-    and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): one GEMM writes the
-    settled steps' share into the block's rows of `past`, and each step adds
-    its in-block terms. On the 5.3 data synthesis (2,048 cells, 1,024 steps;
-    2-core VM, 2 BLAS threads) blocks of 16/32/64/128/256 steps took
-    0.14/0.13/0.13/0.13/0.17 s, one step at a time 0.28 s.
+    None). Returns the full history (n_steps+1, m[, p]); each step solves
+    (c M + A)_II w^k = c M_II combo_k + load.
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
-    b = weights.b
-    drop = b[:-1] - b[1:]  # drop[i] weighs u^(k-1-i) in step k's history, for k-1-i >= 1
-    # step k weighs rows k0..k by the last k - k0 + 1 entries (row k: the settled share)
-    inblock = np.append(drop[:HISTORY_BLOCK - 1][::-1], 1.0)
 
-    # the memory term needs the full history regardless of keep_history
-    past = np.empty((tg.n_steps + 1,) + w0_int.shape)
-    past[0] = w0_int
-    flat = past.reshape(tg.n_steps + 1, -1)
-    for k0 in range(1, tg.n_steps + 1, HISTORY_BLOCK):
-        k1 = min(k0 + HISTORY_BLOCK, tg.n_steps + 1)
-        ks = np.arange(k0, k1)
-        panel = drop[ks[:, None] - np.arange(k0) - 1]
-        panel[:, 0] = b[ks - 1]
-        np.matmul(panel, flat[:k0], out=flat[k0:k1])
-        for k in ks:
-            combo = np.tensordot(inblock[k0 - k - 1:], past[k0:k + 1], axes=1)
-            rhs = c * op.mass_apply_interior(combo)
-            if load is not None:
-                rhs += load
-            past[k] = solve(rhs)
-    return past if keep_history else past[-1]
+    def step(combo):
+        rhs = c * op.mass_apply_interior(combo)
+        if load is not None:
+            rhs += load
+        return solve(rhs)
+
+    return _l1_march(weights, w0_int, step)
 
 
-def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray,
-                 keep_history: bool = True) -> tuple[np.ndarray, np.ndarray]:
+def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The L1 scheme on one mode of eigenvalue lam_j, for all modes at once.
 
     In the eigenbasis of the pencil (A_II, M_II) the step (c M + A) w^k =
@@ -340,18 +348,13 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray,
     each mode's state at step k is r_j^k a_j^0 + s_j^k F_j, with the
     responses r (a^0 = 1, no load) and s (a^0 = 0, unit load). The history
     coefficients sum to 1, so the steady state a = F / lam is a fixed point
-    and s = (1 - r) / lam: one recursion serves both. Returns (r, s) at every
-    step, (n_steps+1, m) each, or at the final step only.
+    and s = (1 - r) / lam: one march serves both. Returns (r, s) at every
+    step, (n_steps+1, m) each.
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     gain = c / (c + lam)
-    r = np.empty((tg.n_steps + 1, lam.size))
-    r[0] = 1.0
-    for k in range(1, tg.n_steps + 1):
-        r[k] = (weights.history_coefficients(k) @ r[:k]) * gain
-    if not keep_history:
-        r = r[-1]
+    r = _l1_march(weights, np.ones(lam.size), lambda combo: combo * gain)
     s = 1.0 - r
     s /= lam
     return r, s

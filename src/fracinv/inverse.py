@@ -45,7 +45,6 @@ from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import AdmissibilityError, NumericalError, ParameterError
 from .fem import FemOperator, Trajectory, l1_evolve, l1_responses, mass_norm, solve_fem
@@ -128,8 +127,8 @@ class Observation:
 
 
 def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) -> Observation:
-    if not epsilon >= 0:
-        raise ParameterError(f"epsilon must be nonnegative, got {epsilon}")
+    if not (epsilon >= 0 and math.isfinite(epsilon)):
+        raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
     g = np.asarray(g_dag, float)
     scale = float(np.max(np.abs(g)))
     if epsilon == 0.0:
@@ -310,8 +309,8 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
     if setup.modal:
         # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
         lam, V = op.modes
-        r, s = l1_responses(setup.alpha, tg, lam, keep_history=False)
-        resp = r if setup.kind == "bp" else s
+        r, s = l1_responses(setup.alpha, tg, lam)
+        resp = (r if setup.kind == "bp" else s)[-1]
         J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
         return J
     # bp/isp on the square (and the modal engine's oracle): columns stepped in time
@@ -319,7 +318,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
         w0, load = cols0, None
     else:
         w0, load = np.zeros(cols0.shape), op.mass_apply_interior(cols0)
-    J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load, keep_history=False)
+    J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load)[-1]
     return J
 
 
@@ -388,10 +387,9 @@ def _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P):
     K[p, p] = d + mu_k
     rhs = np.concatenate([gv, [gT]])
     try:
-        c, low = cho_factor(K)
-        sol = cho_solve((c, low), rhs)
+        sol = np.linalg.solve(K, rhs)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
-        raise NumericalError(f"normal system not SPD: {exc}")
+        raise NumericalError(f"normal system singular: {exc}")
     return sol[:p], float(sol[p])
 
 

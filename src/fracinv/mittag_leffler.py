@@ -149,13 +149,8 @@ def ml_neg(alpha: float, beta: float, x) -> np.ndarray:
             vals[got] = v[ok]
 
     # 3. the gap: integral representation, then high-precision summation
-    gap = np.where(np.isnan(vals))[0]
-    if gap.size:
-        if 0.0 < alpha < 0.99 and 0.0 < beta <= 1.0 and gap.size > 2:
-            vals[gap] = _gap_cheb(alpha, beta, xs[gap])
-        else:
-            for i in gap:
-                vals[i] = _gap_scalar(alpha, beta, float(xs[i]))
+    for i in np.where(np.isnan(vals))[0]:
+        vals[i] = _gap_scalar(alpha, beta, float(xs[i]))
 
     out[todo] = vals
     return out
@@ -273,36 +268,6 @@ def _gap_scalar(alpha: float, beta: float, x: float) -> float:
     if 0.0 < alpha < 0.99 and 0.0 < beta <= 1.0:
         return _integral_scalar(alpha, beta, x)
     return _highprec_scalar(alpha, beta, -x)
-
-
-# Per-(alpha, beta) Chebyshev interpolants of u -> E(-exp(u)) over the gap
-# band. E is entire, so convergence in the log variable is super-geometric;
-# node values come from the integral representation. A benign build race
-# between threads just recomputes identical coefficients.
-_GAP_CHEB_CACHE: dict[tuple[float, float], tuple[float, float, np.ndarray]] = {}
-_GAP_BAND = (0.05, 46.5)
-_GAP_CHEB_DEG = 160
-
-
-def _gap_cheb(alpha: float, beta: float, x: np.ndarray) -> np.ndarray:
-    key = (float(alpha), float(beta))
-    entry = _GAP_CHEB_CACHE.get(key)
-    if entry is None:
-        lo, hi = math.log(_GAP_BAND[0]), math.log(_GAP_BAND[1])
-
-        def f(t):
-            t = np.atleast_1d(t)
-            xs = np.exp(lo + (hi - lo) * (t + 1.0) / 2.0)
-            return np.array([_integral_scalar(alpha, beta, float(v)) for v in xs])
-
-        coeffs = np.polynomial.chebyshev.chebinterpolate(f, _GAP_CHEB_DEG)
-        entry = (lo, hi, coeffs)
-        _GAP_CHEB_CACHE[key] = entry
-    lo, hi, coeffs = entry
-    u = (np.log(x) - lo) * 2.0 / (hi - lo) - 1.0
-    if np.any(u < -1.0 - 1e-12) or np.any(u > 1.0 + 1e-12):
-        return np.array([_gap_scalar(alpha, beta, float(v)) for v in x])
-    return np.polynomial.chebyshev.chebval(np.clip(u, -1.0, 1.0), coeffs)
 
 
 def _sinpi(y: float) -> float:

@@ -5,11 +5,11 @@ closed forms via scipy.special, arbitrary-precision summation via mpmath, and
 a composite fixed-node Gauss-Legendre quadrature of the cut integral for
 arguments where summation is infeasible. The derived checks below them (decay
 bounds, the derivative identity, the L1 derivative at the final time) are
-properties the tests assert of the production code. The L1 time stepper has
-a step-by-step oracle that sums each step's history directly, against which
-the blocked history is checked. The potential problem's v-Jacobian has a
-column oracle that steps every sensitivity through the L1 time stepper,
-against which the modal Jacobian is checked.
+properties the tests assert of the production code. The L1 time stepper and
+the modal recursion have step-by-step oracles that sum each step's history
+directly, against which the blocked march is checked. The potential
+problem's v-Jacobian has a column oracle that steps every sensitivity
+through the L1 time stepper, against which the modal Jacobian is checked.
 """
 
 from __future__ import annotations
@@ -167,6 +167,17 @@ def ml_derivative_identity_residual(alpha: float, lam: float, t: float, h: float
     return abs(cd - rhs)
 
 
+def history_coefficients(weights: L1Weights, k: int) -> np.ndarray:
+    """coef[j] multiplying u^j, j = 0..k-1, in step k's history combination."""
+    b = weights.b
+    coef = np.empty(k)
+    coef[0] = b[k - 1]
+    if k > 1:
+        j = np.arange(1, k)
+        coef[1:] = b[k - 1 - j] - b[k - j]
+    return coef
+
+
 def caputo_derivative_at_T(traj, tg, alpha: float) -> np.ndarray:
     """Discrete L1 evaluation of the order-alpha time derivative at t = T."""
     if traj.values.shape[0] < 2:
@@ -176,28 +187,39 @@ def caputo_derivative_at_T(traj, tg, alpha: float) -> np.ndarray:
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     N = tg.n_steps
-    coef = weights.history_coefficients(N)
+    coef = history_coefficients(weights, N)
     return c * (traj.values[N] - np.tensordot(coef, traj.values[:N], axes=1))
 
 
-def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None,
-                       keep_history: bool = True) -> np.ndarray:
+def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> np.ndarray:
     """`fem.l1_evolve` with each step's history summed over all earlier steps
     at that step, with no blocking."""
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
 
-    # the memory term needs the full history regardless of keep_history
     past = np.empty((tg.n_steps + 1,) + w0_int.shape)
     past[0] = w0_int
     for k in range(1, tg.n_steps + 1):
-        combo = np.tensordot(weights.history_coefficients(k), past[:k], axes=1)
+        combo = np.tensordot(history_coefficients(weights, k), past[:k], axes=1)
         rhs = c * op.mass_apply_interior(combo)
         if load is not None:
             rhs = rhs + load
         past[k] = solve(rhs)
-    return past if keep_history else past[-1]
+    return past
+
+
+def l1_responses_stepwise(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`fem.l1_responses` with each step's history summed over all earlier
+    steps at that step, with no blocking: (r, s) at every step."""
+    weights = L1Weights(alpha, tg.n_steps)
+    c = weights.scale(tg.tau)
+    gain = c / (c + lam)
+    r = np.empty((tg.n_steps + 1, lam.size))
+    r[0] = 1.0
+    for k in range(1, tg.n_steps + 1):
+        r[k] = (history_coefficients(weights, k) @ r[:k]) * gain
+    return r, (1.0 - r) / lam
 
 
 def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
@@ -222,7 +244,7 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
         load = d * cols0
         load[:-1] += o * cols0[1:]
         load[1:] += o * cols0[:-1]
-        combo = np.tensordot(weights.history_coefficients(k), w[:k], axes=1)
+        combo = np.tensordot(history_coefficients(weights, k), w[:k], axes=1)
         w[k] = solve(c * op.mass_apply_interior(combo) - load)
     J = np.zeros((setup.grid.n_nodes, m))
     J[op.interior] = w[-1]

@@ -14,7 +14,7 @@ from fracinv.cases import (
 )
 from fracinv.cli import main as cli_main
 from fracinv.config import parse_config
-from fracinv.errors import ConfigError
+from fracinv.errors import ConfigError, DomainError
 from fracinv.experiments import TableReport, emit_plot_data
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import ReconstructionResult
@@ -159,6 +159,30 @@ class TestCli:
         out = capsys.readouterr().out.strip()
         assert rc == 0
         assert out == "0.135335283236613"
+
+    def test_ml_eval_gap_digits(self, capsys):
+        # a gap point, served by the integral representation
+        assert cli_main(["ml-eval", "0.5", "1", "-5"]) == 0
+        assert capsys.readouterr().out.strip() == "0.110704637733069"
+
+    @pytest.mark.parametrize("args, name", [(["1.5", "1", "-1"], "alpha"),
+                                            (["0.5", "nan", "-1"], "beta"),
+                                            (["0.5", "1", "nan"], "z"),
+                                            (["0.5", "1", "5"], "z")])
+    def test_ml_eval_bad_arguments_exit_2(self, args, name, capsys):
+        # these used to print "numerical failure" and exit 3
+        assert cli_main(["ml-eval", *args]) == 2
+        assert f"config error: {name}" in capsys.readouterr().err
+
+    def test_ml_eval_failure_exit_3(self, monkeypatch, capsys):
+        import fracinv.cli as cli_mod
+
+        def failing(params, z):
+            raise DomainError("series did not converge")
+
+        monkeypatch.setattr(cli_mod, "ml_eval", failing)
+        assert cli_main(["ml-eval", "0.5", "1", "0.5"]) == 3
+        assert "numerical failure" in capsys.readouterr().err
 
     def test_config_error_exit_2(self, tmp_path, capsys):
         p = tmp_path / "bad.cfg"

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.special import gamma
 
 from fracinv.fem import (
@@ -10,6 +11,7 @@ from fracinv.fem import (
     _upper_band,
     convergence_study,
     l1_evolve,
+    l1_responses,
     mass_inner,
     mass_norm,
     solve_fem,
@@ -18,7 +20,7 @@ from fracinv.grids import Grid1D, Grid2D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec, TimeGrid
 
-from oracles import caputo_derivative_at_T, l1_evolve_stepwise
+from oracles import caputo_derivative_at_T, l1_evolve_stepwise, l1_responses_stepwise
 
 
 class TestL1Weights:
@@ -222,6 +224,18 @@ class TestFemOperator:
         assert np.max(np.abs(op.mass_apply_interior(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(op.M_II.toarray(), M_II)
 
+    @pytest.mark.parametrize("n", [48, 128])
+    def test_modes_are_the_pencil_eigenpairs(self, n):
+        op = FemOperator(Grid1D(n), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                         lambda x: 2.0 + np.cos(3 * x))
+        I = op.interior
+        A_II, M_II = op.A.toarray()[np.ix_(I, I)], op.M_II.toarray()
+        lam, V = op.modes
+        assert np.max(np.abs(V.T @ M_II @ V - np.eye(I.size))) <= 1e-13
+        assert np.max(np.abs(A_II @ V - (M_II @ V) * lam)) <= 1e-12 * np.max(lam)
+        ref = scipy.linalg.eigh(A_II, M_II, eigvals_only=True)
+        assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(ref)
+
     def test_measured_bandwidth(self, op):
         I = op.interior
         ab = _upper_band((self.C * op.M + op.A)[I][:, I])
@@ -249,7 +263,34 @@ class TestBlockedHistory:
         ref = l1_evolve_stepwise(op, alpha, tg, w0, load)
         assert ours.shape == ref.shape
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
-        assert np.array_equal(l1_evolve(op, alpha, tg, w0, load, keep_history=False), ours[-1])
+
+
+class TestBlockedResponses:
+    """The modal engine `l1_responses` runs the same blocked march as
+    `l1_evolve`; checked against the step-by-step recursion."""
+
+    @pytest.fixture(scope="class")
+    def lam(self):
+        op = FemOperator(Grid1D(64), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                         lambda x: 2.0 + np.cos(3 * x))
+        return op.modes[0]
+
+    @pytest.mark.parametrize("n_steps", [1, HISTORY_BLOCK - 1, HISTORY_BLOCK,
+                                         HISTORY_BLOCK + 1, 100, 512])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 1.0])
+    def test_matches_stepwise(self, lam, n_steps, alpha):
+        tg = TimeGrid(n_steps, 0.5)
+        for ours, ref in zip(l1_responses(alpha, tg, lam), l1_responses_stepwise(alpha, tg, lam)):
+            assert ours.shape == ref.shape == (n_steps + 1, lam.size)
+            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("n_steps", [1, 33, 512])
+    def test_backward_euler_closed_form(self, lam, n_steps):
+        # alpha = 1: r^N = (1 + tau lam)^(-N)
+        tg = TimeGrid(n_steps, 0.5)
+        r = l1_responses(1.0, tg, lam)[0][-1]
+        ref = (1.0 + tg.tau * lam) ** -n_steps
+        assert np.allclose(r, ref, rtol=1e-12, atol=0.0)
 
 
 class TestSpectralFemAgreement:

@@ -66,6 +66,12 @@ class TestAddNoise:
         c = add_noise(g, 0.05, seed=100)
         assert not np.array_equal(a.g_delta, c.g_delta)
 
+    @pytest.mark.parametrize("epsilon", [-0.01, float("nan"), float("inf")])
+    def test_rejects_bad_epsilon(self, epsilon):
+        # epsilon = inf used to return infinite data with noise_level inf
+        with pytest.raises(ParameterError, match="epsilon"):
+            add_noise(np.ones(9), epsilon, seed=1)
+
 
 class TestForwardMap:
     @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
@@ -202,16 +208,14 @@ class TestModalEngine:
 
 def _eigh_calls(make, max_iter, monkeypatch) -> int:
     """The number of eigh calls in a max_iter-step reconstruction."""
-    import fracinv.fem as fem_mod
-
     calls = []
 
     def counting(*args, **kwargs):
         calls.append(1)
         return eigh(*args, **kwargs)
 
-    eigh = fem_mod.eigh
-    monkeypatch.setattr(fem_mod, "eigh", counting)
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counting)
     setup = make(n=32, steps=32)
     obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
     cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
