@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 
 from .config import check_seed, parse_config
@@ -37,6 +38,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub.choices["table"].add_argument("--threads", type=int, default=1,
                                       help="parallel grid cells")
     ml = sub.add_parser("ml-eval", help="print E_{alpha,beta}(z) to 15 digits")
+    # argparse reads only plain decimals as negative numbers, -5e1 as an option
+    ml._negative_number_matcher = re.compile(r"^-(\.?\d|inf|nan)", re.IGNORECASE)
     ml.add_argument("alpha", type=float)
     ml.add_argument("beta", type=float)
     ml.add_argument("z", type=float)

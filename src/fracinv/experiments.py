@@ -156,7 +156,8 @@ def run_recover(cfg: ExperimentConfig, kind: str, out_dir=None) -> Reconstructio
     """One reconstruction (first alpha / epsilon of the config)."""
     case = get_case(cfg.case_id)
     if case.kind != kind:
-        raise ConfigError(f"case {case.case_id} is a {case.kind} benchmark, not {kind}")
+        article = "an" if case.kind[0] in "aeiou" else "a"
+        raise ConfigError(f"case {case.case_id} is {article} {case.kind} benchmark, not {kind}")
     alpha, eps = cfg.alphas[0], cfg.epsilons[0]
     prior = _prior_for(case, alpha, cfg)
     res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, prior,

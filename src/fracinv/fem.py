@@ -23,11 +23,11 @@ stored entries; the factor costs O(m b^2) and each solve O(m b) for m
 interior nodes.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
-(A_II, M_II) each step is a scalar product (`l1_responses`), which is how
-the inversion runs the forward map and the v-Jacobian of all three problems
-on the interval. The time stepper (`l1_evolve`) serves the square, data
-synthesis and the tests' oracles. Both engines run on one march
-(`_l1_march`), which sums the history in blocks of steps by GEMMs; they
+(A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
+the inversion's u(T) and v-Jacobian share one such march per (alpha, N, T)
+(`FemOperator.responses`); the time stepper (`l1_evolve`, `solve_fem`) serves
+the square, data synthesis and the tests' oracles. Both engines run on one
+march (`_l1_march`), which sums the history in blocks of steps by GEMMs; they
 differ only in the step that turns a history combination into u^k.
 """
 
@@ -39,7 +39,8 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cho_solve_banded, cholesky_banded
+from scipy.linalg import cholesky_banded
+from scipy.linalg.lapack import dpbtrs
 from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, ParameterError
@@ -228,6 +229,7 @@ class FemOperator:
             self.interior = np.where(grid.interior_mask())[0]
         self.M_II = self.M[self.interior][:, self.interior]
         self._factor_cache: dict[float, np.ndarray] = {}
+        self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
         return self.M @ v
@@ -240,7 +242,7 @@ class FemOperator:
         return self.M_II @ v_int
 
     def factorized(self, c: float):
-        """Solver for (c M + A)_II x = rhs; cached per scale c."""
+        """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on a factor cached per c."""
         key = float(c)
         if key not in self._factor_cache:
             K = (c * self.M + self.A)[self.interior][:, self.interior]
@@ -249,7 +251,14 @@ class FemOperator:
             except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover - SPD
                 raise NumericalError(f"banded factorization failed: {exc}")
         cb = self._factor_cache[key]
-        return lambda rhs: cho_solve_banded((cb, False), rhs)
+
+        def solve(rhs):
+            x, info = dpbtrs(cb, rhs)
+            if info != 0:
+                raise NumericalError(f"banded solve failed: dpbtrs info {info}")
+            return x
+
+        return solve
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -265,6 +274,16 @@ class FemOperator:
         L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II.toarray()))
         lam, W = np.linalg.eigh(L_inv @ A_II @ L_inv.T)
         return lam, L_inv.T @ W
+
+    def responses(self, alpha: float, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
+        """`l1_responses` on `modes`, read-only; the last (alpha, N, T) is
+        kept, so F and the v-Jacobian at one LM iterate share one march."""
+        if self._responses[0] != (alpha, tg):
+            r, s = l1_responses(alpha, tg, self.modes[0])
+            r.setflags(write=False)
+            s.setflags(write=False)
+            self._responses = ((alpha, tg), (r, s))
+        return self._responses[1]
 
 
 @dataclass
@@ -360,40 +379,33 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarra
     return r, s
 
 
-def _lift_vector(spec: ProblemSpec, grid: GridLike) -> np.ndarray:
-    if spec.dirichlet is None:
-        return np.zeros(grid.n_nodes)
-    a0, a1 = spec.dirichlet
-    if isinstance(grid, Grid1D):
-        return a0 * (1.0 - grid.nodes) + a1 * grid.nodes
-    raise ParameterError("constant Dirichlet lift is defined on the interval")
+def _initial_and_load(spec: ProblemSpec, op: FemOperator):
+    """u0, the Dirichlet lift, and w0 = u0 - lift and the load on the interior."""
+    u0 = as_nodal_values(spec.u0, op.grid)
+    lift = np.zeros(op.grid.n_nodes)
+    if spec.dirichlet is not None:
+        if not isinstance(op.grid, Grid1D):
+            raise ParameterError("constant Dirichlet lift is defined on the interval")
+        lift = spec.dirichlet[0] * (1.0 - op.grid.nodes) + spec.dirichlet[1] * op.grid.nodes
+    load = (op.mass_apply(spec.sample("f", op.grid)) - op.elliptic_apply(lift))[op.interior]
+    return u0, lift, (u0 - lift)[op.interior], load
+
+
+def modal_data(spec: ProblemSpec, op: FemOperator):
+    """(lift, V^T M_II w0, V^T load) on the modes (lam, V) of `op`."""
+    _, lift, w0, load = _initial_and_load(spec, op)
+    V = op.modes[1]
+    return lift, V.T @ op.mass_apply_interior(w0), V.T @ load
 
 
 def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
-              op: Optional[FemOperator] = None, modal: bool = False) -> Trajectory:
-    """P1 + L1 forward solve; returns the full nodal trajectory.
-
-    modal=True runs the same scheme mode by mode on `op.modes`, with no
-    linear solves: W = V (r o V^T M_II w0 + s o V^T load), which equals the
-    time-stepped solution up to rounding.
-    """
+              op: Optional[FemOperator] = None) -> Trajectory:
+    """P1 + L1 forward solve through the time stepper; returns the full nodal
+    trajectory (the inversion on the interval runs mode by mode instead)."""
     if op is None:
         op = FemOperator(grid, spec.diffusion, spec.potential)
-    u0 = as_nodal_values(spec.u0, grid)
-    lift = _lift_vector(spec, grid)
-    w0 = (u0 - lift)[op.interior]
-
-    # the Galerkin load of the P1-interpolated source, less the lift's: constant in time
-    load = (op.mass_apply(spec.sample("f", grid)) - op.elliptic_apply(lift))[op.interior]
-    if modal:
-        lam, V = op.modes
-        r, s = l1_responses(spec.alpha, tg, lam)
-        r *= V.T @ op.mass_apply_interior(w0)
-        s *= V.T @ load
-        r += s
-        hist = np.matmul(r, V.T, out=s)
-    else:
-        hist = l1_evolve(op, spec.alpha, tg, w0, load)
+    u0, lift, w0, load = _initial_and_load(spec, op)
+    hist = l1_evolve(op, spec.alpha, tg, w0, load)
     hist += lift[op.interior]
     values = np.tile(lift, (tg.n_steps + 1, 1))
     values[:, op.interior] = hist

@@ -13,9 +13,9 @@ the space parameter and the scalar time influence the data too differently
 to share one weight. The time derivative is the forward difference
 (F(v, T + dT) - F(v, T)) / dT with a fixed small dT.
 
-One iteration costs one v-Jacobian and two forward solves: the trajectory of
-F(v_k, T_k), computed once and shared by the residual, the potential
-problem's sensitivity load and the time difference, and F(v_k, T_k + dT).
+One iteration costs one v-Jacobian and two forward solves: F(v_k, T_k),
+computed once and shared by the residual and the time difference, and
+F(v_k, T_k + dT). Only u(T) is read, so no trajectory is formed.
 
 Sensitivity systems (direction h):
   backward problem:   d_t^alpha w + A w = 0,        w(0) = h
@@ -23,18 +23,19 @@ Sensitivity systems (direction h):
   potential problem:  d_t^alpha w + A w = -h u(v),  w(0) = 0
 
 Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
-(A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I),
-once per setup for bp/isp and once per iterate for ipp, whose A_q moves with
-v; F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT) share that operator and
-its eigh. With the mode responses r (w(0) = 1, no load) and s (w(0) = 0,
-unit load), F_I = V (r o V^T M_II w0 + s o V^T load), and for bp/isp
-J_II = V diag(r or s) V^T M_II. ipp's sensitivity starts from zero, so the
-scheme is shift-invariant: mode j answers a unit load n steps later with
-K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is -V_j^T B(U_j)_II,
-U_j = sum_k K_j(N - k) u^k: O(N m^2) against the O(N^2 m^2) of stepping all
-m columns. (2) bp/isp on the square, where a dense eigensolve raises the
-peak memory by a third: F and all Jacobian columns step through the L1
-time stepper, which is also (1)'s test oracle.
+(A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I)
+once per setup for bp/isp, and for ipp, whose A_q moves with v, once per
+iterate for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). The first two
+share one march of the mode responses r (w(0) = 1, no load) and s (w(0) = 0,
+unit load): F_I = lift_I + V (r^N o a0 + s^N o b), a0 = V^T M_II w0,
+b = V^T load; for bp/isp J_II = V diag(r^N or s^N) V^T M_II. ipp's
+sensitivity starts from zero, so the scheme is shift-invariant: mode j
+answers a unit load n steps later with K_j(n) = s_j^(n+1) - s_j^n, and row j
+of V^T J_II is -V_j^T B(U_j)_II, U_j = sum_k K_j(N - k) u^k = s_j^N lift +
+V [sum_k K_j(N - k) (r^k o a0 + s^k o b)]: no trajectory, and O(N m^2)
+against the O(N^2 m^2) of stepping all m columns. (2) bp/isp on the square,
+where a dense eigensolve raises the peak memory by a third: F and all
+Jacobian columns step through the L1 time stepper, (1)'s test oracle.
 """
 
 from __future__ import annotations
@@ -42,12 +43,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import AdmissibilityError, NumericalError, ParameterError
-from .fem import FemOperator, Trajectory, l1_evolve, l1_responses, mass_norm, solve_fem
+from .fem import FemOperator, l1_evolve, mass_norm, modal_data, solve_fem
 from .grids import Grid1D, GridLike, as_nodal_values
 from .problems import ProblemSpec, TimeGrid
 
@@ -59,8 +60,6 @@ __all__ = [
     "add_noise",
     "forward_map",
     "jacobian_v_matrix",
-    "jacobian_v_apply",
-    "jacobian_v_adjoint_apply",
     "jacobian_T",
     "lm_step",
     "lm_reconstruct",
@@ -248,6 +247,14 @@ class InverseSetup:
         return ProblemSpec(alpha=self.alpha, T=T, diffusion=self.diffusion,
                            dirichlet=self.dirichlet, domain=domain, **fields)
 
+    def _forward_problem(self, v, T: float):
+        """(spec, operator, time grid) of F(v, T); an ipp iterate is clamped."""
+        tg = TimeGrid(self.n_steps, T)  # rejects T <= 0 before v is read
+        v_nodal = as_nodal_values(v, self.grid)
+        if self.kind == "ipp":
+            v_nodal = _clamp_ipp(v_nodal)
+        return self.spec_for(v_nodal, T), self._operator_for(v_nodal), tg
+
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
     worst = max(float(np.max(v_nodal - IPP_CLAMP_MAX)), float(np.max(-v_nodal)), 0.0)
@@ -258,47 +265,38 @@ def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
     return np.clip(v_nodal, 0.0, IPP_CLAMP_MAX)
 
 
-def forward_map(setup: InverseSetup, v, T: float,
-                return_trajectory: bool = False) -> Union[np.ndarray, Trajectory]:
-    """u(v)(., T) on grid nodes via the FEM + L1 scheme, stepped in time or,
-    where `setup.modal`, run mode by mode."""
-    if T <= 0:
-        raise ParameterError("T must be positive")
-    v_nodal = as_nodal_values(v, setup.grid)
-    if setup.kind == "ipp":
-        v_nodal = _clamp_ipp(v_nodal)
-    spec = setup.spec_for(v_nodal, T)
-    op = setup._operator_for(v_nodal)
-    traj = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, T), op=op, modal=setup.modal)
-    return traj if return_trajectory else traj.final
+def forward_map(setup: InverseSetup, v, T: float) -> np.ndarray:
+    """u(v)(., T) on grid nodes via the FEM + L1 scheme: where `setup.modal`,
+    run mode by mode to u(T) alone, else stepped in time."""
+    spec, op, tg = setup._forward_problem(v, T)
+    if not setup.modal:
+        return solve_fem(spec, setup.grid, tg, op=op).final
+    u, a0, b = modal_data(spec, op)  # u = lift
+    r, s = op.responses(setup.alpha, tg)
+    u[op.interior] += op.modes[1] @ (r[-1] * a0 + s[-1] * b)
+    return u
 
 
-def jacobian_v_matrix(setup: InverseSetup, v, T: float,
-                      base: Optional[Trajectory] = None) -> np.ndarray:
+def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
     """Dense Jacobian of F in the space parameter, (n_nodes, n_params).
 
     Boundary rows are zero (Dirichlet data does not move with v). For ipp,
     J_II = -V R with row j of R = V_j^T B(U_j)_II on the iterate's modes (see
-    the module docstring); U_j needs the trajectory of F(v, T), passed as
-    `base` if at hand, else solved for here. For bp/isp, J_II = V diag(r or s)
-    V^T M_II on the interval; on the square the columns step through L1.
+    the module docstring). For bp/isp, J_II = V diag(r^N or s^N) V^T M_II on
+    the interval; on the square the columns step through L1.
     """
-    v_nodal = as_nodal_values(v, setup.grid)
-    tg = TimeGrid(setup.n_steps, T)
-    if setup.kind == "ipp":
-        v_nodal = _clamp_ipp(v_nodal)
-    op = setup._operator_for(v_nodal)
+    spec, op, tg = setup._forward_problem(v, T)
     cols0 = np.eye(op.interior.size) if setup.basis is None else setup.basis.T[op.interior]
     J = np.zeros((setup.grid.n_nodes, cols0.shape[1]))
 
     if setup.kind == "ipp":
         # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
-        if base is None:
-            base = forward_map(setup, v_nodal, T, return_trajectory=True)
-        lam, V = op.modes
-        s = l1_responses(setup.alpha, tg, lam)[1]
-        K = s[1:] - s[:-1]  # (N, m), K[n] = K(n)
-        U = K[::-1].T @ base.values[1:]  # (m, n_nodes)
+        lift, a0, b = modal_data(spec, op)
+        V = op.modes[1]
+        r, s = op.responses(setup.alpha, tg)
+        K = s[:0:-1] - s[-2::-1]  # (N, m): row k - 1 is K(N - k); sum_n K_j(n) = s_j^N
+        U = np.outer(s[-1], lift)  # (m, n_nodes); two GEMMs need no (N, m) temporaries
+        U[:, op.interior] += ((K.T @ r[1:]) * a0 + (K.T @ s[1:]) * b) @ V.T
         diag, off = _trilinear_mass_1d(setup.grid, U)
         d, o, Vt = diag[:, 1:-1], off[:, 1:-1], V.T
         R = d * Vt  # row j: (B(U_j)_II V_j)^T, B tridiagonal
@@ -308,8 +306,8 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float,
         return J
     if setup.modal:
         # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
-        lam, V = op.modes
-        r, s = l1_responses(setup.alpha, tg, lam)
+        V = op.modes[1]
+        r, s = op.responses(setup.alpha, tg)
         resp = (r if setup.kind == "bp" else s)[-1]
         J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
         return J
@@ -331,20 +329,6 @@ def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, n
     diag[..., :-1] += h * (ul / 4.0 + ur / 12.0)
     diag[..., 1:] += h * (ul / 12.0 + ur / 4.0)
     return diag, h * (ul + ur) / 12.0
-
-
-def jacobian_v_apply(setup: InverseSetup, v, T: float, h) -> np.ndarray:
-    """Directional derivative dF(v,T)[h] as a nodal field."""
-    J = jacobian_v_matrix(setup, v, T)
-    return J @ setup.nodal_to_param(as_nodal_values(h, setup.grid))
-
-
-def jacobian_v_adjoint_apply(setup: InverseSetup, v, T: float, w) -> np.ndarray:
-    """Adjoint J* w in the discrete L2 pairing: P^{-1} J^T M w."""
-    J = jacobian_v_matrix(setup, v, T)
-    Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
-    coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
-    return setup.param_to_nodal(coeffs)
 
 
 def jacobian_T(setup: InverseSetup, v, T: float, deltaT: float = 1e-3,
@@ -394,22 +378,22 @@ def _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P):
 
 
 def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig,
-            base: Optional[Trajectory] = None) -> LMState:
+            f0: Optional[np.ndarray] = None) -> LMState:
     """One Levenberg-Marquardt update of (v, T).
 
     Inner products are the discrete L2 (mass) pairings; the penalty metric is
-    the L2 Gram of the parameter space, so the step is mesh-robust. `base` is
-    the trajectory of F(state.v, state.T) if it is at hand; otherwise it is
-    solved for here.
+    the L2 Gram of the parameter space, so the step is mesh-robust. f0 is
+    u(T_k) = F(state.v, state.T) if it is at hand; otherwise it is solved for
+    here. Either way the v-Jacobian reuses the responses of that solve.
     """
     gamma_k = cfg.gamma0 * cfg.rho**state.k
     mu_k = cfg.mu0 * cfg.rho**state.k
 
-    if base is None:
-        base = forward_map(setup, state.v, state.T, return_trajectory=True)
-    r = obs.g_delta - base.final
-    J = jacobian_v_matrix(setup, state.v, state.T, base)
-    JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, base.final)
+    if f0 is None:
+        f0 = forward_map(setup, state.v, state.T)
+    r = obs.g_delta - f0
+    J = jacobian_v_matrix(setup, state.v, state.T)
+    JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, f0)
 
     MJ = setup.fixed_operator.mass_apply(J)
     MJT = setup.fixed_operator.mass_apply(JT)
@@ -453,8 +437,8 @@ def lm_reconstruct(
     v_hist = []
     discrepancy_hit = None
     for k in range(cfg.max_iter + 1):
-        base = forward_map(setup, state.v, state.T, return_trajectory=True)
-        r = mass_norm(setup.grid, obs.g_delta - base.final)
+        f0 = forward_map(setup, state.v, state.T)
+        r = mass_norm(setup.grid, obs.g_delta - f0)
         if not np.isfinite(r):
             err = NumericalError(f"residual diverged at iteration {k}")
             err.history = history
@@ -468,7 +452,7 @@ def lm_reconstruct(
                 break
         if k == cfg.max_iter:
             break
-        state = lm_step(setup, state, obs, cfg, base)
+        state = lm_step(setup, state, obs, cfg, f0)
 
     if cfg.stop == "oracle":
         errors = [h[2] for h in history]

@@ -10,6 +10,9 @@ the modal recursion have step-by-step oracles that sum each step's history
 directly, against which the blocked march is checked. The potential
 problem's v-Jacobian has a column oracle that steps every sensitivity
 through the L1 time stepper, against which the modal Jacobian is checked.
+The Jacobian's action and its adjoint in the mass pairing, which the
+adjoint and directional-derivative checks call, are formed from the dense
+v-Jacobian at the end.
 """
 
 from __future__ import annotations
@@ -20,8 +23,9 @@ import mpmath as mp
 import numpy as np
 from scipy.special import erfcx, roots_legendre
 
-from fracinv.fem import L1Weights
-from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, forward_map
+from fracinv.fem import L1Weights, solve_fem
+from fracinv.grids import as_nodal_values
+from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import TimeGrid
 
@@ -226,11 +230,12 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     """The potential problem's v-Jacobian (n_nodes, m), one column per interior
     node i, each the sensitivity solve d_t^alpha w + A_q w = -B(u) e_i,
     w(0) = 0, stepped through the L1 scheme with the trajectory u^k of F(v, T)
-    (a load that changes at every step)."""
+    from the time stepper on the same operator (a load that changes at every
+    step)."""
     v_nodal = _clamp_ipp(np.asarray(v_nodal, float))
-    base = forward_map(setup, v_nodal, T, return_trajectory=True)
     op = setup._operator_for(v_nodal)
     tg = TimeGrid(setup.n_steps, T)
+    base = solve_fem(setup.spec_for(v_nodal, T), setup.grid, tg, op=op)
     weights = L1Weights(setup.alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
@@ -249,3 +254,17 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     J = np.zeros((setup.grid.n_nodes, m))
     J[op.interior] = w[-1]
     return J
+
+
+def jacobian_v_apply(setup, v, T: float, h) -> np.ndarray:
+    """Directional derivative dF(v,T)[h] as a nodal field."""
+    J = jacobian_v_matrix(setup, v, T)
+    return J @ setup.nodal_to_param(as_nodal_values(h, setup.grid))
+
+
+def jacobian_v_adjoint_apply(setup, v, T: float, w) -> np.ndarray:
+    """Adjoint J* w in the discrete L2 pairing: P^{-1} J^T M w."""
+    J = jacobian_v_matrix(setup, v, T)
+    Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
+    coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
+    return setup.param_to_nodal(coeffs)

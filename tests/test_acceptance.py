@@ -26,8 +26,6 @@ from fracinv.inverse import (
     InverseSetup,
     add_noise,
     forward_map,
-    jacobian_v_adjoint_apply,
-    jacobian_v_apply,
     jacobian_v_matrix,
     lm_reconstruct,
 )
@@ -35,7 +33,12 @@ from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 from fracinv.spectral import build_eigendecomposition, estimate_T
 
-from oracles import ml_derivative_identity_residual, ml_reference
+from oracles import (
+    jacobian_v_adjoint_apply,
+    jacobian_v_apply,
+    ml_derivative_identity_residual,
+    ml_reference,
+)
 
 T_TRUE = 0.5
 

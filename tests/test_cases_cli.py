@@ -168,11 +168,21 @@ class TestCli:
     @pytest.mark.parametrize("args, name", [(["1.5", "1", "-1"], "alpha"),
                                             (["0.5", "nan", "-1"], "beta"),
                                             (["0.5", "1", "nan"], "z"),
-                                            (["0.5", "1", "5"], "z")])
+                                            (["0.5", "1", "5"], "z"),
+                                            (["0.5", "1", "-inf"], "z")])
     def test_ml_eval_bad_arguments_exit_2(self, args, name, capsys):
         # these used to print "numerical failure" and exit 3
         assert cli_main(["ml-eval", *args]) == 2
         assert f"config error: {name}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("z, expected", [("-5e1", "0.0112815362653238"),
+                                             ("-1E+2", "0.00564161378298943")])
+    def test_ml_eval_negative_z_with_exponent(self, z, expected, capsys):
+        # argparse reads only plain decimals as negative numbers, so -5e1
+        # used to be taken for an option and z reported missing
+        assert cli_main(["ml-eval", "0.5", "1", z]) == 0
+        assert cli_main(["ml-eval", "0.5", "1", "--", z]) == 0
+        assert capsys.readouterr().out.split() == [expected, expected]
 
     def test_ml_eval_failure_exit_3(self, monkeypatch, capsys):
         import fracinv.cli as cli_mod
@@ -197,6 +207,12 @@ class TestCli:
         rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
         assert "max_iter" in capsys.readouterr().err
+
+    def test_wrong_kind_exit_2(self, tmp_path, capsys):
+        p = tmp_path / "ipp.cfg"
+        p.write_text("[experiment]\ncase = 5.3\n[mesh]\nn = 8\nsteps = 8\n")
+        assert cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert "case 5.3 is an ipp benchmark, not bp" in capsys.readouterr().err
 
     def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"

@@ -3,6 +3,8 @@ import pytest
 import scipy.linalg
 from scipy.special import gamma
 
+import fracinv.fem as fem_mod
+from fracinv.errors import NumericalError
 from fracinv.fem import (
     HISTORY_BLOCK,
     FemOperator,
@@ -216,6 +218,12 @@ class TestFemOperator:
         for rhs in (rng.standard_normal(K.shape[0]), rng.standard_normal((K.shape[0], 5))):
             ref = np.linalg.solve(K, rhs)
             assert np.max(np.abs(solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_failed_solve_raises(self, op, monkeypatch):
+        # dpbtrs reports a bad argument through info, not by raising
+        monkeypatch.setattr(fem_mod, "dpbtrs", lambda cb, rhs: (rhs, -2))
+        with pytest.raises(NumericalError, match="dpbtrs"):
+            op.factorized(self.C)(np.ones(op.interior.size))
 
     def test_mass_apply_interior_matches_dense(self, op):
         _, M_II = self._dense(op)

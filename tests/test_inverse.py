@@ -12,8 +12,6 @@ from fracinv.inverse import (
     add_noise,
     forward_map,
     jacobian_T,
-    jacobian_v_adjoint_apply,
-    jacobian_v_apply,
     jacobian_v_matrix,
     lm_reconstruct,
     lm_step,
@@ -22,7 +20,7 @@ from fracinv.inverse import (
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 
-from oracles import ipp_jacobian_columns
+from oracles import ipp_jacobian_columns, jacobian_v_adjoint_apply, jacobian_v_apply
 
 
 HAT = lambda x: np.minimum(x, 1 - x)
@@ -170,10 +168,6 @@ class TestModalEngine:
         assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
                              jacobian_v_matrix(oracle, v, 0.45)) <= 1e-10
         assert _relative_gap(forward_map(setup, v, 0.45), forward_map(oracle, v, 0.45)) <= 1e-10
-        # the whole trajectory, which the potential problem's Jacobian reads
-        ours = forward_map(setup, v, 0.45, return_trajectory=True).values
-        theirs = forward_map(oracle, v, 0.45, return_trajectory=True).values
-        assert _relative_gap(ours, theirs) <= 1e-10
 
     def test_interval_is_modal_square_is_not(self):
         assert bp_setup().modal and isp_setup().modal and ipp_setup().modal
@@ -193,6 +187,40 @@ class TestModalEngine:
         v = 0.8 * SIN4(x) + 0.3 * HAT(3 * x % 1.0)
         assert _relative_gap(jacobian_v_matrix(setup, v, 0.45),
                              ipp_jacobian_columns(setup, v, 0.45)) <= 1e-10
+
+    @pytest.mark.parametrize("make", [bp_setup, isp_setup, ipp_setup], ids=["bp", "isp", "ipp"])
+    def test_cached_responses(self, make):
+        # F at T, then T', then T again reads what a fresh operator gives at T
+        setup = make()
+        v = 0.8 * SIN4(setup.grid.nodes)
+        first = forward_map(setup, v, 0.45)
+        forward_map(setup, v, 0.5)
+        again = forward_map(setup, v, 0.45)
+        assert np.array_equal(again, first)
+        assert np.array_equal(again, forward_map(make(), v, 0.45))
+        r, s = setup._operator_for(v).responses(setup.alpha, TimeGrid(setup.n_steps, 0.45))
+        assert not (r.flags.writeable or s.flags.writeable)
+
+    @pytest.mark.parametrize("make", [bp_setup, isp_setup, ipp_setup], ids=["bp", "isp", "ipp"])
+    def test_one_march_per_time(self, make, monkeypatch):
+        # at max_iter = 3: one march at each T_k, k = 0..3, shared by F(v_k,
+        # T_k) and the v-Jacobian, and one at each T_k + dT, k = 0..2
+        import fracinv.fem as fem_mod
+
+        setup = make(n=32, steps=32)
+        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return l1_responses(*args, **kwargs)
+
+        l1_responses = fem_mod.l1_responses
+        monkeypatch.setattr(fem_mod, "l1_responses", counting)
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
+                       max_iter=3, stop="max_iter")
+        lm_reconstruct(setup, obs, cfg)
+        assert len(calls) == 7
 
     @pytest.mark.parametrize("make", [bp_setup, isp_setup])
     def test_one_eigensolve_per_setup(self, make, monkeypatch):
@@ -366,16 +394,15 @@ class TestLMStep:
         new = lm_step(setup, state, obs, cfg)
         assert mass_norm(setup.grid, new.v) <= 1e-10
         assert abs(new.T - 0.4) <= 1e-10
-        # handing lm_step the trajectory of F(v_k, T_k) only saves the solve
+        # handing lm_step u(T_k) = F(v_k, T_k) only saves the solve
         for make in (bp_setup, isp_setup, ipp_setup):
             setup = make(n=32, steps=32)
             x = setup.grid.nodes
             obs = add_noise(forward_map(setup, SIN4(x), 0.5), 1e-2, seed=2)
             cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45)
             state = LMState(v=0.5 * np.sin(np.pi * x), T=0.45, k=1)
-            base = forward_map(setup, state.v, state.T, return_trajectory=True)
             plain = lm_step(setup, state, obs, cfg)
-            shared = lm_step(setup, state, obs, cfg, base)
+            shared = lm_step(setup, state, obs, cfg, forward_map(setup, state.v, state.T))
             assert np.array_equal(plain.v, shared.v) and plain.T == shared.T
 
     def test_t_moves_toward_truth_with_v_fixed(self):
