@@ -279,6 +279,7 @@ class FemOperator:
         """`l1_responses` on `modes`, read-only; the last (alpha, N, T) is
         kept, so F and the v-Jacobian at one LM iterate share one march."""
         if self._responses[0] != (alpha, tg):
+            self._responses = (None, None)  # free the old pair before the march
             r, s = l1_responses(alpha, tg, self.modes[0])
             r.setflags(write=False)
             s.setflags(write=False)

@@ -34,8 +34,9 @@ def ml_reference(alpha: float, beta: float, x: float) -> float:
     """High-accuracy E_{alpha,beta}(-x) for x >= 0, 0 < alpha <= 1.
 
     Closed forms where available, arbitrary-precision summation for small x,
-    composite Gauss-Legendre quadrature of the cut integral beyond (validated
-    against mpmath in test_oracle_self_check).
+    composite Gauss-Legendre quadrature of the cut integral beyond (checked
+    against mpmath at the gap points of ml_neg by
+    test_mittag_leffler.py::test_oracle_self_check).
     """
     if x == 0.0:
         return float(mp.rgamma(beta))

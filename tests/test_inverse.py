@@ -201,6 +201,25 @@ class TestModalEngine:
         r, s = setup._operator_for(v).responses(setup.alpha, TimeGrid(setup.n_steps, 0.45))
         assert not (r.flags.writeable or s.flags.writeable)
 
+    def test_old_responses_freed_before_march(self, monkeypatch):
+        # the march at a new T runs while the operator holds no older pair
+        import weakref
+
+        import fracinv.fem as fem_mod
+
+        op = bp_setup()._operator_for(None)
+        old = weakref.ref(op.responses(0.5, TimeGrid(64, 0.45))[0])
+        alive = []
+
+        def probing(*args, **kwargs):
+            alive.append(old() is not None)
+            return l1_responses(*args, **kwargs)
+
+        l1_responses = fem_mod.l1_responses
+        monkeypatch.setattr(fem_mod, "l1_responses", probing)
+        op.responses(0.5, TimeGrid(64, 0.5))
+        assert alive == [False]
+
     @pytest.mark.parametrize("make", [bp_setup, isp_setup, ipp_setup], ids=["bp", "isp", "ipp"])
     def test_one_march_per_time(self, make, monkeypatch):
         # at max_iter = 3: one march at each T_k, k = 0..3, shared by F(v_k,

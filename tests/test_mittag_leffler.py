@@ -1,9 +1,14 @@
+import functools
 import math
+import subprocess
+import sys
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from scipy.special import erfcx, gamma
 
+import fracinv.mittag_leffler as ml_mod
 from fracinv.errors import DomainError, ParameterError
 from fracinv.mittag_leffler import (
     MLParams,
@@ -14,7 +19,7 @@ from fracinv.mittag_leffler import (
     _series_batch,
 )
 
-from oracles import ml_derivative_identity_residual, ml_e1_bounds_check, ml_reference
+from oracles import ml_derivative_identity_residual, ml_e1_bounds_check, ml_reference, mp_series
 
 # E_{1/2,1}(-5) = exp(25) erfc(5), frozen from a 40-digit computation
 E_HALF_AT_M5 = 0.1107046377330686263702
@@ -89,6 +94,109 @@ def test_branch_consistency_overlap():
         quadv = np.array([_integral_scalar(alpha, 1.0, float(x)) for x in xs])
         assert ok.all()
         assert np.max(np.abs(ser - quadv) / np.abs(quadv)) < 1e-9
+
+
+GAP_ALPHAS = [0.1, 0.25, 0.5, 0.75, 0.9, 0.98]
+
+
+def gap_points(alpha, beta, count=8):
+    """`count` points spread over the x that ml_neg hands to the integral."""
+    seen = []
+
+    def spy(a, b, x):
+        seen.append(x)
+        return _integral_scalar(a, b, x)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ml_mod, "_integral_scalar", spy)
+        ml_neg(alpha, beta, np.linspace(0.01, 35.0**alpha, 400))
+    return np.linspace(min(seen), max(seen), count)
+
+
+@functools.lru_cache(maxsize=None)
+def mpmath_gap(alpha, beta):
+    """Gap points and their arbitrary-precision values."""
+    xs = gap_points(alpha, beta)
+    return xs, np.array([mp_series(alpha, beta, -x) for x in xs])
+
+
+@pytest.mark.parametrize("alpha", GAP_ALPHAS)
+def test_gap_integral_against_mpmath(alpha):
+    for beta in (alpha, 1.0):
+        xs, ref = mpmath_gap(alpha, beta)
+        assert np.max(np.abs(ml_neg(alpha, beta, xs) - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("alpha", GAP_ALPHAS)
+def test_oracle_self_check(alpha):
+    # ml_reference's quadrature is checked against mpmath on its own
+    for beta in (alpha, 1.0):
+        xs, ref = mpmath_gap(alpha, beta)
+        got = np.array([ml_reference(alpha, beta, x) for x in xs])
+        assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("beta", [0.3, 0.5, 0.7, 0.9])
+def test_gap_integral_general_beta(beta):
+    for alpha in GAP_ALPHAS:
+        xs = gap_points(alpha, beta)
+        ref = np.array([ml_reference(alpha, beta, x) for x in xs])
+        assert np.max(np.abs(ml_neg(alpha, beta, xs) - ref) / np.abs(ref)) <= 1e-12
+
+
+@pytest.mark.filterwarnings("ignore::scipy.integrate.IntegrationWarning")
+def test_gap_integral_is_quad():
+    # the compiled core, loaded on its own, returns scipy.integrate.quad's
+    # numbers bit for bit; the package is imported here only
+    from scipy.integrate import quad
+
+    def quad_integral(a, b, x):
+        s1, s2, c = ml_mod._sinpi(1 - b), ml_mod._sinpi(1 - b + a), math.cos(math.pi * a)
+        kernel = lambda r: ((r ** ((1 - b) / a)) * math.exp(-(r ** (1 / a))) * (r * s1 + x * s2)
+                            / (r * r + 2 * r * x * c + x * x) / (a * math.pi))
+        pts = [-x * c] if c < 0 and -x * c < 46.0**a else None
+        return quad(kernel, 0.0, 46.0**a, points=pts, limit=300, epsabs=0.0, epsrel=1e-12)[0]
+
+    for alpha in GAP_ALPHAS:
+        for beta in (alpha, 1.0, 0.5):
+            for x in gap_points(alpha, beta):
+                assert _integral_scalar(alpha, beta, x) == quad_integral(alpha, beta, x)
+
+
+@pytest.mark.parametrize("alpha, beta, xs", [(0.995, 1.0, [8.0, 12.0]), (0.5, 1.5, [3.0, 4.0, 5.0])])
+def test_gap_fallback_outside_integral(alpha, beta, xs, monkeypatch):
+    # a close to 1 and b > 1 leave the integral's domain for the mpmath series
+    calls = []
+    highprec = ml_mod._highprec_scalar
+    monkeypatch.setattr(ml_mod, "_highprec_scalar", lambda *args: calls.append(args) or highprec(*args))
+    monkeypatch.setattr(ml_mod, "_integral_scalar", None)  # never reached
+    got = ml_neg(alpha, beta, xs)
+    assert len(calls) == len(xs)
+    ref = np.array([mp_series(alpha, beta, -x) for x in xs])
+    assert np.max(np.abs(got - ref) / np.abs(ref)) <= 1e-13
+
+
+def test_gap_fallback_on_quadrature_error(monkeypatch):
+    # QUADPACK reporting an error estimate above 1e-10 relative hands the point
+    # to the mpmath series
+    calls = []
+    highprec = ml_mod._highprec_scalar
+    monkeypatch.setattr(ml_mod, "_highprec_scalar", lambda *args: calls.append(args) or highprec(*args))
+    monkeypatch.setattr(ml_mod, "_QUADPACK", SimpleNamespace(_qagpe=lambda *args: (0.06, 1.0, 2)))
+    got = ml_neg(0.75, 1.0, [5.9])
+    assert calls == [(0.75, 1.0, -5.9)]
+    assert got[0] == pytest.approx(mp_series(0.75, 1.0, -5.9), rel=1e-13)
+
+
+def test_no_quadpack_package_on_import_path():
+    code = ("import sys, fracinv\n"
+            "from fracinv import cli\n"
+            "fracinv.ml_neg(0.75, 1.0, [5.3, 5.9])\n"
+            "cli.main(['ml-eval', '0.5', '1', '-5'])\n"
+            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0.110704637733069", "[]"]
 
 
 def test_complete_monotonicity_consequences():
