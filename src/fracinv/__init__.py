@@ -3,20 +3,20 @@ reconstruction from a single spatial snapshot taken at an unknown time.
 
 Modules:
   mittag_leffler - modal decay factors E_{a,b}(-x) to ~1e-12 relative
-  grids          - meshes and nodal/spectral fields
+  grids          - meshes and nodal values on them
   problems       - forward problem descriptions and time grids
-  spectral       - eigen-decompositions, the modal solver (FEM test oracle),
-                   terminal-time estimator
+  spectral       - the closed-form sine basis, the per-mode propagator and
+                   the terminal-time estimator, on plain arrays
   fem            - P1 finite elements with L1 time stepping
   inverse        - Levenberg-Marquardt joint (parameter, time) reconstruction
   cases          - built-in benchmark definitions and data synthesis
   experiments    - config-driven drivers behind the CLI
 """
 
-from .grids import Field, Grid1D, Grid2D
+from .grids import Grid1D, Grid2D
 from .mittag_leffler import MLParams, ml_eval, ml_neg
 from .problems import ProblemSpec, TimeGrid
-from .spectral import EigenDecomposition, build_eigendecomposition, estimate_T, solve_spectral
+from .spectral import build_eigendecomposition, estimate_T
 from .fem import L1Weights, Trajectory, convergence_study, solve_fem
 from .inverse import (
     InverseSetup,
@@ -27,7 +27,6 @@ from .inverse import (
     forward_map,
     lm_reconstruct,
     lm_step,
-    metrics,
 )
 
 __version__ = "0.1.0"

@@ -4,8 +4,9 @@ Case ids follow the experiment-config contract: "5.1i" and "5.1ii" recover
 an initial state (1D / 2D), "5.2i" and "5.2ii" a space-dependent source
 f(x) (1D / 2D), "5.3" a potential (1D). Each case fixes the known fields, the
 hidden truth, the true terminal time 0.5, and per-order Levenberg-Marquardt
-defaults. Exact data is generated on a finer space-time mesh than the
-inversion mesh (spectrally where the modal solver applies).
+defaults. Exact data is synthesized from closed-form sine coefficients for
+the 1D backward and source cases, and by the FEM solver on a finer
+space-time mesh than the inversion mesh for the others.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .fem import solve_fem
-from .grids import Field, Grid1D, Grid2D, GridLike
+from .grids import Grid1D, Grid2D, GridLike
 from .inverse import InverseSetup, LMConfig
 from .problems import TimeGrid
 from .spectral import build_eigendecomposition, estimate_T, propagate_modes
@@ -47,8 +48,9 @@ class BenchmarkCase:
     default_n: int
     default_steps: int
     # exact sine coefficients (w.r.t. sqrt(2) sin(n pi x)) of the estimator's
-    # reference field and of the hidden truth, where closed forms exist;
-    # avoid aliasing bias in the lambda_n-amplified mode ratios (1D only)
+    # reference field (every interval case) and of the hidden truth (the 1D
+    # backward and source cases, whose data is synthesized from them); they
+    # avoid aliasing bias in the lambda_n-amplified mode ratios
     ref_sine_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
     truth_sine_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
@@ -221,23 +223,17 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
                       T: float = T_TRUE) -> np.ndarray:
     """Exact snapshot u(T) at the nodes of `grid`, from a finer solve.
 
-    1D cases with unit diffusion use the modal solver (exact in time,
-    DATA_MODES modes); everything else uses the FEM solver with DATA_STEPS
-    time steps on a mesh DATA_REFINE times finer than `grid`, restricted to
-    its nodes.
+    The 1D backward and source cases are synthesized mode by mode from their
+    closed-form sine coefficients (exact in time, DATA_MODES modes);
+    everything else uses the FEM solver with DATA_STEPS time steps on a mesh
+    DATA_REFINE times finer than `grid`, restricted to its nodes.
     """
     if case.domain == "interval" and case.kind in ("bp", "isp"):
-        ns = np.arange(1, DATA_MODES + 1, dtype=float)
-        lam = (ns * np.pi) ** 2
-        if case.kind == "bp":
-            u0c = case.truth_sine_coeff(ns)
-            fc = case.ref_sine_coeff(ns)
-        else:
-            u0c = case.ref_sine_coeff(ns)
-            fc = case.truth_sine_coeff(ns)
-        coeffs = propagate_modes(alpha, lam, T, u0c, fc)
-        x = grid.nodes
-        return (np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * x))).T @ coeffs
+        lam, phi = build_eigendecomposition(DATA_MODES, grid)
+        ns = np.arange(1.0, DATA_MODES + 1)
+        known, hidden = case.ref_sine_coeff(ns), case.truth_sine_coeff(ns)
+        u0c, fc = (hidden, known) if case.kind == "bp" else (known, hidden)
+        return phi.T @ propagate_modes(alpha, lam, T, u0c, fc)
 
     steps = DATA_STEPS[case.domain]
     fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=steps)
@@ -252,31 +248,25 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, T: float = T_TRUE) -> fl
     """Terminal-time prior from the asymptotic mode-ratio estimator, applied
     to an exact snapshot synthesized on a fine observation grid.
 
-    1D cases only; the reference coefficients use closed forms where the
-    reference field is rough (sampling it would alias into the high modes
-    that carry the decay signal).
+    1D cases only. The snapshot, less its boundary lift, is projected on the
+    sines with trapezoid weights; the reference coefficients are the case's
+    closed forms (sampling a rough reference field would alias into the high
+    modes that carry the decay signal).
     """
     if case.domain != "interval":
         raise ConfigError("the time prior is computed on interval cases")
     grid = Grid1D(PRIOR_N_OBS)
     g = exact_observation(case, alpha, grid, T=T)
     n_modes = min(128, PRIOR_N_OBS // 4)
-    basis = build_eigendecomposition(0.0, n_modes, grid=grid)
-    ns = np.arange(1, n_modes + 1)
-    if case.ref_sine_coeff is not None:
-        ref = Field(grid=grid, coeffs=case.ref_sine_coeff(ns.astype(float)), basis=basis)
-    elif case.kind == "bp":
-        ref = Field.from_callable(case.f, grid)
-    else:
-        ref = Field.from_callable(case.u0, grid)
-    obs = Field(grid=grid, values=g)
+    lam, phi = build_eigendecomposition(n_modes, grid)
+    a0, a1 = case.dirichlet or (0.0, 0.0)
+    x = grid.nodes
+    obs_c = phi @ (grid.trapezoid_weights() * (g - (a0 * (1.0 - x) + a1 * x)))
+    ref_c = case.ref_sine_coeff(np.arange(1.0, n_modes + 1))
     if case.kind == "isp":
         # reference alive only where the known initial state has modes
-        nz = np.where(np.abs(ref.spectral(basis)) > 1e-12)[0]
+        nz = np.where(np.abs(ref_c) > 1e-12)[0]
         window = (int(nz[0] + 1), int(nz[-1] + 1))
     else:
         window = (9, min(61, n_modes))
-    est = estimate_T(obs, ref, basis, alpha, window, case.kind,
-                     dirichlet=case.dirichlet or (0.0, 0.0))
-    return est.t_hat
-
+    return estimate_T(obs_c, ref_c, lam, alpha, window, case.kind).t_hat

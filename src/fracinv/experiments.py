@@ -31,9 +31,10 @@ from .cases import (
 from .config import ExperimentConfig
 from .errors import ConfigError, FracinvError
 from .fem import convergence_study, mass_norm
-from .grids import Grid2D
+from .grids import Grid1D, Grid2D
 from .inverse import LMConfig, ReconstructionResult, add_noise, lm_reconstruct
 from .problems import ProblemSpec
+from .spectral import build_eigendecomposition, propagate_modes
 
 __all__ = [
     "TableReport",
@@ -258,12 +259,23 @@ def emit_plot_data(result: ReconstructionResult, truth, grid, out_dir, prefix: s
     return paths
 
 
+# Modal reference of the convergence study: sines and the grid they are
+# projected on and interpolated from.
+REFERENCE_MODES = 256
+REFERENCE_N = 4096
+
+
 def run_convergence(cfg: ExperimentConfig, out_dir=None):
-    """Solver validation orders on the single-mode problem."""
+    """Solver validation orders on the single-mode problem, against its modal
+    solution interpolated from a fine grid."""
     alpha = cfg.alphas[0]
     spec = ProblemSpec(alpha=alpha, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
     t0 = time.time()
-    report = convergence_study(spec)
+    fine = Grid1D(REFERENCE_N)
+    lam, phi = build_eigendecomposition(REFERENCE_MODES, fine)
+    u0c = phi @ (fine.trapezoid_weights() * spec.sample("u0", fine))
+    u_ref = phi.T @ propagate_modes(alpha, lam, spec.T, u0c, 0.0)
+    report = convergence_study(spec, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)
     out = out_dir or cfg.out_dir
     os.makedirs(out, exist_ok=True)

@@ -446,24 +446,16 @@ class ConvergenceReport:
 
 def convergence_study(
     spec: ProblemSpec,
+    reference: Callable[[GridLike], np.ndarray],
     space_levels=(32, 64, 128),
     time_levels=(64, 128, 256),
-    reference: Optional[Callable[[GridLike], np.ndarray]] = None,
     fine_steps: int = 2048,
     fine_n: int = 512,
 ) -> ConvergenceReport:
-    """Observed orders: spatial vs a reference solution at fixed fine tau,
-    temporal by self-differences at fixed fine h (both least-squares slopes).
+    """Observed orders: spatial vs reference(grid), the solution's values at
+    the grid's nodes, at fixed fine tau; temporal by self-differences at
+    fixed fine h (both least-squares slopes).
     """
-    if reference is None:
-        from .spectral import build_eigendecomposition, solve_spectral
-
-        ed = build_eigendecomposition(spec.potential, 256, grid=Grid1D(4096))
-
-        def reference(grid):
-            u = solve_spectral(spec, ed, spec.T).nodal()
-            return np.interp(grid.nodes, ed.grid.nodes, u)
-
     space_errors = []
     for n in space_levels:
         grid = spec.grid_for(n)

@@ -1,21 +1,20 @@
-"""Meshes and spatial fields.
+"""Meshes, and spatial functions as nodal values on them.
 
-A Field is the currency every solver consumes and produces: a spatial
-function stored either as nodal values on a grid (including boundary nodes)
-or as coefficients in an eigenbasis. Conversions round-trip to ~1e-10 for
-functions resolved by the basis.
+Every solver consumes and produces a spatial function as its values at all
+nodes of a grid, boundary nodes included; `as_nodal_values` turns a callable,
+a scalar or an array into that form.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
 from .errors import ShapeError
 
-__all__ = ["Grid1D", "Grid2D", "Field", "as_nodal_values"]
+__all__ = ["Grid1D", "Grid2D", "as_nodal_values"]
 
 
 @dataclass(frozen=True)
@@ -111,56 +110,3 @@ def as_nodal_values(f, grid: GridLike) -> np.ndarray:
     if arr.shape != (grid.n_nodes,):
         raise ShapeError(f"field has {arr.shape}, grid expects ({grid.n_nodes},)")
     return arr
-
-
-@dataclass
-class Field:
-    """Spatial function: nodal values on a grid or spectral coefficients.
-
-    Exactly one of (values, coeffs) is set; `rep` records which. Spectral
-    fields keep a reference to the eigendecomposition that defines them.
-    `meta` carries solver annotations (e.g. truncation warnings).
-    """
-
-    grid: GridLike
-    values: Optional[np.ndarray] = None
-    coeffs: Optional[np.ndarray] = None
-    basis: Optional[object] = None  # EigenDecomposition, kept untyped to avoid cycles
-    meta: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if (self.values is None) == (self.coeffs is None):
-            raise ShapeError("exactly one of values/coeffs must be given")
-        if self.values is not None:
-            self.values = np.asarray(self.values, dtype=float)
-            if self.values.shape != (self.grid.n_nodes,):
-                raise ShapeError(
-                    f"values shape {self.values.shape} vs grid {self.grid.n_nodes}"
-                )
-        else:
-            self.coeffs = np.asarray(self.coeffs, dtype=float)
-            if self.basis is None:
-                raise ShapeError("spectral field needs its basis")
-
-    @property
-    def rep(self) -> str:
-        return "nodal" if self.values is not None else "spectral"
-
-    @classmethod
-    def from_callable(cls, f: Callable, grid: GridLike) -> "Field":
-        return cls(grid=grid, values=as_nodal_values(f, grid))
-
-    def nodal(self) -> np.ndarray:
-        """Nodal values (synthesizing from coefficients if needed)."""
-        if self.values is not None:
-            return self.values
-        return self.basis.synthesize(self.coeffs)
-
-    def spectral(self, basis=None) -> np.ndarray:
-        """Coefficients in `basis` (or the field's own)."""
-        if self.coeffs is not None and (basis is None or basis is self.basis):
-            return self.coeffs
-        b = basis if basis is not None else self.basis
-        if b is None:
-            raise ShapeError("no basis available for projection")
-        return b.project(self.nodal())

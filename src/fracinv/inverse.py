@@ -63,7 +63,6 @@ __all__ = [
     "jacobian_T",
     "lm_step",
     "lm_reconstruct",
-    "metrics",
 ]
 
 IPP_CLAMP_MAX = 2.0
@@ -473,10 +472,3 @@ def lm_reconstruct(
         v_history=v_hist,
     )
 
-
-def metrics(result: ReconstructionResult, truth: np.ndarray, grid: GridLike):
-    """Per-iterate L2 errors e(k) (mass inner product) and residuals r(k)."""
-    truth = np.asarray(truth, float)
-    e = np.array([mass_norm(grid, v - truth) for v in result.v_history])
-    r = np.array([h[1] for h in result.history])
-    return e, r

@@ -1,5 +1,5 @@
-"""Forward-problem description shared by the spectral and FEM solvers: one
-time-independent source f(x), the field the source problem recovers."""
+"""Forward-problem description of the FEM solver: one time-independent
+source f(x), the field the source problem recovers."""
 
 from __future__ import annotations
 
@@ -21,8 +21,7 @@ class ProblemSpec:
     """One forward problem: order, domain, coefficients, data, horizon.
 
     dirichlet is None for homogeneous boundary values, or a constant pair
-    (a0, a1) on the interval (left, right). Variable diffusion is honored by
-    the FEM path only; the spectral path requires diffusion == 1.
+    (a0, a1) on the interval (left, right).
     """
 
     alpha: float

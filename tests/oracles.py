@@ -12,22 +12,30 @@ problem's v-Jacobian has a column oracle that steps every sensitivity
 through the L1 time stepper, against which the modal Jacobian is checked.
 The Jacobian's action and its adjoint in the mass pairing, which the
 adjoint and directional-derivative checks call, are formed from the dense
-v-Jacobian at the end.
+v-Jacobian. At the end, eigenpairs of -d_xx + q by finite differences with
+Richardson-extrapolated eigenvalues, and the exact-in-time modal solve on
+them, are the FEM solver's reference on the interval.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
+from dataclasses import dataclass
+from typing import Optional
 
 import mpmath as mp
 import numpy as np
+from scipy.linalg import eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
+from fracinv.errors import DomainError, ParameterError, ResolutionError
 from fracinv.fem import L1Weights, solve_fem
-from fracinv.grids import as_nodal_values
+from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
-from fracinv.problems import TimeGrid
+from fracinv.problems import ProblemSpec, TimeGrid
+from fracinv.spectral import build_eigendecomposition, propagate_modes
 
 
 def ml_reference(alpha: float, beta: float, x: float) -> float:
@@ -269,3 +277,111 @@ def jacobian_v_adjoint_apply(setup, v, T: float, w) -> np.ndarray:
     Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
     coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
     return setup.param_to_nodal(coeffs)
+
+
+@dataclass(frozen=True)
+class EigenDecomposition:
+    """First `count` eigenpairs of -d_xx + q on (0,1), zero Dirichlet.
+
+    eigenfunctions[n] holds nodal values (boundary included, zero there),
+    orthonormal in the trapezoid inner product of the grid. eigenvalues are
+    Richardson-extrapolated. asymptotic_gap reports max_n |lambda_n - (n pi)^2|.
+    """
+
+    eigenvalues: np.ndarray
+    eigenfunctions: np.ndarray
+    potential: np.ndarray
+    grid: Grid1D
+    count: int
+    asymptotic_gap: float
+
+    @property
+    def weights(self) -> np.ndarray:
+        return self.grid.trapezoid_weights()
+
+    def project(self, values: np.ndarray) -> np.ndarray:
+        """Coefficients (v, phi_n) in the discrete L2 inner product."""
+        return self.eigenfunctions @ (self.weights * np.asarray(values, float))
+
+    def synthesize(self, coeffs: np.ndarray) -> np.ndarray:
+        return self.eigenfunctions.T @ np.asarray(coeffs, float)
+
+    def inner(self, u: np.ndarray, v: np.ndarray) -> float:
+        return float(np.sum(self.weights * u * v))
+
+    def norm(self, u: np.ndarray) -> float:
+        return float(np.sqrt(max(self.inner(u, u), 0.0)))
+
+
+def _fd_eigs(q_int: np.ndarray, h: float, n_modes: int):
+    n = q_int.size + 1
+    main = 2.0 / h**2 + q_int
+    off = np.full(n - 2, -1.0 / h**2)
+    vals, vecs = eigh_tridiagonal(main, off, select="i", select_range=(0, n_modes - 1))
+    return vals, vecs
+
+
+def fd_eigendecomposition(q, n_modes: int, grid: Optional[Grid1D] = None) -> EigenDecomposition:
+    """Eigenpairs of -d_xx + q by second-order finite differences with
+    Richardson-extrapolated eigenvalues (q == 0 uses the library's
+    closed-form sines)."""
+    if n_modes < 1:
+        raise ParameterError("n_modes must be >= 1")
+    if grid is None:
+        n = max(2048, 8 * n_modes)
+        grid = Grid1D(n + n % 2)
+    if grid.n % 2:
+        raise ParameterError("grid must have an even interval count (Richardson)")
+    if n_modes > grid.n // 4:
+        raise ResolutionError(f"n_modes={n_modes} exceeds grid resolution {grid.n}/4")
+    q_nodal = as_nodal_values(q, grid)
+    if q_nodal.min() < 0.0:
+        raise DomainError("potential must be nonnegative")
+
+    if q_nodal.max() == 0.0:
+        lam, phi = build_eigendecomposition(n_modes, grid)
+        gap = 0.0
+    else:
+        lam_f, vecs = _fd_eigs(q_nodal[grid.interior], grid.h, n_modes)
+        coarse = Grid1D(grid.n // 2)
+        lam_c, _ = _fd_eigs(q_nodal[::2][coarse.interior], coarse.h, n_modes)
+        lam = (4.0 * lam_f - lam_c) / 3.0
+        phi = np.zeros((n_modes, grid.n_nodes))
+        phi[:, grid.interior] = (vecs / np.sqrt(grid.h)).T
+        flip = phi[:, 1] < 0
+        phi[flip] *= -1.0
+        gap = float(np.max(np.abs(lam - (np.arange(1, n_modes + 1) * np.pi) ** 2)))
+
+    if not np.all(np.diff(lam) > 0) or lam[0] <= 0:
+        raise DomainError("spectrum not simple/positive; resolution too coarse")
+    return EigenDecomposition(eigenvalues=lam, eigenfunctions=phi, potential=q_nodal,
+                              grid=grid, count=n_modes, asymptotic_gap=gap)
+
+
+def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> np.ndarray:
+    """Exact modal solve at time t, as nodal values on ed.grid, of any spec in
+    the modal form: 1D, diffusion == 1 and zero boundary values, on eigenpairs
+    built for spec.potential. Backward- and source-problem specs are alike
+    here: each is a pair (u0, f), whichever of the two is the unknown. Warns
+    when the modes miss more than 1e-6 of the squared norm of u0 or f."""
+    if spec.domain != "interval":
+        raise ParameterError("spectral solver is one-dimensional")
+    a = as_nodal_values(spec.diffusion, ed.grid)
+    if np.any(np.abs(a - 1.0) > 1e-14):
+        raise ParameterError("spectral solver requires diffusion == 1")
+    if t < 0:
+        raise ParameterError("t must be nonnegative")
+    if spec.dirichlet is not None and any(abs(v) > 0 for v in spec.dirichlet):
+        raise ParameterError("spectral solver requires zero boundary values")
+    if np.max(np.abs(spec.sample("potential", ed.grid) - ed.potential)) > 1e-12:
+        raise ParameterError("eigendecomposition was built for a different potential")
+
+    coeffs = []
+    for what in ("u0", "f"):
+        nodal = spec.sample(what, ed.grid)
+        c = ed.project(nodal)
+        total = ed.inner(nodal, nodal)
+        if total > 0 and np.sum(c**2) < total * (1.0 - 1e-6):
+            warnings.warn(f"{what} is truncated by {ed.count} modes", RuntimeWarning)
+        coeffs.append(c)
+    return ed.synthesize(propagate_modes(spec.alpha, ed.eigenvalues, t, *coeffs))

@@ -21,7 +21,7 @@ from fracinv.cases import (
 )
 from fracinv.errors import InconsistentDataError
 from fracinv.fem import TimeGrid, convergence_study, mass_inner, mass_norm, solve_fem
-from fracinv.grids import Field, Grid1D
+from fracinv.grids import Grid1D
 from fracinv.inverse import (
     InverseSetup,
     add_noise,
@@ -168,9 +168,8 @@ def test_criterion_3_asymptotic_limit():
 
 
 def test_criterion_4_t_estimator():
-    basis = build_eigendecomposition(0.0, 400, grid=Grid1D(1600))
+    lam, _ = build_eigendecomposition(400, Grid1D(1600))
     ns = np.arange(1, 401)
-    lam = basis.eigenvalues
     details = []
     ok = True
     for alpha in (0.25, 0.5, 0.75):
@@ -180,17 +179,13 @@ def test_criterion_4_t_estimator():
         u0c = np.zeros(400); u0c[0] = 1.0
         fc = 1.0 / ns
         uc = e1 * u0c + (1 - e1) / lam * fc
-        est = estimate_T(Field(grid=basis.grid, coeffs=uc, basis=basis),
-                         Field(grid=basis.grid, coeffs=fc, basis=basis),
-                         basis, alpha, (100, 400), "bp")
+        est = estimate_T(uc, fc, lam, alpha, (100, 400), "bp")
         bp_err = abs(est.t_hat - T_TRUE)
         # source problem: rough initial state, smooth source component
         u0c2 = 1.0 / ns
         pc = np.exp(-0.3 * ns)
         uc2 = e1 * u0c2 + (1 - e1) / lam * pc
-        est2 = estimate_T(Field(grid=basis.grid, coeffs=uc2, basis=basis),
-                          Field(grid=basis.grid, coeffs=u0c2, basis=basis),
-                          basis, alpha, (100, 400), "isp")
+        est2 = estimate_T(uc2, u0c2, lam, alpha, (100, 400), "isp")
         isp_err = abs(est2.t_hat - T_TRUE)
         dt = time.time() - t0
         ok = ok and bp_err <= 0.01 and isp_err <= 0.01 and dt < 10.0
@@ -201,9 +196,7 @@ def test_criterion_4_t_estimator():
     uc = e1 * u0c + (1 - e1) / lam * (1.0 / ns)
     degenerate = False
     try:
-        estimate_T(Field(grid=basis.grid, coeffs=uc, basis=basis),
-                   Field(grid=basis.grid, coeffs=1.0 / ns, basis=basis),
-                   basis, 1.0, (100, 400), "bp")
+        estimate_T(uc, 1.0 / ns, lam, 1.0, (100, 400), "bp")
     except InconsistentDataError as exc:
         degenerate = exc.lambda_hat is None or exc.lambda_hat < 1e-6
     ok = ok and degenerate
@@ -223,9 +216,8 @@ def test_criterion_5_solver_cross_validation():
     def reference(g):
         return factor * np.sin(np.pi * g.nodes)
 
-    report = convergence_study(spec, space_levels=(16, 32, 64),
-                               time_levels=(32, 64, 128),
-                               reference=reference, fine_steps=2048, fine_n=512)
+    report = convergence_study(spec, reference, space_levels=(16, 32, 64),
+                               time_levels=(32, 64, 128), fine_steps=2048, fine_n=512)
     ok = gap <= 5e-4 and report.space_order >= 1.9 and report.time_order >= alpha
     _report(5, "FEM-vs-spectral cross-validation", ok,
             f"gap {gap:.2e}, space order {report.space_order:.2f}, "

@@ -18,6 +18,7 @@ from fracinv.errors import ConfigError, DomainError
 from fracinv.experiments import TableReport, emit_plot_data
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import ReconstructionResult
+from fracinv.spectral import build_eigendecomposition
 
 
 class TestCases:
@@ -38,18 +39,21 @@ class TestCases:
         assert c.u0(np.array([0.3]))[0] == 1.0
 
     def test_ref_coeff_matches_projection(self):
-        # closed-form sine coefficients agree with numerical projection
-        from fracinv.spectral import build_eigendecomposition
-
+        # every interval case carries closed-form sine coefficients of the
+        # estimator's reference field (f for bp, u0 less its boundary lift
+        # otherwise), and they agree with numerical projection
         grid = Grid1D(2048)
-        basis = build_eigendecomposition(0.0, 16, grid=grid)
+        _, phi = build_eigendecomposition(16, grid)
         ns = np.arange(1, 17, dtype=float)
-        for cid, field in [("5.1i", get_case("5.1i").f),
-                           ("5.2i", get_case("5.2i").u0)]:
-            case = get_case(cid)
-            exact = case.ref_sine_coeff(ns)
-            proj = basis.project(field(grid.nodes))
-            assert np.max(np.abs(exact - proj)) < 1e-5
+        x = grid.nodes
+        interval = [get_case(cid) for cid in CASE_IDS if get_case(cid).domain == "interval"]
+        assert [c.case_id for c in interval] == ["5.1i", "5.2i", "5.3"]
+        for case in interval:
+            assert case.ref_sine_coeff is not None, case.case_id
+            a0, a1 = case.dirichlet or (0.0, 0.0)
+            field = (case.f if case.kind == "bp" else case.u0)(x) - (a0 * (1 - x) + a1 * x)
+            proj = phi @ (grid.trapezoid_weights() * field)
+            assert np.max(np.abs(case.ref_sine_coeff(ns) - proj)) < 1e-5, case.case_id
 
     def test_exact_observation_deterministic(self):
         case = get_case("5.1i")
@@ -306,6 +310,19 @@ class TestCli:
         assert rc == 0
         t_hat = float(out.strip().split("T_hat=")[1])
         assert abs(t_hat - 0.5) < 0.02
+
+    def test_convergence_cli(self, tmp_path, capsys):
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\n")
+        runs = []
+        for name in ("a", "b"):
+            rc = cli_main(["convergence", "--config", str(p), "--out", str(tmp_path / name)])
+            assert rc == 0
+            runs.append((tmp_path / name / "convergence_a0.5.csv").read_bytes())
+        rows = runs[0].decode().splitlines()
+        assert rows[0] == "quantity,value"
+        assert len(rows[1:]) == 8  # two orders, three space errors, three time diffs
+        assert runs[0] == runs[1]
 
     def test_console_entry_point(self):
         proc = subprocess.run(

@@ -22,7 +22,13 @@ from fracinv.grids import Grid1D, Grid2D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec, TimeGrid
 
-from oracles import caputo_derivative_at_T, l1_evolve_stepwise, l1_responses_stepwise
+from oracles import (
+    caputo_derivative_at_T,
+    fd_eigendecomposition,
+    l1_evolve_stepwise,
+    l1_responses_stepwise,
+    solve_spectral,
+)
 
 
 class TestL1Weights:
@@ -305,13 +311,11 @@ class TestSpectralFemAgreement:
     def test_with_source_cross_validation(self):
         # mixed initial state + hat source: modal solve (200 modes) vs the
         # FEM engine at fine resolution
-        from fracinv.spectral import build_eigendecomposition, solve_spectral
-
         alpha, T = 0.5, 0.5
         spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x))
-        ed = build_eigendecomposition(0.0, 200, grid=Grid1D(2048))
-        u_spectral = solve_spectral(spec, ed, T).nodal()
+        ed = fd_eigendecomposition(0.0, 200, grid=Grid1D(2048))
+        u_spectral = solve_spectral(spec, ed, T)
         grid = Grid1D(512)
         u_fem = solve_fem(spec, grid, TimeGrid(4096, T)).final
         u_ref = np.interp(grid.nodes, ed.grid.nodes, u_spectral)
@@ -320,14 +324,12 @@ class TestSpectralFemAgreement:
     def test_joint_refinement_with_potential(self):
         # nonzero potential: the FEM/spectral gap shrinks under joint
         # space-time refinement
-        from fracinv.spectral import build_eigendecomposition, solve_spectral
-
         q = lambda x: np.sin(np.pi * x) ** 4
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x),
                            potential=q)
-        ed = build_eigendecomposition(q, 128, grid=Grid1D(2048))
-        u_spectral = solve_spectral(spec, ed, 0.5).nodal()
+        ed = fd_eigendecomposition(q, 128, grid=Grid1D(2048))
+        u_spectral = solve_spectral(spec, ed, 0.5)
         gaps = []
         for n, steps in [(64, 64), (128, 256), (256, 1024)]:
             grid = Grid1D(n)
@@ -346,8 +348,8 @@ class TestConvergence:
             return spectral_single_mode(0.5, 0.5, grid)
 
         report = convergence_study(
-            spec, space_levels=(16, 32, 64), time_levels=(32, 64, 128),
-            reference=reference, fine_steps=2048, fine_n=512,
+            spec, reference, space_levels=(16, 32, 64), time_levels=(32, 64, 128),
+            fine_steps=2048, fine_n=512,
         )
         assert report.space_order >= 1.9
         assert report.time_order >= 0.5
@@ -358,8 +360,8 @@ class TestConvergence:
         def reference(grid):
             return spectral_single_mode(0.5, 0.5, grid)
 
-        r1 = convergence_study(spec, (16, 32), (16, 32), reference, 256, 128)
-        r2 = convergence_study(spec, (16, 32), (16, 32), reference, 256, 128)
+        r1 = convergence_study(spec, reference, (16, 32), (16, 32), 256, 128)
+        r2 = convergence_study(spec, reference, (16, 32), (16, 32), 256, 128)
         assert r1.space_errors == r2.space_errors
         assert r1.time_diffs == r2.time_diffs
 

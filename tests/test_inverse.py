@@ -15,7 +15,6 @@ from fracinv.inverse import (
     jacobian_v_matrix,
     lm_reconstruct,
     lm_step,
-    metrics,
 )
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
@@ -448,9 +447,11 @@ class TestLMReconstruct:
         assert len(res.history) <= cfg.max_iter + 1
         assert res.k_star <= cfg.max_iter
         assert all(h[1] >= 0 and (np.isnan(h[2]) or h[2] >= 0) for h in res.history)
-        e, r = metrics(res, truth, setup.grid)
-        assert len(e) == len(res.history) == len(r)
+        k, r, e, T = (np.array(col) for col in zip(*res.history))
+        assert list(k) == list(range(len(res.history))) == list(range(len(res.v_history)))
+        assert list(e) == [mass_norm(setup.grid, v - truth) for v in res.v_history]
         assert e[res.k_star] == min(e)
+        assert res.T_hat == T[res.k_star] and np.all(T > 0)
 
     def test_discrepancy_mode(self):
         setup = bp_setup(n=32, steps=32)
