@@ -7,7 +7,7 @@ Modules:
   problems       - forward problem descriptions and time grids
   spectral       - the closed-form sine basis, the per-mode propagator and
                    the terminal-time estimator, on plain arrays
-  fem            - P1 finite elements with L1 time stepping
+  fem            - P1 finite elements with L1 time stepping to u(T)
   inverse        - Levenberg-Marquardt joint (parameter, time) reconstruction
   cases          - built-in benchmark definitions and data synthesis
   experiments    - config-driven drivers behind the CLI
@@ -17,7 +17,7 @@ from .grids import Grid1D, Grid2D
 from .mittag_leffler import MLParams, ml_eval, ml_neg
 from .problems import ProblemSpec, TimeGrid
 from .spectral import build_eigendecomposition, estimate_T
-from .fem import L1Weights, Trajectory, convergence_study, solve_fem
+from .fem import L1Weights, convergence_study, solve_fem
 from .inverse import (
     InverseSetup,
     LMConfig,

@@ -237,7 +237,7 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
 
     steps = DATA_STEPS[case.domain]
     fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=steps)
-    u = solve_fem(fine.spec_for(case.truth, T), fine.grid, TimeGrid(steps, T)).final
+    u = solve_fem(fine.spec_for(case.truth, T), fine.grid, TimeGrid(steps, T))
     if case.domain == "interval":
         return u[::DATA_REFINE]
     side = fine.grid.n + 1

@@ -25,10 +25,11 @@ interior nodes.
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
 the inversion's u(T) and v-Jacobian share one such march per (alpha, N, T)
-(`FemOperator.responses`); the time stepper (`l1_evolve`, `solve_fem`) serves
-the square, data synthesis and the tests' oracles. Both engines run on one
-march (`_l1_march`), which sums the history in blocks of steps by GEMMs; they
-differ only in the step that turns a history combination into u^k.
+(`FemOperator.responses`); the time stepper (`l1_evolve`, and `solve_fem` to
+u(T) alone) serves the square, data synthesis and the tests' oracles. Both
+engines run on one march (`_l1_march`), which sums the history in blocks of
+steps by GEMMs; they differ only in the step that turns a history combination
+into u^k.
 """
 
 from __future__ import annotations
@@ -50,7 +51,6 @@ from .problems import ProblemSpec, TimeGrid
 __all__ = [
     "L1Weights",
     "FemOperator",
-    "Trajectory",
     "l1_responses",
     "solve_fem",
     "convergence_study",
@@ -212,7 +212,8 @@ def _upper_band(K: sp.spmatrix) -> np.ndarray:
 
 class FemOperator:
     """Sparse mass M and elliptic A = S_a + M_q on all nodes, the interior
-    block M_II, and a banded Cholesky factor of (c M + A)_II per scale c.
+    block M_II, and the banded Cholesky factor of (c M + A)_II at the last
+    scale c asked for.
 
     One factorization path serves both grids: with the row-major interior
     numbering, (c M + A)_II is SPD with bandwidth 1 on the interval and n on
@@ -228,7 +229,7 @@ class FemOperator:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior = np.where(grid.interior_mask())[0]
         self.M_II = self.M[self.interior][:, self.interior]
-        self._factor_cache: dict[float, np.ndarray] = {}
+        self._factor: tuple = (None, None)  # (c, banded factor) of the last scale
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
@@ -242,15 +243,16 @@ class FemOperator:
         return self.M_II @ v_int
 
     def factorized(self, c: float):
-        """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on a factor cached per c."""
-        key = float(c)
-        if key not in self._factor_cache:
+        """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
+        which the solver holds. The operator keeps the last c's factor only:
+        an LM run asks for each T's factor in turn and never for an old one."""
+        if self._factor[0] != float(c):
             K = (c * self.M + self.A)[self.interior][:, self.interior]
             try:
-                self._factor_cache[key] = cholesky_banded(_upper_band(K))
+                self._factor = (float(c), cholesky_banded(_upper_band(K)))
             except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover - SPD
                 raise NumericalError(f"banded factorization failed: {exc}")
-        cb = self._factor_cache[key]
+        cb = self._factor[1]
 
         def solve(rhs):
             x, info = dpbtrs(cb, rhs)
@@ -285,19 +287,6 @@ class FemOperator:
             s.setflags(write=False)
             self._responses = ((alpha, tg), (r, s))
         return self._responses[1]
-
-
-@dataclass
-class Trajectory:
-    """Full time history of nodal fields, u[k] at time k*tau."""
-
-    grid: GridLike
-    times: np.ndarray
-    values: np.ndarray  # (n_steps + 1, n_nodes)
-
-    @property
-    def final(self) -> np.ndarray:
-        return self.values[-1]
 
 
 def _l1_march(weights: L1Weights, first: np.ndarray,
@@ -400,18 +389,15 @@ def modal_data(spec: ProblemSpec, op: FemOperator):
 
 
 def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
-              op: Optional[FemOperator] = None) -> Trajectory:
-    """P1 + L1 forward solve through the time stepper; returns the full nodal
-    trajectory (the inversion on the interval runs mode by mode instead)."""
+              op: Optional[FemOperator] = None) -> np.ndarray:
+    """P1 + L1 forward solve through the time stepper; returns the nodal
+    u(T), the lift plus the last step of w (the inversion on the interval
+    runs mode by mode instead)."""
     if op is None:
         op = FemOperator(grid, spec.diffusion, spec.potential)
-    u0, lift, w0, load = _initial_and_load(spec, op)
-    hist = l1_evolve(op, spec.alpha, tg, w0, load)
-    hist += lift[op.interior]
-    values = np.tile(lift, (tg.n_steps + 1, 1))
-    values[:, op.interior] = hist
-    values[0] = u0
-    return Trajectory(grid=grid, times=tg.times, values=values)
+    _, u, w0, load = _initial_and_load(spec, op)  # u = lift
+    u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1] + u[op.interior]
+    return u
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +445,7 @@ def convergence_study(
     space_errors = []
     for n in space_levels:
         grid = spec.grid_for(n)
-        u = solve_fem(spec, grid, TimeGrid(fine_steps, spec.T)).final
+        u = solve_fem(spec, grid, TimeGrid(fine_steps, spec.T))
         err = mass_norm(grid, u - reference(grid))
         space_errors.append((1.0 / n, err))
     hs, es = zip(*space_errors)
@@ -468,7 +454,7 @@ def convergence_study(
     grid = spec.grid_for(fine_n)
     finals = {}
     for n_steps in list(time_levels) + [2 * max(time_levels)]:
-        finals[n_steps] = solve_fem(spec, grid, TimeGrid(n_steps, spec.T)).final
+        finals[n_steps] = solve_fem(spec, grid, TimeGrid(n_steps, spec.T))
     time_diffs = []
     for n_steps in time_levels:
         d = mass_norm(grid, finals[n_steps] - finals[2 * n_steps])

@@ -269,7 +269,7 @@ def forward_map(setup: InverseSetup, v, T: float) -> np.ndarray:
     run mode by mode to u(T) alone, else stepped in time."""
     spec, op, tg = setup._forward_problem(v, T)
     if not setup.modal:
-        return solve_fem(spec, setup.grid, tg, op=op).final
+        return solve_fem(spec, setup.grid, tg, op=op)
     u, a0, b = modal_data(spec, op)  # u = lift
     r, s = op.responses(setup.alpha, tg)
     u[op.interior] += op.modes[1] @ (r[-1] * a0 + s[-1] * b)

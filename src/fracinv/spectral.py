@@ -11,6 +11,7 @@ eigenvalues and two coefficient arrays, whatever basis they come from.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import gamma as gamma_fn
@@ -27,14 +28,20 @@ __all__ = [
 ]
 
 
+@lru_cache(maxsize=4)
 def build_eigendecomposition(n_modes: int, grid: Grid1D) -> tuple[np.ndarray, np.ndarray]:
     """The first n_modes Dirichlet eigenpairs of -d_xx on (0,1) in closed
     form: eigenvalues (n pi)^2 and the rows sqrt(2) sin(n pi x) at the grid's
-    nodes, orthonormal in L2(0,1)."""
+    nodes, orthonormal in L2(0,1). Read-only: a pair is built once per
+    (n_modes, grid) and the last few are kept, since every call of
+    `cases.estimate_prior_T` asks for the same two tables."""
     if n_modes < 1:
         raise ParameterError("n_modes must be >= 1")
     ns = np.arange(1, n_modes + 1)
-    return (ns * np.pi) ** 2, np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * grid.nodes))
+    pair = (ns * np.pi) ** 2, np.sqrt(2.0) * np.sin(np.outer(ns, np.pi * grid.nodes))
+    for a in pair:
+        a.setflags(write=False)
+    return pair
 
 
 def propagate_modes(alpha: float, lam: np.ndarray, t: float,

@@ -5,9 +5,11 @@ closed forms via scipy.special, arbitrary-precision summation via mpmath, and
 a composite fixed-node Gauss-Legendre quadrature of the cut integral for
 arguments where summation is infeasible. The derived checks below them (decay
 bounds, the derivative identity, the L1 derivative at the final time) are
-properties the tests assert of the production code. The L1 time stepper and
-the modal recursion have step-by-step oracles that sum each step's history
-directly, against which the blocked march is checked. The potential
+properties the tests assert of the production code. `fem_trajectory` keeps
+every level of the time stepper's forward solve, of which `fem.solve_fem`
+returns the last. The L1 time stepper and the modal recursion have
+step-by-step oracles that sum each step's history directly, against which
+the blocked march is checked. The potential
 problem's v-Jacobian has a column oracle that steps every sensitivity
 through the L1 time stepper, against which the modal Jacobian is checked.
 The Jacobian's action and its adjoint in the mass pairing, which the
@@ -30,7 +32,7 @@ from scipy.linalg import eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.errors import DomainError, ParameterError, ResolutionError
-from fracinv.fem import L1Weights, solve_fem
+from fracinv.fem import FemOperator, L1Weights, _initial_and_load, l1_evolve
 from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
@@ -191,17 +193,33 @@ def history_coefficients(weights: L1Weights, k: int) -> np.ndarray:
     return coef
 
 
-def caputo_derivative_at_T(traj, tg, alpha: float) -> np.ndarray:
-    """Discrete L1 evaluation of the order-alpha time derivative at t = T."""
-    if traj.values.shape[0] < 2:
+def caputo_derivative_at_T(values, tg, alpha: float) -> np.ndarray:
+    """Discrete L1 evaluation of the order-alpha time derivative at t = T of
+    the trajectory values[k] at t_k, (n_steps + 1, n_nodes)."""
+    if values.shape[0] < 2:
         raise ValueError("need at least two stored steps")
-    if traj.values.shape[0] != tg.n_steps + 1:
+    if values.shape[0] != tg.n_steps + 1:
         raise ValueError("trajectory length does not match the time grid")
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     N = tg.n_steps
     coef = history_coefficients(weights, N)
-    return c * (traj.values[N] - np.tensordot(coef, traj.values[:N], axes=1))
+    return c * (values[N] - np.tensordot(coef, values[:N], axes=1))
+
+
+def fem_trajectory(spec: ProblemSpec, grid, tg, op=None) -> np.ndarray:
+    """Every level u^0..u^N of the forward solve `fem.solve_fem` steps
+    through, (n_steps + 1, n_nodes): u^0 = u0, then the Dirichlet lift plus
+    the stepped w^k on the interior."""
+    if op is None:
+        op = FemOperator(grid, spec.diffusion, spec.potential)
+    u0, lift, w0, load = _initial_and_load(spec, op)
+    hist = l1_evolve(op, spec.alpha, tg, w0, load)
+    hist += lift[op.interior]
+    values = np.tile(lift, (tg.n_steps + 1, 1))
+    values[:, op.interior] = hist
+    values[0] = u0
+    return values
 
 
 def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> np.ndarray:
@@ -244,7 +262,7 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     v_nodal = _clamp_ipp(np.asarray(v_nodal, float))
     op = setup._operator_for(v_nodal)
     tg = TimeGrid(setup.n_steps, T)
-    base = solve_fem(setup.spec_for(v_nodal, T), setup.grid, tg, op=op)
+    base = fem_trajectory(setup.spec_for(v_nodal, T), setup.grid, tg, op=op)
     weights = L1Weights(setup.alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
@@ -253,7 +271,7 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     w = np.zeros((tg.n_steps + 1, m, m))
     for k in range(1, tg.n_steps + 1):
         # B(u^k) cols0 on the interior nodes 1..n-1; B is tridiagonal
-        diag, off = _trilinear_mass_1d(setup.grid, base.values[k])
+        diag, off = _trilinear_mass_1d(setup.grid, base[k])
         d, o = diag[1:-1, None], off[1:-1, None]
         load = d * cols0
         load[:-1] += o * cols0[1:]

@@ -209,7 +209,7 @@ def test_criterion_5_solver_cross_validation():
     spec = ProblemSpec(alpha=alpha, T=T_TRUE, u0=lambda x: np.sin(np.pi * x),
                        f=0.0)
     grid = Grid1D(512)
-    u = solve_fem(spec, grid, TimeGrid(1024, T_TRUE)).final
+    u = solve_fem(spec, grid, TimeGrid(1024, T_TRUE))
     factor = float(ml_neg(alpha, 1.0, np.array([np.pi**2 * T_TRUE**alpha]))[0])
     gap = mass_norm(grid, u - factor * np.sin(np.pi * grid.nodes))
 

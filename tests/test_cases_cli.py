@@ -7,6 +7,8 @@ import pytest
 
 from fracinv.cases import (
     CASE_IDS,
+    PRIOR_N_OBS,
+    estimate_prior_T,
     exact_observation,
     get_case,
     lm_config_for,
@@ -60,6 +62,16 @@ class TestCases:
         g1 = exact_observation(case, 0.5, Grid1D(64))
         g2 = exact_observation(case, 0.5, Grid1D(64))
         assert np.array_equal(g1, g2)
+
+    @pytest.mark.parametrize("case_id", ["5.1i", "5.2i", "5.3"])
+    def test_repeat_calls_bit_identical(self, case_id):
+        # the first call builds the sine tables, the second reads them back
+        # from the memo of `build_eigendecomposition`
+        case = get_case(case_id)
+        build_eigendecomposition.cache_clear()
+        g1, t1 = exact_observation(case, 0.5, Grid1D(PRIOR_N_OBS)), estimate_prior_T(case, 0.5)
+        g2, t2 = exact_observation(case, 0.5, Grid1D(PRIOR_N_OBS)), estimate_prior_T(case, 0.5)
+        assert np.array_equal(g1, g2) and t1 == t2
 
     def test_lm_defaults_lookup(self):
         case = get_case("5.2i")

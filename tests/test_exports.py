@@ -37,6 +37,17 @@ def test_package_imports_resolve():
         assert name in importlib.import_module(f"fracinv.{module}").__all__, (module, name)
 
 
+# (module, name) of public API that was deleted; a stale re-export or
+# `__all__` entry would bring the name back
+REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory")]
+
+
+@pytest.mark.parametrize("module, name", REMOVED)
+def test_removed_names_stay_gone(module, name):
+    mod = importlib.import_module(module)
+    assert not hasattr(mod, name) and name not in getattr(mod, "__all__", [])
+
+
 def _annotations(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.arg):

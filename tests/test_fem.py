@@ -1,15 +1,17 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.linalg
 from scipy.special import gamma
 
 import fracinv.fem as fem_mod
+from fracinv.cases import get_case, make_setup
 from fracinv.errors import NumericalError
 from fracinv.fem import (
     HISTORY_BLOCK,
     FemOperator,
     L1Weights,
-    Trajectory,
     _upper_band,
     convergence_study,
     l1_evolve,
@@ -25,6 +27,7 @@ from fracinv.problems import ProblemSpec, TimeGrid
 from oracles import (
     caputo_derivative_at_T,
     fd_eigendecomposition,
+    fem_trajectory,
     l1_evolve_stepwise,
     l1_responses_stepwise,
     solve_spectral,
@@ -50,8 +53,7 @@ class TestCaputoAtFinal:
         grid = Grid1D(32)
         tg = TimeGrid(16, 1.0)
         v = np.sin(np.pi * grid.nodes)
-        traj = Trajectory(grid=grid, times=tg.times, values=np.tile(v, (17, 1)))
-        out = caputo_derivative_at_T(traj, tg, 0.5)
+        out = caputo_derivative_at_T(np.tile(v, (17, 1)), tg, 0.5)
         assert np.max(np.abs(out)) < 1e-13
 
     def test_linear_in_time_exact(self):
@@ -62,16 +64,13 @@ class TestCaputoAtFinal:
         tg = TimeGrid(64, T)
         v = np.sin(np.pi * grid.nodes)
         vals = tg.times[:, None] * v[None, :]
-        traj = Trajectory(grid=grid, times=tg.times, values=vals)
-        out = caputo_derivative_at_T(traj, tg, alpha)
+        out = caputo_derivative_at_T(vals, tg, alpha)
         ref = T ** (1 - alpha) / gamma(2 - alpha) * v
         assert np.max(np.abs(out - ref)) < 1e-12
 
     def test_insufficient_history(self):
-        grid = Grid1D(8)
-        traj = Trajectory(grid=grid, times=np.array([0.0]), values=np.zeros((1, 9)))
         with pytest.raises(ValueError, match="two stored steps"):
-            caputo_derivative_at_T(traj, TimeGrid(1, 1.0), 0.5)
+            caputo_derivative_at_T(np.zeros((1, 9)), TimeGrid(1, 1.0), 0.5)
 
 
 def spectral_single_mode(alpha, t, grid):
@@ -85,14 +84,14 @@ class TestSolveFem1D:
         grid = Grid1D(512)
         tg = TimeGrid(1024, T)
         spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x), f=0.0)
-        u = solve_fem(spec, grid, tg).final
+        u = solve_fem(spec, grid, tg)
         ref = spectral_single_mode(alpha, T, grid)
         assert mass_norm(grid, u - ref) <= 5e-4
 
     def test_steady_state_long_run(self):
         grid = Grid1D(128)
         spec = ProblemSpec(alpha=0.5, T=200.0, u0=0.0, f=lambda x: np.sin(np.pi * x))
-        u = solve_fem(spec, grid, TimeGrid(256, spec.T)).final
+        u = solve_fem(spec, grid, TimeGrid(256, spec.T))
         ref = np.sin(np.pi * grid.nodes) / np.pi**2
         # discrete steady state of the P1 operator differs from the exact one
         # by O(h^2); the remaining transient decays algebraically
@@ -104,8 +103,8 @@ class TestSolveFem1D:
         spec = ProblemSpec(alpha=0.4, T=0.5, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
-        u1 = solve_fem(spec, grid, tg).values
-        u2 = solve_fem(spec, grid, tg).values
+        u1 = solve_fem(spec, grid, tg)
+        u2 = solve_fem(spec, grid, tg)
         assert np.array_equal(u1, u2)
 
     def test_symmetry_preserved(self):
@@ -114,7 +113,7 @@ class TestSolveFem1D:
         tg = TimeGrid(64, 0.5)
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
-        vals = solve_fem(spec, grid, tg).values
+        vals = fem_trajectory(spec, grid, tg)
         assert np.max(np.abs(vals - vals[:, ::-1])) < 1e-12
 
     def test_positivity_nonneg_data(self):
@@ -122,7 +121,7 @@ class TestSolveFem1D:
         tg = TimeGrid(128, 0.5)
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
-        vals = solve_fem(spec, grid, tg).values
+        vals = fem_trajectory(spec, grid, tg)
         assert vals.min() >= -1e-10
 
     def test_pde_residual_identity_at_T(self):
@@ -132,10 +131,10 @@ class TestSolveFem1D:
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=f, potential=q)
-        traj = solve_fem(spec, grid, tg)
+        traj = fem_trajectory(spec, grid, tg)
         dalpha = caputo_derivative_at_T(traj, tg, 0.5)
         x = grid.nodes[grid.interior]
-        u = traj.final
+        u = traj[-1]
         h = grid.h
         lap = (u[:-2] - 2 * u[1:-1] + u[2:]) / h**2
         resid = f(x) - (-lap + q(x) * u[grid.interior]) - dalpha[grid.interior]
@@ -149,7 +148,7 @@ class TestSolveFem1D:
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
         spec = ProblemSpec(alpha=0.5, T=500.0, u0=1.0, f=f,
                            potential=q, dirichlet=(0.5, 0.25))
-        u = solve_fem(spec, grid, TimeGrid(256, spec.T)).final
+        u = solve_fem(spec, grid, TimeGrid(256, spec.T))
         assert u[0] == pytest.approx(0.5) and u[-1] == pytest.approx(0.25)
 
         def rhs(x, y):
@@ -175,8 +174,8 @@ class TestSolveFem2D:
 
     def test_2d_self_convergence(self):
         spec = self._spec_2d()
-        coarse = solve_fem(spec, Grid2D(32), TimeGrid(64, spec.T)).final
-        fine = solve_fem(spec, Grid2D(64), TimeGrid(128, spec.T)).final
+        coarse = solve_fem(spec, Grid2D(32), TimeGrid(64, spec.T))
+        fine = solve_fem(spec, Grid2D(64), TimeGrid(128, spec.T))
         # restrict fine to coarse nodes (every other node per direction)
         fine_grid = Grid2D(64)
         f2 = fine.reshape(65, 65)[::2, ::2].ravel()
@@ -191,12 +190,43 @@ class TestSolveFem2D:
             f=0.0,
         )
         grid = Grid2D(48)
-        u = solve_fem(spec, grid, TimeGrid(96, spec.T)).final
+        u = solve_fem(spec, grid, TimeGrid(96, spec.T))
         lam = 2 * np.pi**2
         factor = float(ml_neg(0.5, 1.0, np.array([lam * 0.5**0.5]))[0])
         pts = grid.nodes
         ref = factor * np.sin(np.pi * pts[:, 0]) * np.sin(np.pi * pts[:, 1])
         assert mass_norm(grid, u - ref) < 5e-3
+
+
+class TestSolveFemFinal:
+    """`solve_fem` returns u(T) alone: the last level of the trajectory that
+    its time stepping passes through, bit for bit, with no trajectory kept."""
+
+    @staticmethod
+    def _case_problem(case_id, n, steps):
+        case = get_case(case_id)
+        setup = make_setup(case, 0.5, n=n, n_steps=steps)
+        return setup.spec_for(case.truth, 0.5), setup.grid, TimeGrid(steps, 0.5)
+
+    # 5.3: Dirichlet lift and a potential; 5.1ii: the square
+    @pytest.mark.parametrize("case_id, n, steps", [("5.3", 256, 128), ("5.1ii", 16, 32)])
+    def test_final_is_last_trajectory_level(self, case_id, n, steps):
+        spec, grid, tg = self._case_problem(case_id, n, steps)
+        assert np.array_equal(solve_fem(spec, grid, tg), fem_trajectory(spec, grid, tg)[-1])
+
+    def test_peak_memory_is_the_history(self):
+        # on the 5.3 data synthesis (2,048 cells, 1,024 steps) the L1 history
+        # of the interior unknown is the one large array; a nodal trajectory
+        # formed beside it doubled the peak
+        spec, grid, tg = self._case_problem("5.3", 2048, 1024)
+        history = 8 * (tg.n_steps + 1) * (grid.n - 1)
+        tracemalloc.start()
+        try:
+            solve_fem(spec, grid, tg)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * history
 
 
 class TestFemOperator:
@@ -317,7 +347,7 @@ class TestSpectralFemAgreement:
         ed = fd_eigendecomposition(0.0, 200, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, T)
         grid = Grid1D(512)
-        u_fem = solve_fem(spec, grid, TimeGrid(4096, T)).final
+        u_fem = solve_fem(spec, grid, TimeGrid(4096, T))
         u_ref = np.interp(grid.nodes, ed.grid.nodes, u_spectral)
         assert mass_norm(grid, u_fem - u_ref) <= 2e-4
 
@@ -333,7 +363,7 @@ class TestSpectralFemAgreement:
         gaps = []
         for n, steps in [(64, 64), (128, 256), (256, 1024)]:
             grid = Grid1D(n)
-            u = solve_fem(spec, grid, TimeGrid(steps, 0.5)).final
+            u = solve_fem(spec, grid, TimeGrid(steps, 0.5))
             ref = np.interp(grid.nodes, ed.grid.nodes, u_spectral)
             gaps.append(mass_norm(grid, u - ref))
         assert gaps[0] > gaps[1] > gaps[2]

@@ -83,7 +83,7 @@ class TestForwardMap:
                                f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                                potential=v, dirichlet=(0.0, 0.0)),
         }[kind]
-        direct = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, 0.5)).final
+        direct = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, 0.5))
         via_map = forward_map(setup, v, 0.5)
         if setup.modal:
             # bp/isp run the same L1 scheme mode by mode: equal up to rounding
@@ -250,6 +250,35 @@ class TestModalEngine:
         # data synthesis and one per iterate 0..3, shared by F(v_k, T_k), the
         # v-Jacobian and F(v_k, T_k + dT)
         assert _eigh_calls(make, 3, monkeypatch) == 5
+
+
+class TestSquareEngine:
+    def test_one_factor_per_time(self, monkeypatch):
+        # 5.1ii at max_iter = 3: one banded factorization at each T_k, k =
+        # 0..3, shared by F(v_k, T_k) and the stepped v-Jacobian, and one at
+        # each T_k + dT, k = 0..2; the operator then holds the last one only
+        import fracinv.fem as fem_mod
+        from fracinv.cases import get_case, make_setup, tensor_sine_basis
+
+        case = get_case("5.1ii")
+        setup = make_setup(case, 0.5, n=16, n_steps=32, basis=tensor_sine_basis(Grid2D(16), 3))
+        obs = add_noise(forward_map(setup, case.truth_nodal(setup.grid), 0.5), 1e-2, seed=1)
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return cholesky_banded(*args, **kwargs)
+
+        cholesky_banded = fem_mod.cholesky_banded
+        monkeypatch.setattr(fem_mod, "cholesky_banded", counting)
+        cfg = LMConfig(gamma0=1e-3, mu0=2.7e-4, rho=0.8, T_init=0.45,
+                       max_iter=3, stop="max_iter")
+        result = lm_reconstruct(setup, obs, cfg)
+        assert len(calls) == 7
+        tg = TimeGrid(setup.n_steps, result.history[-1][3])
+        c_last = fem_mod.L1Weights(setup.alpha, tg.n_steps).scale(tg.tau)
+        c_held, factor = setup.fixed_operator._factor
+        assert c_held == c_last and factor.shape == (17, 15 * 15)
 
 
 def _eigh_calls(make, max_iter, monkeypatch) -> int:

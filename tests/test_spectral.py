@@ -59,6 +59,15 @@ class TestEigendecomposition:
         assert np.max(np.abs(ed.eigenvalues - ref) / ref) < 1e-6
         assert np.max(np.abs(ed.eigenfunctions - phi)) < 1e-6
 
+    def test_sines_built_once_read_only(self):
+        grid = Grid1D(64)
+        lam, phi = build_eigendecomposition(8, grid)
+        again = build_eigendecomposition(8, Grid1D(64))
+        assert again[0] is lam and again[1] is phi
+        for table in (lam, phi):
+            with pytest.raises(ValueError, match="read-only"):
+                table[0] = 0.0
+
     def test_constant_shift(self):
         ed = fd_eigendecomposition(1.0, 1, grid=Grid1D(2048))
         assert abs(ed.eigenvalues[0] - (math.pi**2 + 1.0)) / (math.pi**2 + 1) < 1e-6
