@@ -20,7 +20,10 @@ row-major, so a node couples only to nodes at most one grid row away: the
 bandwidth b is 1 on the interval and n on the n x n square (the SW-NE
 diagonal neighbour sits n interior indices on). The band is read off the
 stored entries; the factor costs O(m b^2) and each solve O(m b) for m
-interior nodes.
+interior nodes. The band is factored in lower storage: for b <= 64 LAPACK's
+unblocked dpbtf2 then makes unit-stride rank-1 updates, which OpenBLAS runs
+inline (the upper sweep's strided ones went to its thread pool), in the
+same order as the upper sweep, so both give bit-identical factors.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
@@ -197,28 +200,19 @@ def _assemble_2d(grid: Grid2D, a, q):
     return M, A
 
 
-def _upper_band(K: sp.spmatrix) -> np.ndarray:
-    """Upper band storage of the symmetric K, as `cholesky_banded` reads it:
-    ab[u + i - j, j] = K[i, j] for i <= j, with the bandwidth u measured
-    from the stored entries."""
-    K = K.tocoo()
-    upper = K.col >= K.row
-    rows, cols = K.row[upper], K.col[upper]
-    u = int(np.max(cols - rows))
-    ab = np.zeros((u + 1, K.shape[0]))
-    ab[u + rows - cols, cols] = K.data[upper]
-    return ab
+def _lower_band(K: sp.spmatrix) -> np.ndarray:
+    """Lower band of the symmetric K, lb[i - j, j] = K[i, j] for i >= j, in
+    Fortran order so LAPACK factors it in place; kd is read off the entries."""
+    L = sp.tril(K, format="coo")
+    lb = np.zeros((int(np.max(L.row - L.col)) + 1, K.shape[0]), order="F")
+    lb[L.row - L.col, L.col] = L.data
+    return lb
 
 
 class FemOperator:
     """Sparse mass M and elliptic A = S_a + M_q on all nodes, the interior
     block M_II, and the banded Cholesky factor of (c M + A)_II at the last
-    scale c asked for.
-
-    One factorization path serves both grids: with the row-major interior
-    numbering, (c M + A)_II is SPD with bandwidth 1 on the interval and n on
-    the n x n square, so `cholesky_banded` factors it on either.
-    """
+    scale c asked for, on either grid (module docstring)."""
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
@@ -235,9 +229,6 @@ class FemOperator:
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
         return self.M @ v
 
-    def elliptic_apply(self, v: np.ndarray) -> np.ndarray:
-        return self.A @ v
-
     def mass_apply_interior(self, v_int: np.ndarray) -> np.ndarray:
         """M_II v (interior-to-interior)."""
         return self.M_II @ v_int
@@ -245,13 +236,20 @@ class FemOperator:
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
         which the solver holds. The operator keeps the last c's factor only:
-        an LM run asks for each T's factor in turn and never for an old one."""
+        an LM run asks for each T's factor in turn and never for an old one.
+        The factor is taken in lower storage, bit-identical to the upper for
+        b <= 64 (module docstring), and held as L^T in upper storage, since
+        dpbtrs rounds differently in lower storage."""
         if self._factor[0] != float(c):
             K = (c * self.M + self.A)[self.interior][:, self.interior]
             try:
-                self._factor = (float(c), cholesky_banded(_upper_band(K)))
+                lb = cholesky_banded(_lower_band(K), lower=True, overwrite_ab=True)
             except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover - SPD
                 raise NumericalError(f"banded factorization failed: {exc}")
+            ub = np.zeros_like(lb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]
+            for d, row in enumerate(lb):
+                ub[-1 - d, d:] = row[:row.size - d]
+            self._factor = (float(c), ub)
         cb = self._factor[1]
 
         def solve(rhs):
@@ -377,7 +375,7 @@ def _initial_and_load(spec: ProblemSpec, op: FemOperator):
         if not isinstance(op.grid, Grid1D):
             raise ParameterError("constant Dirichlet lift is defined on the interval")
         lift = spec.dirichlet[0] * (1.0 - op.grid.nodes) + spec.dirichlet[1] * op.grid.nodes
-    load = (op.mass_apply(spec.sample("f", op.grid)) - op.elliptic_apply(lift))[op.interior]
+    load = (op.mass_apply(spec.sample("f", op.grid)) - op.A @ lift)[op.interior]
     return u0, lift, (u0 - lift)[op.interior], load
 
 

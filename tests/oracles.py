@@ -9,7 +9,9 @@ properties the tests assert of the production code. `fem_trajectory` keeps
 every level of the time stepper's forward solve, of which `fem.solve_fem`
 returns the last. The L1 time stepper and the modal recursion have
 step-by-step oracles that sum each step's history directly, against which
-the blocked march is checked. The potential
+the blocked march is checked. `upper_band_factor` factors (c M + A)_II in
+upper band storage, the operator's path before it moved to lower storage,
+against which its factor is checked. The potential
 problem's v-Jacobian has a column oracle that steps every sensitivity
 through the L1 time stepper, against which the modal Jacobian is checked.
 The Jacobian's action and its adjoint in the mass pairing, which the
@@ -28,7 +30,7 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
+from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.errors import DomainError, ParameterError, ResolutionError
@@ -251,6 +253,27 @@ def l1_responses_stepwise(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray
     for k in range(1, tg.n_steps + 1):
         r[k] = (history_coefficients(weights, k) @ r[:k]) * gain
     return r, (1.0 - r) / lam
+
+
+def upper_band(K) -> np.ndarray:
+    """Upper band storage of the symmetric sparse K, as `cholesky_banded`
+    reads it by default: ab[u + i - j, j] = K[i, j] for i <= j, with the
+    bandwidth u measured from the stored entries."""
+    K = K.tocoo()
+    upper = K.col >= K.row
+    rows, cols = K.row[upper], K.col[upper]
+    u = int(np.max(cols - rows))
+    ab = np.zeros((u + 1, K.shape[0]))
+    ab[u + rows - cols, cols] = K.data[upper]
+    return ab
+
+
+def upper_band_factor(op, c: float) -> np.ndarray:
+    """The upper band Cholesky factor of (c M + A)_II that `fem.FemOperator`
+    factored before it moved to lower storage: `cholesky_banded` on the upper
+    band, which LAPACK's dpbtrs reads as it is."""
+    K = (c * op.M + op.A)[op.interior][:, op.interior]
+    return cholesky_banded(upper_band(K))
 
 
 def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:

@@ -1,4 +1,8 @@
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,7 +16,7 @@ from fracinv.fem import (
     HISTORY_BLOCK,
     FemOperator,
     L1Weights,
-    _upper_band,
+    _lower_band,
     convergence_study,
     l1_evolve,
     l1_responses,
@@ -31,6 +35,7 @@ from oracles import (
     l1_evolve_stepwise,
     l1_responses_stepwise,
     solve_spectral,
+    upper_band_factor,
 )
 
 
@@ -282,9 +287,89 @@ class TestFemOperator:
 
     def test_measured_bandwidth(self, op):
         I = op.interior
-        ab = _upper_band((self.C * op.M + op.A)[I][:, I])
+        lb = _lower_band((self.C * op.M + op.A)[I][:, I])
         expected = op.grid.n if isinstance(op.grid, Grid2D) else 1
-        assert ab.shape == (expected + 1, I.size)
+        assert lb.shape == (expected + 1, I.size)
+        assert lb.flags.f_contiguous  # LAPACK factors it in place, no f2py copy
+        op.factorized(self.C)
+        assert op._factor[1].shape == lb.shape
+
+
+_FACTOR_DIGESTS = """
+import hashlib
+from fracinv.fem import FemOperator
+from fracinv.grids import Grid2D
+for n in (32, 64):
+    op = FemOperator(Grid2D(n), 1.0, 0.0)
+    op.factorized(300.0)
+    print(hashlib.sha256(op._factor[1].tobytes()).hexdigest())
+"""
+
+
+class TestBandFactor:
+    """The lower-storage factor that `FemOperator.factorized` holds against
+    `cholesky_banded` on the upper band, the operator's earlier path."""
+
+    SCALES = (3.0, 300.0, 3e4)
+
+    @staticmethod
+    def _op(grid):
+        if isinstance(grid, Grid1D):
+            return FemOperator(grid, lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                               lambda x: 2.0 + np.cos(3 * x))
+        return FemOperator(grid, lambda x, y: 1.0 + x * y * (1 - y),
+                           lambda x, y: 1.0 + x + y**2)
+
+    def _pairs(self, grid):
+        """(held factor, oracle factor, solve, oracle solve) at each scale."""
+        op = self._op(grid)
+        rhs = np.random.default_rng(grid.n).standard_normal((op.interior.size, 3))
+        for c in self.SCALES:
+            x = op.factorized(c)(rhs)
+            ref = upper_band_factor(op, c)
+            yield op._factor[1], ref, x, scipy.linalg.lapack.dpbtrs(ref, rhs)[0]
+
+    @pytest.mark.parametrize("grid", [Grid1D(64), Grid1D(2048), Grid2D(8), Grid2D(32),
+                                      Grid2D(64)], ids=["1d-64", "1d-2048", "2d-8",
+                                                        "2d-32", "2d-64"])
+    def test_bit_identical_up_to_kd_64(self, grid):
+        # LAPACK's unblocked dpbtf2 does the same products in either storage
+        for ub, ref, x, x_ref in self._pairs(grid):
+            assert ub.shape == ref.shape
+            assert np.array_equal(ub, ref)
+            assert np.array_equal(x, x_ref)
+
+    def test_blocked_path_agrees_above_kd_64(self):
+        # kd = 72: the blocked dpbtrf orders its work by storage
+        for ub, ref, x, x_ref in self._pairs(Grid2D(72)):
+            assert ub.shape == ref.shape
+            assert np.max(np.abs(ub - ref)) <= 1e-13 * np.max(np.abs(ref))
+            assert np.max(np.abs(x - x_ref)) <= 1e-13 * np.max(np.abs(x_ref))
+
+    def test_peak_memory_is_two_bands(self):
+        # kd = 64: LAPACK factors the band in place and the factor is copied
+        # once into upper storage, so two band arrays live at the peak
+        op = FemOperator(Grid2D(64), 1.0, 0.0)
+        band = 8 * (64 + 1) * op.interior.size
+        tracemalloc.start()
+        try:
+            op.factorized(300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * band
+
+    def test_factor_independent_of_blas_threads(self):
+        src = str(Path(fem_mod.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _FACTOR_DIGESTS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
 class TestBlockedHistory:
