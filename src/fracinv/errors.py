@@ -1,7 +1,10 @@
 """Exception types shared across the package.
 
-The CLI maps ConfigError to exit code 2 and NumericalError (and its
-subclasses) to exit code 3; everything else is a plain bug.
+ParameterError marks a violated precondition, such as a coefficient that
+`fem.FemOperator` rejects, and NumericalError (and its subclasses) a
+computation that failed. The CLI maps ConfigError to exit code 2 and every
+other FracinvError to exit code 3, and a failed table cell records the
+error's name; any other exception is a plain bug.
 """
 
 
@@ -15,10 +18,6 @@ class ParameterError(FracinvError, ValueError):
 
 class DomainError(FracinvError, ValueError):
     """Evaluation requested outside the supported region."""
-
-
-class ResolutionError(FracinvError, ValueError):
-    """Requested resolution (modes, grid) exceeds what the discretization supports."""
 
 
 class ShapeError(FracinvError, ValueError):

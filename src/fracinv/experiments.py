@@ -31,7 +31,7 @@ from .cases import (
 from .config import ExperimentConfig
 from .errors import ConfigError, FracinvError
 from .fem import convergence_study, mass_norm
-from .grids import Grid1D, Grid2D
+from .grids import Grid1D, Grid2D, as_nodal_values
 from .inverse import LMConfig, ReconstructionResult, add_noise, lm_reconstruct
 from .problems import ProblemSpec
 from .spectral import build_eigendecomposition, propagate_modes
@@ -273,7 +273,7 @@ def run_convergence(cfg: ExperimentConfig, out_dir=None):
     t0 = time.time()
     fine = Grid1D(REFERENCE_N)
     lam, phi = build_eigendecomposition(REFERENCE_MODES, fine)
-    u0c = phi @ (fine.trapezoid_weights() * spec.sample("u0", fine))
+    u0c = phi @ (fine.trapezoid_weights() * as_nodal_values(spec.u0, fine))
     u_ref = phi.T @ propagate_modes(alpha, lam, spec.T, u0c, 0.0)
     report = convergence_study(spec, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)

@@ -14,16 +14,17 @@ reused across steps. Nonzero constant Dirichlet data is imposed by an affine
 lift. Assembly uses 3-point Gauss per element (exact for the P1 products
 with smooth coefficients), is fully vectorized, and bitwise deterministic.
 
-Both grids store M and A as sparse matrices and factor the SPD system
-(c M + A)_II by one banded Cholesky. The interior nodes are numbered
-row-major, so a node couples only to nodes at most one grid row away: the
-bandwidth b is 1 on the interval and n on the n x n square (the SW-NE
-diagonal neighbour sits n interior indices on). The band is read off the
-stored entries; the factor costs O(m b^2) and each solve O(m b) for m
-interior nodes. The band is factored in lower storage: for b <= 64 LAPACK's
-unblocked dpbtf2 then makes unit-stride rank-1 updates, which OpenBLAS runs
-inline (the upper sweep's strided ones went to its thread pool), in the
-same order as the upper sweep, so both give bit-identical factors.
+Both grids store M and A as sparse matrices, and the operator keeps their
+interior blocks M_II and A_II. The interior nodes are numbered row-major, so
+a node couples only to nodes at most one grid row away: the bandwidth kd is
+1 on the interval and n on the n x n square (the SW-NE diagonal neighbour
+sits n interior indices on). On its first factorization the operator stores
+the lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf
+factors c M_b + A_b in place, in O(m kd^2) for m interior nodes; each solve
+costs O(m kd). In lower storage, for kd <= 64 LAPACK's unblocked dpbtf2
+makes unit-stride rank-1 updates, which OpenBLAS runs inline (the upper
+sweep's strided ones went to its thread pool), in the same order as the
+upper sweep, so both give bit-identical factors.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
@@ -43,8 +44,7 @@ from typing import Callable, Optional
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import cholesky_banded
-from scipy.linalg.lapack import dpbtrs
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, ParameterError
@@ -103,6 +103,15 @@ def _coeff_at(vals_or_callable, pts_1d: np.ndarray, grid: Grid1D) -> np.ndarray:
     return np.interp(pts_1d, grid.nodes, arr)
 
 
+def _check_coefficients(a: np.ndarray, q: np.ndarray) -> None:
+    """The coefficient rule, on a's and q's values at the quadrature points:
+    the diffusion finite and > 0, the potential finite and >= 0 (NaN fails)."""
+    if not np.all((a > 0.0) & (a < np.inf)):
+        raise ParameterError("diffusion must be finite and strictly positive")
+    if not np.all((q >= 0.0) & (q < np.inf)):
+        raise ParameterError("potential must be finite and nonnegative")
+
+
 def _assemble_1d(grid: Grid1D, a, q):
     n = grid.n
     h = grid.h
@@ -110,10 +119,7 @@ def _assemble_1d(grid: Grid1D, a, q):
     gauss = xl[:, None] + h * _GAUSS_XI[None, :]
     a_g = _coeff_at(a, gauss.ravel(), grid).reshape(n, 3)
     q_g = _coeff_at(q, gauss.ravel(), grid).reshape(n, 3)
-    if np.min(a_g) <= 0:
-        raise ParameterError("diffusion must be strictly positive")
-    if np.min(q_g) < 0:
-        raise ParameterError("potential must be nonnegative")
+    _check_coefficients(a_g, q_g)
 
     a_bar = a_g @ _GAUSS_W
     s_off = -a_bar / h
@@ -170,10 +176,7 @@ def _assemble_2d(grid: Grid2D, a, q):
 
     a_m = coeff2(a)
     q_m = coeff2(q)
-    if np.min(a_m) <= 0:
-        raise ParameterError("diffusion must be strictly positive")
-    if np.min(q_m) < 0:
-        raise ParameterError("potential must be nonnegative")
+    _check_coefficients(a_m, q_m)
     a_bar = a_m.mean(axis=1)
 
     # local P1 values at the three edge midpoints (edge k joins vertices k, k+1)
@@ -200,19 +203,20 @@ def _assemble_2d(grid: Grid2D, a, q):
     return M, A
 
 
-def _lower_band(K: sp.spmatrix) -> np.ndarray:
-    """Lower band of the symmetric K, lb[i - j, j] = K[i, j] for i >= j, in
-    Fortran order so LAPACK factors it in place; kd is read off the entries."""
+def _lower_band(K: sp.spmatrix, kd: int) -> np.ndarray:
+    """Lower band of the symmetric K of bandwidth kd, lb[i - j, j] = K[i, j]
+    for i >= j, in Fortran order so LAPACK factors it in place."""
     L = sp.tril(K, format="coo")
-    lb = np.zeros((int(np.max(L.row - L.col)) + 1, K.shape[0]), order="F")
+    lb = np.zeros((kd + 1, K.shape[0]), order="F")
     lb[L.row - L.col, L.col] = L.data
     return lb
 
 
 class FemOperator:
-    """Sparse mass M and elliptic A = S_a + M_q on all nodes, the interior
-    block M_II, and the banded Cholesky factor of (c M + A)_II at the last
-    scale c asked for, on either grid (module docstring)."""
+    """Sparse mass M and elliptic A = S_a + M_q on all nodes, their interior
+    blocks M_II and A_II, and the banded Cholesky factor of (c M + A)_II at
+    the last scale c asked for, on either grid (module docstring).
+    Construction checks the coefficients (`_check_coefficients`)."""
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
@@ -223,6 +227,7 @@ class FemOperator:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior = np.where(grid.interior_mask())[0]
         self.M_II = self.M[self.interior][:, self.interior]
+        self.A_II = self.A[self.interior][:, self.interior]
         self._factor: tuple = (None, None)  # (c, banded factor) of the last scale
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
@@ -233,19 +238,25 @@ class FemOperator:
         """M_II v (interior-to-interior)."""
         return self.M_II @ v_int
 
+    @cached_property
+    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
+        """The lower bands (M_b, A_b) of M_II and A_II, built on the first
+        factorization, so an operator that never factors holds none."""
+        kd = 1 if isinstance(self.grid, Grid1D) else self.grid.n
+        return _lower_band(self.M_II, kd), _lower_band(self.A_II, kd)
+
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
         which the solver holds. The operator keeps the last c's factor only:
         an LM run asks for each T's factor in turn and never for an old one.
-        The factor is taken in lower storage, bit-identical to the upper for
-        b <= 64 (module docstring), and held as L^T in upper storage, since
-        dpbtrs rounds differently in lower storage."""
+        dpbtrf factors c M_b + A_b in lower storage, bit-identical to the
+        upper for kd <= 64 (module docstring); the factor is held as L^T in
+        upper storage, since dpbtrs rounds differently in lower storage."""
         if self._factor[0] != float(c):
-            K = (c * self.M + self.A)[self.interior][:, self.interior]
-            try:
-                lb = cholesky_banded(_lower_band(K), lower=True, overwrite_ab=True)
-            except (np.linalg.LinAlgError, ValueError) as exc:  # pragma: no cover - SPD
-                raise NumericalError(f"banded factorization failed: {exc}")
+            M_b, A_b = self._bands
+            lb, info = dpbtrf(c * M_b + A_b, lower=1, overwrite_ab=1)
+            if info != 0:
+                raise NumericalError(f"banded factorization failed: dpbtrf info {info}")
             ub = np.zeros_like(lb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]
             for d, row in enumerate(lb):
                 ub[-1 - d, d:] = row[:row.size - d]
@@ -270,9 +281,8 @@ class FemOperator:
         # numpy's LAPACK, not scipy's: the numpy and scipy wheels each bundle
         # their own OpenBLAS, and after a scipy LAPACK call scipy's idle BLAS
         # threads keep spinning and slow the GEMMs of the L1 march that follow
-        A_II = self.A[self.interior][:, self.interior].toarray()
         L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II.toarray()))
-        lam, W = np.linalg.eigh(L_inv @ A_II @ L_inv.T)
+        lam, W = np.linalg.eigh(L_inv @ self.A_II.toarray() @ L_inv.T)
         return lam, L_inv.T @ W
 
     def responses(self, alpha: float, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
@@ -375,7 +385,7 @@ def _initial_and_load(spec: ProblemSpec, op: FemOperator):
         if not isinstance(op.grid, Grid1D):
             raise ParameterError("constant Dirichlet lift is defined on the interval")
         lift = spec.dirichlet[0] * (1.0 - op.grid.nodes) + spec.dirichlet[1] * op.grid.nodes
-    load = (op.mass_apply(spec.sample("f", op.grid)) - op.A @ lift)[op.interior]
+    load = (op.mass_apply(as_nodal_values(spec.f, op.grid)) - op.A @ lift)[op.interior]
     return u0, lift, (u0 - lift)[op.interior], load
 
 

@@ -39,10 +39,6 @@ class Grid1D:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, 1.0, self.n + 1)
 
-    @property
-    def interior(self) -> slice:
-        return slice(1, self.n)
-
     def trapezoid_weights(self) -> np.ndarray:
         w = np.full(self.n + 1, self.h)
         w[0] = w[-1] = self.h / 2.0

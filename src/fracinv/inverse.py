@@ -197,13 +197,6 @@ class InverseSetup:
         v[self.fixed_operator.interior] = p
         return v
 
-    def nodal_to_param(self, v_nodal: np.ndarray) -> np.ndarray:
-        if self.basis is not None:
-            # L2 projection onto the basis span
-            W = self.fixed_operator.mass_apply(self.basis.T)  # (nodes, p)
-            return np.linalg.solve(self.param_gram, W.T @ v_nodal)
-        return np.asarray(v_nodal, float)[self.fixed_operator.interior]
-
     @cached_property
     def param_gram(self) -> np.ndarray:
         """L2 Gram matrix of the parameter space (the penalty metric)."""
@@ -256,6 +249,8 @@ class InverseSetup:
 
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(v_nodal)):
+        raise AdmissibilityError("potential iterate is not finite")
     worst = max(float(np.max(v_nodal - IPP_CLAMP_MAX)), float(np.max(-v_nodal)), 0.0)
     if worst > IPP_CLAMP_SLACK:
         raise AdmissibilityError(

@@ -9,7 +9,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ParameterError
-from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
+from .grids import Grid1D, Grid2D, GridLike
 
 __all__ = ["ProblemSpec", "TimeGrid"]
 
@@ -50,22 +50,6 @@ class ProblemSpec:
     def grid_for(self, n: int) -> GridLike:
         return Grid1D(n) if self.domain == "interval" else Grid2D(n)
 
-    def sample(self, what: str, grid: GridLike) -> np.ndarray:
-        """Nodal samples of u0 / f / diffusion / potential, validated."""
-        if what in ("u0", "f"):
-            return as_nodal_values(getattr(self, what), grid)
-        if what == "diffusion":
-            a = as_nodal_values(self.diffusion, grid)
-            if a.min() <= 0.0:
-                raise ParameterError("diffusion must be strictly positive")
-            return a
-        if what == "potential":
-            q = as_nodal_values(self.potential, grid)
-            if q.min() < 0.0:
-                raise ParameterError("potential must be nonnegative")
-            return q
-        raise ParameterError(f"unknown field {what!r}")
-
 
 @dataclass(frozen=True)
 class TimeGrid:
@@ -83,7 +67,3 @@ class TimeGrid:
     @property
     def tau(self) -> float:
         return self.T / self.n_steps
-
-    @property
-    def times(self) -> np.ndarray:
-        return np.linspace(0.0, self.T, self.n_steps + 1)

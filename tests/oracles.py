@@ -16,9 +16,10 @@ problem's v-Jacobian has a column oracle that steps every sensitivity
 through the L1 time stepper, against which the modal Jacobian is checked.
 The Jacobian's action and its adjoint in the mass pairing, which the
 adjoint and directional-derivative checks call, are formed from the dense
-v-Jacobian. At the end, eigenpairs of -d_xx + q by finite differences with
-Richardson-extrapolated eigenvalues, and the exact-in-time modal solve on
-them, are the FEM solver's reference on the interval.
+v-Jacobian, and `nodal_to_param` maps a nodal direction to the parameter
+vector it acts on. At the end, eigenpairs of -d_xx + q by finite
+differences with Richardson-extrapolated eigenvalues, and the exact-in-time
+modal solve on them, are the FEM solver's reference on the interval.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import numpy as np
 from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
-from fracinv.errors import DomainError, ParameterError, ResolutionError
+from fracinv.errors import DomainError, FracinvError, ParameterError
 from fracinv.fem import FemOperator, L1Weights, _initial_and_load, l1_evolve
 from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
@@ -306,10 +307,20 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     return J
 
 
+def nodal_to_param(setup, v_nodal: np.ndarray) -> np.ndarray:
+    """The parameter vector of a nodal field, the inverse of
+    `InverseSetup.param_to_nodal` on its range: the interior values for a
+    nodal setup, the L2 projection onto the span of a basis."""
+    if setup.basis is None:
+        return np.asarray(v_nodal, float)[setup.fixed_operator.interior]
+    W = setup.fixed_operator.mass_apply(setup.basis.T)  # (nodes, p)
+    return np.linalg.solve(setup.param_gram, W.T @ v_nodal)
+
+
 def jacobian_v_apply(setup, v, T: float, h) -> np.ndarray:
     """Directional derivative dF(v,T)[h] as a nodal field."""
     J = jacobian_v_matrix(setup, v, T)
-    return J @ setup.nodal_to_param(as_nodal_values(h, setup.grid))
+    return J @ nodal_to_param(setup, as_nodal_values(h, setup.grid))
 
 
 def jacobian_v_adjoint_apply(setup, v, T: float, w) -> np.ndarray:
@@ -318,6 +329,10 @@ def jacobian_v_adjoint_apply(setup, v, T: float, w) -> np.ndarray:
     Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
     coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
     return setup.param_to_nodal(coeffs)
+
+
+class ResolutionError(FracinvError, ValueError):
+    """Requested modes exceed what the finite-difference grid resolves."""
 
 
 @dataclass(frozen=True)
@@ -383,12 +398,12 @@ def fd_eigendecomposition(q, n_modes: int, grid: Optional[Grid1D] = None) -> Eig
         lam, phi = build_eigendecomposition(n_modes, grid)
         gap = 0.0
     else:
-        lam_f, vecs = _fd_eigs(q_nodal[grid.interior], grid.h, n_modes)
+        lam_f, vecs = _fd_eigs(q_nodal[1:-1], grid.h, n_modes)
         coarse = Grid1D(grid.n // 2)
-        lam_c, _ = _fd_eigs(q_nodal[::2][coarse.interior], coarse.h, n_modes)
+        lam_c, _ = _fd_eigs(q_nodal[::2][1:-1], coarse.h, n_modes)
         lam = (4.0 * lam_f - lam_c) / 3.0
         phi = np.zeros((n_modes, grid.n_nodes))
-        phi[:, grid.interior] = (vecs / np.sqrt(grid.h)).T
+        phi[:, 1:-1] = (vecs / np.sqrt(grid.h)).T
         flip = phi[:, 1] < 0
         phi[flip] *= -1.0
         gap = float(np.max(np.abs(lam - (np.arange(1, n_modes + 1) * np.pi) ** 2)))
@@ -414,12 +429,12 @@ def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> np.nd
         raise ParameterError("t must be nonnegative")
     if spec.dirichlet is not None and any(abs(v) > 0 for v in spec.dirichlet):
         raise ParameterError("spectral solver requires zero boundary values")
-    if np.max(np.abs(spec.sample("potential", ed.grid) - ed.potential)) > 1e-12:
+    if np.max(np.abs(as_nodal_values(spec.potential, ed.grid) - ed.potential)) > 1e-12:
         raise ParameterError("eigendecomposition was built for a different potential")
 
     coeffs = []
     for what in ("u0", "f"):
-        nodal = spec.sample(what, ed.grid)
+        nodal = as_nodal_values(getattr(spec, what), ed.grid)
         c = ed.project(nodal)
         total = ed.inner(nodal, nodal)
         if total > 0 and np.sum(c**2) < total * (1.0 - 1e-6):

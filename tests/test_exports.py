@@ -37,15 +37,23 @@ def test_package_imports_resolve():
         assert name in importlib.import_module(f"fracinv.{module}").__all__, (module, name)
 
 
-# (module, name) of public API that was deleted; a stale re-export or
-# `__all__` entry would bring the name back
-REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory")]
+# (module, name) of public API that was deleted, a dotted name for a class
+# attribute; a stale re-export or `__all__` entry would bring the name back
+REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
+           ("fracinv.errors", "ResolutionError"),
+           ("fracinv.inverse", "InverseSetup.nodal_to_param"),
+           ("fracinv.problems", "ProblemSpec.sample"),
+           ("fracinv.problems", "TimeGrid.times"),
+           ("fracinv.grids", "Grid1D.interior")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)
 def test_removed_names_stay_gone(module, name):
-    mod = importlib.import_module(module)
-    assert not hasattr(mod, name) and name not in getattr(mod, "__all__", [])
+    owner = mod = importlib.import_module(module)
+    *path, attr = name.split(".")
+    for part in path:
+        owner = getattr(owner, part)
+    assert not hasattr(owner, attr) and name not in getattr(mod, "__all__", [])
 
 
 def _annotations(tree):

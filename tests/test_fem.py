@@ -11,12 +11,11 @@ from scipy.special import gamma
 
 import fracinv.fem as fem_mod
 from fracinv.cases import get_case, make_setup
-from fracinv.errors import NumericalError
+from fracinv.errors import NumericalError, ParameterError
 from fracinv.fem import (
     HISTORY_BLOCK,
     FemOperator,
     L1Weights,
-    _lower_band,
     convergence_study,
     l1_evolve,
     l1_responses,
@@ -68,7 +67,7 @@ class TestCaputoAtFinal:
         alpha, T = 0.5, 0.8
         tg = TimeGrid(64, T)
         v = np.sin(np.pi * grid.nodes)
-        vals = tg.times[:, None] * v[None, :]
+        vals = np.linspace(0.0, T, 65)[:, None] * v[None, :]
         out = caputo_derivative_at_T(vals, tg, alpha)
         ref = T ** (1 - alpha) / gamma(2 - alpha) * v
         assert np.max(np.abs(out - ref)) < 1e-12
@@ -138,11 +137,11 @@ class TestSolveFem1D:
         spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=f, potential=q)
         traj = fem_trajectory(spec, grid, tg)
         dalpha = caputo_derivative_at_T(traj, tg, 0.5)
-        x = grid.nodes[grid.interior]
+        x = grid.nodes[1:-1]
         u = traj[-1]
         h = grid.h
         lap = (u[:-2] - 2 * u[1:-1] + u[2:]) / h**2
-        resid = f(x) - (-lap + q(x) * u[grid.interior]) - dalpha[grid.interior]
+        resid = f(x) - (-lap + q(x) * u[1:-1]) - dalpha[1:-1]
         assert mass_norm(grid, np.pad(resid, 1)) < 1e-2
 
     def test_lifted_dirichlet_steady(self):
@@ -260,6 +259,12 @@ class TestFemOperator:
             ref = np.linalg.solve(K, rhs)
             assert np.max(np.abs(solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_failed_factor_raises(self, op, monkeypatch):
+        # dpbtrf reports a matrix that is not positive definite through info
+        monkeypatch.setattr(fem_mod, "dpbtrf", lambda ab, **kw: (ab, 3))
+        with pytest.raises(NumericalError, match="dpbtrf info 3"):
+            op.factorized(self.C)
+
     def test_failed_solve_raises(self, op, monkeypatch):
         # dpbtrs reports a bad argument through info, not by raising
         monkeypatch.setattr(fem_mod, "dpbtrs", lambda cb, rhs: (rhs, -2))
@@ -286,13 +291,48 @@ class TestFemOperator:
         assert np.max(np.abs(lam - ref)) <= 1e-13 * np.max(ref)
 
     def test_measured_bandwidth(self, op):
-        I = op.interior
-        lb = _lower_band((self.C * op.M + op.A)[I][:, I])
-        expected = op.grid.n if isinstance(op.grid, Grid2D) else 1
-        assert lb.shape == (expected + 1, I.size)
-        assert lb.flags.f_contiguous  # LAPACK factors it in place, no f2py copy
+        # kd comes from the grid: 1 on the interval, n on the square, where
+        # with q = 0 the stiffness does not couple SW-NE diagonal neighbours
+        ops = [op] if isinstance(op.grid, Grid1D) else [op, FemOperator(op.grid, 1.0, 0.0)]
+        for o in ops:
+            kd, m = (o.grid.n if isinstance(o.grid, Grid2D) else 1), o.interior.size
+            o.factorized(self.C)
+            for band, K in zip(o._bands, (o.M_II.toarray(), o.A_II.toarray())):
+                assert band.shape == (kd + 1, m)
+                assert band.flags.f_contiguous  # LAPACK factors c M_b + A_b in place
+                for d in range(kd + 1):
+                    assert np.array_equal(band[d, :m - d], np.diag(K, -d))
+            assert o._factor[1].shape == (kd + 1, m)
+
+    def test_bands_built_once(self, op, monkeypatch):
+        calls = []
+        lower_band = fem_mod._lower_band
+        monkeypatch.setattr(fem_mod, "_lower_band",
+                            lambda K, kd: calls.append(kd) or lower_band(K, kd))
+        op.modes  # the modal engine, as on each ipp iterate, needs no band
+        assert calls == []
         op.factorized(self.C)
-        assert op._factor[1].shape == lb.shape
+        assert len(calls) == 2
+        op.factorized(2.0 * self.C)  # a new scale reuses M_b and A_b
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize("grid", [Grid1D(8), Grid2D(4)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
+    @pytest.mark.parametrize("which, bad", [("diffusion", np.nan), ("diffusion", np.inf),
+                                            ("potential", np.nan), ("potential", np.inf),
+                                            ("potential", -1.0)])
+    def test_bad_coefficient_rejected(self, grid, form, which, bad):
+        if form == "scalar":
+            value = bad
+        elif form == "array":
+            # one interior node; the rule reads the quadrature points, where
+            # on the square q is the mean of an edge's end values
+            value = np.full(grid.n_nodes, 1.0 if which == "diffusion" else 0.0)
+            value[grid.n_nodes // 2] = bad
+        else:
+            value = lambda *pts: np.full(pts[0].shape, bad)
+        with pytest.raises(ParameterError, match=which):
+            FemOperator(grid, **{which: value})
 
 
 _FACTOR_DIGESTS = """
@@ -348,16 +388,18 @@ class TestBandFactor:
 
     def test_peak_memory_is_two_bands(self):
         # kd = 64: LAPACK factors the band in place and the factor is copied
-        # once into upper storage, so two band arrays live at the peak
+        # once into upper storage, so two band arrays live at the peak; the
+        # first factorization also builds the two bands the operator keeps
         op = FemOperator(Grid2D(64), 1.0, 0.0)
         band = 8 * (64 + 1) * op.interior.size
-        tracemalloc.start()
-        try:
-            op.factorized(300.0)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak <= 2.25 * band
+        for c, kept in ((300.0, 2), (3.0, 0)):
+            tracemalloc.start()
+            try:
+                op.factorized(c)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= (kept + 2.25) * band
 
     def test_factor_independent_of_blas_threads(self):
         src = str(Path(fem_mod.__file__).parents[1])

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from fracinv.errors import ParameterError
+from fracinv.errors import AdmissibilityError, FracinvError, ParameterError
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
@@ -19,7 +19,12 @@ from fracinv.inverse import (
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 
-from oracles import ipp_jacobian_columns, jacobian_v_adjoint_apply, jacobian_v_apply
+from oracles import (
+    ipp_jacobian_columns,
+    jacobian_v_adjoint_apply,
+    jacobian_v_apply,
+    nodal_to_param,
+)
 
 
 HAT = lambda x: np.minimum(x, 1 - x)
@@ -102,11 +107,24 @@ class TestForwardMap:
 
     def test_ipp_admissibility(self):
         setup = ipp_setup()
-        from fracinv.errors import AdmissibilityError
-
         bad = np.full(setup.grid.n_nodes, 3.0)  # above clamp slack
         with pytest.raises(AdmissibilityError):
             forward_map(setup, bad, 0.5)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_ipp_non_finite_iterate(self, value):
+        # a NaN passes every bound of the clamp, so it is rejected by name
+        setup = ipp_setup()
+        bad = np.full(setup.grid.n_nodes, 0.5)
+        bad[5] = value
+        with pytest.raises(AdmissibilityError, match="not finite"):
+            forward_map(setup, bad, 0.5)
+
+    @pytest.mark.parametrize("grid", [Grid1D(16), Grid2D(4)], ids=["modal", "stepped"])
+    def test_nan_diffusion_is_a_typed_error(self, grid):
+        setup = InverseSetup("bp", grid, 0.5, 8, f=0.0, diffusion=np.nan)
+        with pytest.raises(FracinvError):
+            forward_map(setup, np.zeros(grid.n_nodes), 0.5)
 
     def test_ipp_forward_regression_snapshot(self):
         # frozen nodal values of the potential-problem forward map at the
@@ -267,10 +285,10 @@ class TestSquareEngine:
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return cholesky_banded(*args, **kwargs)
+            return dpbtrf(*args, **kwargs)
 
-        cholesky_banded = fem_mod.cholesky_banded
-        monkeypatch.setattr(fem_mod, "cholesky_banded", counting)
+        dpbtrf = fem_mod.dpbtrf
+        monkeypatch.setattr(fem_mod, "dpbtrf", counting)
         cfg = LMConfig(gamma0=1e-3, mu0=2.7e-4, rho=0.8, T_init=0.45,
                        max_iter=3, stop="max_iter")
         result = lm_reconstruct(setup, obs, cfg)
@@ -341,7 +359,7 @@ class TestJacobians:
         h = np.zeros(setup.grid.n_nodes)
         h[1:-1] = rng.standard_normal(setup.grid.n - 1)
         J = jacobian_v_matrix(setup, v, 0.5)
-        Jh = J @ setup.nodal_to_param(h)
+        Jh = J @ nodal_to_param(setup, h)
         worst = 0.0
         for eps in [1e-2, 1e-3, 1e-4]:
             fd = (forward_map(setup, v + eps * h, 0.5) - forward_map(setup, v, 0.5)) / eps
@@ -356,7 +374,7 @@ class TestJacobians:
         h = np.zeros(setup.grid.n_nodes)
         h[1:-1] = rng.standard_normal(setup.grid.n - 1)
         J = jacobian_v_matrix(setup, v, 0.5)
-        Jh = J @ setup.nodal_to_param(h)
+        Jh = J @ nodal_to_param(setup, h)
         errs = []
         eps_list = [1e-2, 1e-3, 1e-4]
         for eps in eps_list:

@@ -11,14 +11,13 @@ from fracinv.errors import (
     DomainError,
     InconsistentDataError,
     ParameterError,
-    ResolutionError,
 )
 from fracinv.grids import Grid1D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 from fracinv.spectral import build_eigendecomposition, estimate_T, lambda_to_time
 
-from oracles import fd_eigendecomposition, solve_spectral
+from oracles import ResolutionError, fd_eigendecomposition, solve_spectral
 
 Q_SIN4 = lambda x: np.sin(np.pi * x) ** 4
 
