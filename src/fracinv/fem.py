@@ -18,8 +18,8 @@ Both grids store M and A as sparse matrices, and the operator keeps their
 interior blocks M_II and A_II. The interior nodes are numbered row-major, so
 a node couples only to nodes at most one grid row away: the bandwidth kd is
 1 on the interval and n on the n x n square (the SW-NE diagonal neighbour
-sits n interior indices on). On its first factorization the operator stores
-the lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf
+sits n interior indices on). At construction the operator also stores the
+lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf
 factors c M_b + A_b in place, in O(m kd^2) for m interior nodes; each solve
 costs O(m kd). In lower storage, for kd <= 64 LAPACK's unblocked dpbtf2
 makes unit-stride rank-1 updates, which OpenBLAS runs inline (the upper
@@ -206,17 +206,19 @@ def _assemble_2d(grid: Grid2D, a, q):
 def _lower_band(K: sp.spmatrix, kd: int) -> np.ndarray:
     """Lower band of the symmetric K of bandwidth kd, lb[i - j, j] = K[i, j]
     for i >= j, in Fortran order so LAPACK factors it in place."""
-    L = sp.tril(K, format="coo")
+    K = K.tocoo()
+    lower = K.row >= K.col
     lb = np.zeros((kd + 1, K.shape[0]), order="F")
-    lb[L.row - L.col, L.col] = L.data
+    lb[(K.row - K.col)[lower], K.col[lower]] = K.data[lower]
     return lb
 
 
 class FemOperator:
     """Sparse mass M and elliptic A = S_a + M_q on all nodes, their interior
-    blocks M_II and A_II, and the banded Cholesky factor of (c M + A)_II at
-    the last scale c asked for, on either grid (module docstring).
-    Construction checks the coefficients (`_check_coefficients`)."""
+    blocks M_II and A_II with the lower bands of both, and the banded
+    Cholesky factor of (c M + A)_II at the last scale c asked for, on either
+    grid (module docstring). Construction checks the coefficients
+    (`_check_coefficients`)."""
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
@@ -228,6 +230,8 @@ class FemOperator:
             self.interior = np.where(grid.interior_mask())[0]
         self.M_II = self.M[self.interior][:, self.interior]
         self.A_II = self.A[self.interior][:, self.interior]
+        kd = 1 if isinstance(grid, Grid1D) else grid.n
+        self._bands = (_lower_band(self.M_II, kd), _lower_band(self.A_II, kd))  # (M_b, A_b)
         self._factor: tuple = (None, None)  # (c, banded factor) of the last scale
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
@@ -238,13 +242,6 @@ class FemOperator:
         """M_II v (interior-to-interior)."""
         return self.M_II @ v_int
 
-    @cached_property
-    def _bands(self) -> tuple[np.ndarray, np.ndarray]:
-        """The lower bands (M_b, A_b) of M_II and A_II, built on the first
-        factorization, so an operator that never factors holds none."""
-        kd = 1 if isinstance(self.grid, Grid1D) else self.grid.n
-        return _lower_band(self.M_II, kd), _lower_band(self.A_II, kd)
-
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
         which the solver holds. The operator keeps the last c's factor only:
@@ -254,7 +251,9 @@ class FemOperator:
         upper storage, since dpbtrs rounds differently in lower storage."""
         if self._factor[0] != float(c):
             M_b, A_b = self._bands
-            lb, info = dpbtrf(c * M_b + A_b, lower=1, overwrite_ab=1)
+            lb = c * M_b
+            lb += A_b
+            lb, info = dpbtrf(lb, lower=1, overwrite_ab=1)
             if info != 0:
                 raise NumericalError(f"banded factorization failed: dpbtrf info {info}")
             ub = np.zeros_like(lb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]

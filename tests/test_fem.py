@@ -302,19 +302,15 @@ class TestFemOperator:
                 assert band.flags.f_contiguous  # LAPACK factors c M_b + A_b in place
                 for d in range(kd + 1):
                     assert np.array_equal(band[d, :m - d], np.diag(K, -d))
+            assert np.any(o._bands[0][kd, :m - kd])  # the mass fills the outermost row
             assert o._factor[1].shape == (kd + 1, m)
 
-    def test_bands_built_once(self, op, monkeypatch):
+    def test_new_scale_builds_no_band(self, op, monkeypatch):
         calls = []
-        lower_band = fem_mod._lower_band
-        monkeypatch.setattr(fem_mod, "_lower_band",
-                            lambda K, kd: calls.append(kd) or lower_band(K, kd))
-        op.modes  # the modal engine, as on each ipp iterate, needs no band
-        assert calls == []
+        monkeypatch.setattr(fem_mod, "_lower_band", lambda K, kd: calls.append(kd))
         op.factorized(self.C)
-        assert len(calls) == 2
-        op.factorized(2.0 * self.C)  # a new scale reuses M_b and A_b
-        assert len(calls) == 2
+        op.factorized(2.0 * self.C)  # each scale reuses the held M_b and A_b
+        assert calls == []
 
     @pytest.mark.parametrize("grid", [Grid1D(8), Grid2D(4)], ids=["1d", "2d"])
     @pytest.mark.parametrize("form", ["scalar", "array", "callable"])
@@ -388,18 +384,16 @@ class TestBandFactor:
 
     def test_peak_memory_is_two_bands(self):
         # kd = 64: LAPACK factors the band in place and the factor is copied
-        # once into upper storage, so two band arrays live at the peak; the
-        # first factorization also builds the two bands the operator keeps
+        # once into upper storage, so two band arrays live at the peak
         op = FemOperator(Grid2D(64), 1.0, 0.0)
         band = 8 * (64 + 1) * op.interior.size
-        for c, kept in ((300.0, 2), (3.0, 0)):
-            tracemalloc.start()
-            try:
-                op.factorized(c)
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            assert peak <= (kept + 2.25) * band
+        tracemalloc.start()
+        try:
+            op.factorized(300.0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.25 * band
 
     def test_factor_independent_of_blas_threads(self):
         src = str(Path(fem_mod.__file__).parents[1])
