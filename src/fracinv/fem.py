@@ -14,17 +14,19 @@ reused across steps. Nonzero constant Dirichlet data is imposed by an affine
 lift. Assembly uses 3-point Gauss per element (exact for the P1 products
 with smooth coefficients), is fully vectorized, and bitwise deterministic.
 
-Both grids store M and A as sparse matrices, and the operator keeps their
+Both grids store M and A as CSR arrays, which scipy.sparse's compiled
+kernels assemble and apply without the package, and the operator keeps their
 interior blocks M_II and A_II. The interior nodes are numbered row-major, so
 a node couples only to nodes at most one grid row away: the bandwidth kd is
 1 on the interval and n on the n x n square (the SW-NE diagonal neighbour
 sits n interior indices on). At construction the operator also stores the
-lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf
-factors c M_b + A_b in place, in O(m kd^2) for m interior nodes; each solve
-costs O(m kd). In lower storage, for kd <= 64 LAPACK's unblocked dpbtf2
-makes unit-stride rank-1 updates, which OpenBLAS runs inline (the upper
-sweep's strided ones went to its thread pool), in the same order as the
-upper sweep, so both give bit-identical factors.
+lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf from
+numpy's OpenBLAS, the process's only one, factors c M_b + A_b in place, in
+O(m kd^2) for m interior nodes; each solve costs O(m kd). In lower storage,
+for kd <= 64 LAPACK's unblocked dpbtf2 makes unit-stride rank-1 updates,
+which OpenBLAS runs inline (the upper sweep's strided ones went to its
+thread pool), in the same order as the upper sweep, so both give
+bit-identical factors.
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
@@ -38,17 +40,17 @@ into u^k.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, Optional
+from pathlib import Path
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.linalg.lapack import dpbtrf, dpbtrs
-from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, ParameterError
 from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
+from .mittag_leffler import _load_core, gamma as gamma_fn
 from .problems import ProblemSpec, TimeGrid
 
 __all__ = [
@@ -65,6 +67,24 @@ __all__ = [
 _GAUSS_XI = np.array([0.5 - np.sqrt(0.15), 0.5, 0.5 + np.sqrt(0.15)])
 _GAUSS_W = np.array([5.0 / 18.0, 8.0 / 18.0, 5.0 / 18.0])
 HISTORY_BLOCK = 32  # steps per block of the L1 history; see _l1_march
+_SPARSETOOLS = _load_core("sparse", "_sparsetools")  # the kernels of scipy.sparse's CSR
+
+
+def _numpy_lapack(name: str, n_pointers: int):
+    """LAPACK's `name` in numpy's own OpenBLAS (ILP64, symbol scipy_<name>_64_)
+    by the Fortran ABI: uplo, n_pointers pointers, then uplo's hidden length.
+    scipy's _flapack would start a second OpenBLAS with its own thread pool."""
+    folder = Path(np.__file__).parents[1] / "numpy.libs"
+    for path in sorted(folder.glob("libscipy_openblas64_*.so")):
+        fn = getattr(ctypes.CDLL(str(path)), f"scipy_{name}_64_")
+        fn.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * n_pointers + [ctypes.c_size_t]
+        fn.restype = None
+        return fn
+    raise ImportError(f"numpy's OpenBLAS is not in {folder}")
+
+
+_DPBTRF = _numpy_lapack("dpbtrf", 5)  # uplo, n, kd, ab, ldab, info
+_DPBTRS = _numpy_lapack("dpbtrs", 8)  # uplo, n, kd, nrhs, ab, ldab, b, ldb, info
 
 
 @dataclass(frozen=True)
@@ -92,6 +112,52 @@ class L1Weights:
 
 # ---------------------------------------------------------------------------
 # assembly
+
+
+class _Csr(NamedTuple):
+    """A square matrix held as scipy.sparse's CSR holds it; `@` runs the
+    compiled csr_matvec(s) that CSR's `@` runs, bit for bit."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    data: np.ndarray
+
+    def rows(self) -> np.ndarray:  # the row of each stored entry
+        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
+
+    def __matmul__(self, v):
+        n = self.indptr.size - 1
+        v = np.ascontiguousarray(v, dtype=float)
+        if v.shape[:1] != (n,):
+            raise ValueError(f"dimension mismatch: {n} x {n} matrix @ shape {v.shape}")
+        out = np.zeros(v.shape)
+        if v.ndim == 1:
+            _SPARSETOOLS.csr_matvec(n, n, *self, v, out)
+        else:
+            _SPARSETOOLS.csr_matvecs(n, n, v.size // n, *self, v, out)
+        return out
+
+
+def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
+    """scipy.sparse's coo_matrix((vals, (rows, cols)), shape=(n, n)).tocsr(),
+    by the kernels it runs: int32 indices sorted in each row, then an entry's
+    contributions summed in that order."""
+    rows, cols = rows.astype(np.int32), cols.astype(np.int32)
+    indptr, indices, data = np.empty(n + 1, np.int32), np.empty_like(cols), np.empty_like(vals)
+    _SPARSETOOLS.coo_tocsr(n, n, vals.size, rows, cols, vals, indptr, indices, data)
+    if not _SPARSETOOLS.csr_has_sorted_indices(n, indptr, indices):
+        _SPARSETOOLS.csr_sort_indices(n, indptr, indices, data)
+    _SPARSETOOLS.csr_sum_duplicates(n, n, indptr, indices, data)
+    return _Csr(indptr, indices[:indptr[-1]], data[:indptr[-1]])
+
+
+def _interior_block(K: _Csr, interior: np.ndarray) -> _Csr:
+    """K[interior][:, interior], interior sorted: K's entries there, renumbered."""
+    new = np.full(K.indptr.size - 1, -1)
+    new[interior] = np.arange(interior.size)
+    rows, cols = new[K.rows()], new[K.indices]
+    keep = (rows >= 0) & (cols >= 0)
+    return _csr(rows[keep], cols[keep], K.data[keep], interior.size)
 
 
 def _coeff_at(vals_or_callable, pts_1d: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -138,8 +204,10 @@ def _assemble_1d(grid: Grid1D, a, q):
     off_m = np.full(nn - 1, h / 6.0)
     diag_m[:-1] += h / 3.0
     diag_m[1:] += h / 3.0
-    M = sp.diags([off_m, diag_m, off_m], [-1, 0, 1], format="csr")
-    A = sp.diags([off_a, diag_a, off_a], [-1, 0, 1], format="csr")
+    i = np.arange(nn)
+    rows, cols = np.r_[i[1:], i, i[:-1]], np.r_[i[:-1], i, i[1:]]  # sub-, main, super-diagonal
+    M = _csr(rows, cols, np.r_[off_m, diag_m, off_m], nn)
+    A = _csr(rows, cols, np.r_[off_a, diag_a, off_a], nn)
     return M, A
 
 
@@ -182,9 +250,8 @@ def _assemble_2d(grid: Grid2D, a, q):
     # local P1 values at the three edge midpoints (edge k joins vertices k, k+1)
     lam_mid = np.array([[0.5, 0.5, 0.0], [0.0, 0.5, 0.5], [0.5, 0.0, 0.5]])  # (mid, vtx)
 
-    ntri = tris.shape[0]
-    rows = np.repeat(tris, 3, axis=1).reshape(ntri, 3, 3)
-    cols = np.tile(tris[:, None, :], (1, 3, 1))
+    rows = np.repeat(tris, 3, axis=1).ravel()  # of entry (t, i, j) of the local matrices
+    cols = np.tile(tris, (1, 3)).ravel()
 
     dots = np.einsum("tid,tjd->tij", grads, grads)
     s_loc = (a_bar * area)[:, None, None] * dots
@@ -193,46 +260,44 @@ def _assemble_2d(grid: Grid2D, a, q):
         "t m, m i, m j -> t i j", q_m * (area / 3.0)[:, None], lam_mid, lam_mid
     )
 
-    nn = grid.n_nodes
-    A = sp.coo_matrix(
-        ((s_loc + q_loc).ravel(), (rows.ravel(), cols.ravel())), shape=(nn, nn)
-    ).tocsr()
-    M = sp.coo_matrix(
-        (m_loc.ravel(), (rows.ravel(), cols.ravel())), shape=(nn, nn)
-    ).tocsr()
+    A = _csr(rows, cols, (s_loc + q_loc).ravel(), grid.n_nodes)
+    M = _csr(rows, cols, m_loc.ravel(), grid.n_nodes)
     return M, A
 
 
-def _lower_band(K: sp.spmatrix, kd: int) -> np.ndarray:
+def _lower_band(K: _Csr, kd: int) -> np.ndarray:
     """Lower band of the symmetric K of bandwidth kd, lb[i - j, j] = K[i, j]
     for i >= j, in Fortran order so LAPACK factors it in place."""
-    K = K.tocoo()
-    lower = K.row >= K.col
-    lb = np.zeros((kd + 1, K.shape[0]), order="F")
-    lb[(K.row - K.col)[lower], K.col[lower]] = K.data[lower]
+    rows = K.rows()
+    lower = rows >= K.indices
+    lb = np.zeros((kd + 1, K.indptr.size - 1), order="F")
+    lb[(rows - K.indices)[lower], K.indices[lower]] = K.data[lower]
     return lb
 
 
 class FemOperator:
-    """Sparse mass M and elliptic A = S_a + M_q on all nodes, their interior
-    blocks M_II and A_II with the lower bands of both, and the banded
-    Cholesky factor of (c M + A)_II at the last scale c asked for, on either
-    grid (module docstring). Construction checks the coefficients
+    """Mass M and elliptic A = S_a + M_q on all nodes in CSR form, their
+    interior blocks M_II and A_II with the lower bands of both, and the
+    banded Cholesky factor of (c M + A)_II at the last scale c asked for, on
+    either grid (module docstring). Construction checks the coefficients
     (`_check_coefficients`)."""
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
+        # a nodal array at its nodes too, so the rule reads them on both grids
+        nodal = (np.asarray([] if callable(c) else c, float) for c in (diffusion, potential))
+        _check_coefficients(*nodal)
         if isinstance(grid, Grid1D):
             self.M, self.A = _assemble_1d(grid, diffusion, potential)
             self.interior = np.arange(1, grid.n)
         else:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior = np.where(grid.interior_mask())[0]
-        self.M_II = self.M[self.interior][:, self.interior]
-        self.A_II = self.A[self.interior][:, self.interior]
+        self.M_II = _interior_block(self.M, self.interior)
+        self.A_II = _interior_block(self.A, self.interior)
         kd = 1 if isinstance(grid, Grid1D) else grid.n
         self._bands = (_lower_band(self.M_II, kd), _lower_band(self.A_II, kd))  # (M_b, A_b)
-        self._factor: tuple = (None, None)  # (c, banded factor) of the last scale
+        self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
     def mass_apply(self, v: np.ndarray) -> np.ndarray:
@@ -251,21 +316,29 @@ class FemOperator:
         upper storage, since dpbtrs rounds differently in lower storage."""
         if self._factor[0] != float(c):
             M_b, A_b = self._bands
-            lb = c * M_b
+            lb = c * M_b  # Fortran order, as M_b
             lb += A_b
-            lb, info = dpbtrf(lb, lower=1, overwrite_ab=1)
-            if info != 0:
-                raise NumericalError(f"banded factorization failed: dpbtrf info {info}")
+            ldab, m = lb.shape
+            ints = (ctypes.c_int64 * 5)(m, ldab - 1, ldab, 0, 1)  # n, kd, ldab, info, nrhs
+            p = ctypes.addressof(ints)
+            _DPBTRF(b"L", p, p + 8, lb.ctypes.data, p + 16, p + 24, 1)
+            if ints[3] != 0:
+                raise NumericalError(f"banded factorization failed: dpbtrf info {ints[3]}")
             ub = np.zeros_like(lb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]
             for d, row in enumerate(lb):
                 ub[-1 - d, d:] = row[:row.size - d]
-            self._factor = (float(c), ub)
-        cb = self._factor[1]
+            self._factor = (float(c), ub, ints)
+        _, cb, ints = self._factor
+        p, ab = ctypes.addressof(ints), cb.ctypes.data
 
         def solve(rhs):
-            x, info = dpbtrs(cb, rhs)
-            if info != 0:
-                raise NumericalError(f"banded solve failed: dpbtrs info {info}")
+            x = np.array(rhs, dtype=float, order="F")  # overwritten by the solution
+            if x.shape[:1] != cb.shape[1:]:  # the closure holds cb, into which ab points
+                raise ValueError(f"right-hand side of shape {x.shape} for {cb.shape[1]} unknowns")
+            ints[4] = x.size // cb.shape[1]
+            _DPBTRS(b"U", p, p + 8, p + 32, ab, p + 16, x.ctypes.data, p, p + 24, 1)
+            if ints[3] != 0:
+                raise NumericalError(f"banded solve failed: dpbtrs info {ints[3]}")
             return x
 
         return solve
@@ -277,11 +350,9 @@ class FemOperator:
         A Cholesky reduction: M_II = L L^T, L^-1 A_II L^-T = W diag(lam) W^T,
         V = L^-T W. Dense, O(m^3) time and O(m^2) memory, once per operator.
         """
-        # numpy's LAPACK, not scipy's: the numpy and scipy wheels each bundle
-        # their own OpenBLAS, and after a scipy LAPACK call scipy's idle BLAS
-        # threads keep spinning and slow the GEMMs of the L1 march that follow
-        L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II.toarray()))
-        lam, W = np.linalg.eigh(L_inv @ self.A_II.toarray() @ L_inv.T)
+        eye = np.eye(self.interior.size)  # K @ eye is K dense, bit for bit
+        L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II @ eye))
+        lam, W = np.linalg.eigh(L_inv @ (self.A_II @ eye) @ L_inv.T)
         return lam, L_inv.T @ W
 
     def responses(self, alpha: float, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:

@@ -46,6 +46,7 @@ from functools import cached_property
 from typing import Optional
 
 import numpy as np
+from numpy.random import PCG64, Generator  # loaded at import, not in the first cell
 
 from .errors import AdmissibilityError, NumericalError, ParameterError
 from .fem import FemOperator, l1_evolve, mass_norm, modal_data, solve_fem
@@ -132,7 +133,7 @@ def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) 
     if epsilon == 0.0:
         return Observation(g_delta=g.copy(), epsilon=0.0, seed=seed,
                            noise_level=0.0, t_true=t_true)
-    xi = np.random.Generator(np.random.PCG64(seed)).standard_normal(g.shape)
+    xi = Generator(PCG64(seed)).standard_normal(g.shape)
     return Observation(
         g_delta=g + epsilon * scale * xi,
         epsilon=epsilon,
@@ -203,7 +204,7 @@ class InverseSetup:
         if self.basis is not None:
             P = self.basis @ self.fixed_operator.mass_apply(self.basis.T)
         else:
-            P = self.fixed_operator.M_II.toarray()
+            P = self.fixed_operator.mass_apply_interior(np.eye(self.fixed_operator.interior.size))
         P.setflags(write=False)  # built once, shared by every LM step
         return P
 

@@ -43,7 +43,6 @@ from pathlib import Path
 
 import numpy as np
 import scipy
-from scipy.special import gammaln, gammasgn, rgamma
 
 from .errors import DomainError, ParameterError
 
@@ -52,6 +51,26 @@ __all__ = [
     "ml_eval",
     "ml_neg",
 ]
+
+
+def _load_core(subpackage: str, name: str):
+    """A compiled scipy module, loaded from its file under its full name, which
+    CPython registers: importing scipy.integrate, .special or .sparse would
+    also import scipy._lib._array_api and numpy.testing, 0.15-0.25 s a cold
+    start. A later import of the package, or an earlier one, shares the module."""
+    folder = Path(scipy.__file__).parent / subpackage
+    for path in (folder / f"{name}{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES):
+        if path.exists():
+            spec = importlib.util.spec_from_file_location(f"scipy.{subpackage}.{name}", path)
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            return module
+    raise ImportError(f"scipy's compiled {name} is not in {folder}")
+
+
+_QUADPACK = _load_core("integrate", "_quadpack")  # the core of scipy.integrate.quad
+_UFUNCS = _load_core("special", "_special_ufuncs")  # scipy.special exports these ufuncs
+gamma, gammaln, gammasgn, rgamma = _UFUNCS.gamma, _UFUNCS.gammaln, _UFUNCS.gammasgn, _UFUNCS.rgamma
 
 # Largest positive argument served by the series-only region.
 POSITIVE_Z_MAX = 1.0
@@ -276,22 +295,6 @@ def _sinpi(y: float) -> float:
     """sin(pi*y) with exact zeros at integer y (plain sin(pi*y) rounds)."""
     m = round(y)
     return (-1.0) ** (m % 2) * math.sin(math.pi * (y - m))
-
-
-def _load_quadpack():
-    """scipy.integrate.quad's compiled QUADPACK core, loaded from its file: the
-    package import pulls in scipy.optimize, ~0.3 s and ~18 MB a cold start."""
-    folder = Path(scipy.__file__).parent / "integrate"
-    for path in (folder / f"_quadpack{suffix}" for suffix in importlib.machinery.EXTENSION_SUFFIXES):
-        if path.exists():
-            spec = importlib.util.spec_from_file_location("scipy.integrate._quadpack", path)
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            return module
-    raise ImportError(f"QUADPACK's compiled core is not in {folder}")
-
-
-_QUADPACK = _load_quadpack()
 
 
 def _integral_scalar(alpha: float, beta: float, x: float) -> float:

@@ -14,11 +14,10 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .errors import DegenerateReferenceError, InconsistentDataError, ParameterError
 from .grids import Grid1D
-from .mittag_leffler import ml_neg
+from .mittag_leffler import gamma as gamma_fn, ml_neg
 
 __all__ = [
     "build_eigendecomposition",

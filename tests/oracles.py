@@ -31,6 +31,7 @@ from typing import Optional
 
 import mpmath as mp
 import numpy as np
+import scipy.sparse as sp
 from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
@@ -273,8 +274,15 @@ def upper_band_factor(op, c: float) -> np.ndarray:
     """The upper band Cholesky factor of (c M + A)_II that `fem.FemOperator`
     factored before it moved to lower storage: `cholesky_banded` on the upper
     band, which LAPACK's dpbtrs reads as it is."""
-    K = (c * op.M + op.A)[op.interior][:, op.interior]
+    K = (c * scipy_csr(op.M) + scipy_csr(op.A))[op.interior][:, op.interior]
     return cholesky_banded(upper_band(K))
+
+
+def scipy_csr(K) -> sp.csr_matrix:
+    """scipy.sparse's CSR matrix on the arrays of one of `FemOperator`'s
+    square CSR matrices."""
+    n = K.indptr.size - 1
+    return sp.csr_matrix((K.data, K.indices, K.indptr), shape=(n, n))
 
 
 def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:

@@ -1,3 +1,4 @@
+import ctypes
 import os
 import subprocess
 import sys
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 import scipy.linalg
+import scipy.sparse as sp
 from scipy.special import gamma
 
 import fracinv.fem as fem_mod
@@ -33,6 +35,7 @@ from oracles import (
     fem_trajectory,
     l1_evolve_stepwise,
     l1_responses_stepwise,
+    scipy_csr,
     solve_spectral,
     upper_band_factor,
 )
@@ -249,7 +252,8 @@ class TestFemOperator:
 
     def _dense(self, op):
         I = op.interior
-        return (self.C * op.M + op.A).toarray()[np.ix_(I, I)], op.M.toarray()[np.ix_(I, I)]
+        M, A = scipy_csr(op.M), scipy_csr(op.A)
+        return (self.C * M + A).toarray()[np.ix_(I, I)], M.toarray()[np.ix_(I, I)]
 
     def test_factorized_matches_dense_solve(self, op):
         K, _ = self._dense(op)
@@ -259,15 +263,22 @@ class TestFemOperator:
             ref = np.linalg.solve(K, rhs)
             assert np.max(np.abs(solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    @staticmethod
+    def _reports(info_at: int, info: int):
+        """A LAPACK routine that only writes info into its info argument."""
+        def routine(*args):
+            ctypes.c_int64.from_address(args[info_at]).value = info
+        return routine
+
     def test_failed_factor_raises(self, op, monkeypatch):
         # dpbtrf reports a matrix that is not positive definite through info
-        monkeypatch.setattr(fem_mod, "dpbtrf", lambda ab, **kw: (ab, 3))
+        monkeypatch.setattr(fem_mod, "_DPBTRF", self._reports(5, 3))
         with pytest.raises(NumericalError, match="dpbtrf info 3"):
             op.factorized(self.C)
 
     def test_failed_solve_raises(self, op, monkeypatch):
         # dpbtrs reports a bad argument through info, not by raising
-        monkeypatch.setattr(fem_mod, "dpbtrs", lambda cb, rhs: (rhs, -2))
+        monkeypatch.setattr(fem_mod, "_DPBTRS", self._reports(8, -2))
         with pytest.raises(NumericalError, match="dpbtrs"):
             op.factorized(self.C)(np.ones(op.interior.size))
 
@@ -276,14 +287,14 @@ class TestFemOperator:
         v = np.random.default_rng(1).standard_normal((M_II.shape[0], 3))
         ref = M_II @ v
         assert np.max(np.abs(op.mass_apply_interior(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
-        assert np.array_equal(op.M_II.toarray(), M_II)
+        assert np.array_equal(scipy_csr(op.M_II).toarray(), M_II)
 
     @pytest.mark.parametrize("n", [48, 128])
     def test_modes_are_the_pencil_eigenpairs(self, n):
         op = FemOperator(Grid1D(n), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
                          lambda x: 2.0 + np.cos(3 * x))
         I = op.interior
-        A_II, M_II = op.A.toarray()[np.ix_(I, I)], op.M_II.toarray()
+        A_II, M_II = scipy_csr(op.A).toarray()[np.ix_(I, I)], scipy_csr(op.M_II).toarray()
         lam, V = op.modes
         assert np.max(np.abs(V.T @ M_II @ V - np.eye(I.size))) <= 1e-13
         assert np.max(np.abs(A_II @ V - (M_II @ V) * lam)) <= 1e-12 * np.max(lam)
@@ -297,7 +308,8 @@ class TestFemOperator:
         for o in ops:
             kd, m = (o.grid.n if isinstance(o.grid, Grid2D) else 1), o.interior.size
             o.factorized(self.C)
-            for band, K in zip(o._bands, (o.M_II.toarray(), o.A_II.toarray())):
+            dense = (scipy_csr(o.M_II).toarray(), scipy_csr(o.A_II).toarray())
+            for band, K in zip(o._bands, dense):
                 assert band.shape == (kd + 1, m)
                 assert band.flags.f_contiguous  # LAPACK factors c M_b + A_b in place
                 for d in range(kd + 1):
@@ -321,14 +333,22 @@ class TestFemOperator:
         if form == "scalar":
             value = bad
         elif form == "array":
-            # one interior node; the rule reads the quadrature points, where
-            # on the square q is the mean of an edge's end values
-            value = np.full(grid.n_nodes, 1.0 if which == "diffusion" else 0.0)
+            # one interior node; the rule reads a nodal array at its nodes
+            value = np.ones(grid.n_nodes)
             value[grid.n_nodes // 2] = bad
         else:
             value = lambda *pts: np.full(pts[0].shape, bad)
         with pytest.raises(ParameterError, match=which):
             FemOperator(grid, **{which: value})
+
+    @pytest.mark.parametrize("grid", [Grid1D(8), Grid2D(4)], ids=["1d", "2d"])
+    def test_nodal_array_checked_at_its_nodes(self, grid):
+        # -1 at one node between nodes of 10: every Gauss point of the
+        # interval and every edge midpoint of the square reads q > 0
+        q = np.full(grid.n_nodes, 10.0)
+        q[grid.n_nodes // 2] = -1.0
+        with pytest.raises(ParameterError, match="potential"):
+            FemOperator(grid, potential=q)
 
 
 _FACTOR_DIGESTS = """
@@ -406,6 +426,61 @@ class TestBandFactor:
             assert proc.returncode == 0, proc.stderr
             digests.append(proc.stdout.split())
         assert len(digests[0]) == 2 and digests[0] == digests[1]
+
+
+class TestScipyKernels:
+    """`FemOperator`'s CSR arrays and banded LAPACK calls, which run scipy's
+    compiled kernels and numpy's OpenBLAS without scipy's packages, against
+    scipy.sparse and scipy.linalg.lapack, bit for bit."""
+
+    @pytest.mark.parametrize("n", [16, 32, 64])
+    def test_csr_is_scipys(self, n, monkeypatch):
+        # 5.1ii's variable diffusion, so element contributions of different
+        # sizes are summed into each entry
+        built, csr = [], fem_mod._csr
+
+        def recording(*args):
+            built.append((args, csr(*args)))
+            return built[-1][1]
+
+        monkeypatch.setattr(fem_mod, "_csr", recording)
+        op = FemOperator(Grid2D(n), get_case("5.1ii").diffusion, 0.0)
+        assert len(built) == 4  # A, M, then their interior blocks
+        for (rows, cols, vals, size), ours in built[:2]:
+            ref = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
+            for got, want in zip(ours, (ref.indptr, ref.indices, ref.data)):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+        I = op.interior
+        for K, K_II in ((op.M, op.M_II), (op.A, op.A_II)):
+            ref = scipy_csr(K)[I][:, I]
+            for got, want in zip(K_II, (ref.indptr, ref.indices, ref.data)):
+                assert np.array_equal(got, want)
+
+    @pytest.mark.parametrize("grid", [Grid1D(128), Grid2D(32)], ids=["1d", "2d"])
+    def test_products_are_csr_matmul(self, grid):
+        op = FemOperator(grid, 1.0, 1.0)
+        rng = np.random.default_rng(grid.n)
+        for K in (op.M, op.A, op.M_II, op.A_II):
+            size = K.indptr.size - 1
+            for v in (rng.standard_normal(size), rng.standard_normal((size, 36)),
+                      rng.standard_normal((36, size)).T):
+                assert np.array_equal(K @ v, scipy_csr(K) @ v)
+        with pytest.raises(ValueError, match="dimension mismatch"):
+            op.M @ np.ones(3)
+
+    @pytest.mark.parametrize("grid", [Grid1D(128), Grid1D(2048), Grid2D(32), Grid2D(64)],
+                             ids=["1d-128", "1d-2048", "2d-32", "2d-64"])
+    def test_band_lapack_is_scipys(self, grid):
+        op = FemOperator(grid, 1.0, 0.0)
+        (kd1, m), rng = op._bands[0].shape, np.random.default_rng(grid.n)
+        for c in (3.0, 300.0):
+            solve = op.factorized(c)
+            lb, info = scipy.linalg.lapack.dpbtrf(c * op._bands[0] + op._bands[1], lower=1)
+            assert info == 0
+            for d in range(kd1):  # the held factor is L^T in upper storage
+                assert np.array_equal(op._factor[1][kd1 - 1 - d, d:], lb[d, :m - d])
+            for rhs in (rng.standard_normal(m), rng.standard_normal((m, 36))):
+                assert np.array_equal(solve(rhs), scipy.linalg.lapack.dpbtrs(op._factor[1], rhs)[0])
 
 
 class TestBlockedHistory:

@@ -188,15 +188,48 @@ def test_gap_fallback_on_quadrature_error(monkeypatch):
     assert got[0] == pytest.approx(mp_series(0.75, 1.0, -5.9), rel=1e-13)
 
 
-def test_no_quadpack_package_on_import_path():
-    code = ("import sys, fracinv\n"
-            "from fracinv import cli\n"
-            "fracinv.ml_neg(0.75, 1.0, [5.3, 5.9])\n"
-            "cli.main(['ml-eval', '0.5', '1', '-5'])\n"
-            "print([m for m in ('scipy.integrate', 'scipy.optimize') if m in sys.modules])\n")
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+_IMPORT_CHECK = """
+import sys
+import fracinv
+print('numpy.random' in sys.modules)
+from fracinv import cli
+from fracinv.fem import solve_fem
+from fracinv.grids import Grid1D, Grid2D
+from fracinv.problems import ProblemSpec, TimeGrid
+solve_fem(ProblemSpec(0.5, 0.5, u0=lambda x: x * (1 - x), f=1.0, potential=1.0),
+          Grid1D(16), TimeGrid(8, 0.5))
+solve_fem(ProblemSpec(0.5, 0.5, u0=lambda x, y: x * y, f=1.0, domain="unit_square"),
+          Grid2D(8), TimeGrid(8, 0.5))
+fracinv.ml_neg(0.75, 1.0, [5.3, 5.9])
+fracinv.add_noise([1.0, 2.0], 0.1, seed=1)
+cli.main(['ml-eval', '0.5', '1', '-5'])
+print([m for m in ('scipy.sparse', 'scipy.linalg', 'scipy.special', 'scipy.integrate',
+                   'scipy.optimize', 'scipy._lib._array_api') if m in sys.modules])
+with open('/proc/self/maps') as maps:
+    print(len({line.split()[-1] for line in maps if 'openblas' in line.lower()}))
+import scipy.special
+print(all(getattr(fracinv.mittag_leffler, f) is getattr(scipy.special, f)
+          for f in ('gamma', 'gammaln', 'gammasgn', 'rgamma')))
+"""
+
+
+def test_import_loads_numpy_and_three_scipy_cores():
+    # a cold start imports numpy and scipy's compiled QUADPACK, special-function
+    # and sparse cores, none of scipy's subpackages, and one OpenBLAS: numpy's,
+    # whose LAPACK the banded solves call; add_noise's numpy.random comes at
+    # import. scipy.special, imported afterwards, exports the loaded ufuncs
+    proc = subprocess.run([sys.executable, "-c", _IMPORT_CHECK], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == ["0.110704637733069", "[]"]
+    assert proc.stdout.split() == ["True", "0.110704637733069", "[]", "1", "True"]
+
+
+@pytest.mark.parametrize("name", ["gamma", "gammaln", "gammasgn", "rgamma"])
+def test_gamma_ufuncs_are_scipy_specials(name):
+    # the test modules import scipy.special before fracinv; the subprocess
+    # test above imports it after
+    import scipy.special
+
+    assert getattr(ml_mod, name) is getattr(scipy.special, name)
 
 
 def test_complete_monotonicity_consequences():
