@@ -44,7 +44,7 @@ import ctypes
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -70,21 +70,19 @@ HISTORY_BLOCK = 32  # steps per block of the L1 history; see _l1_march
 _SPARSETOOLS = _load_core("sparse", "_sparsetools")  # the kernels of scipy.sparse's CSR
 
 
-def _numpy_lapack(name: str, n_pointers: int):
-    """LAPACK's `name` in numpy's own OpenBLAS (ILP64, symbol scipy_<name>_64_)
-    by the Fortran ABI: uplo, n_pointers pointers, then uplo's hidden length.
-    scipy's _flapack would start a second OpenBLAS with its own thread pool."""
+def _numpy_openblas() -> ctypes.CDLL:
+    """numpy's own OpenBLAS, as numpy's Linux wheels bundle it (ILP64, symbols
+    scipy_<name>_64_): scipy's _flapack would start a second thread pool."""
     folder = Path(np.__file__).parents[1] / "numpy.libs"
     for path in sorted(folder.glob("libscipy_openblas64_*.so")):
-        fn = getattr(ctypes.CDLL(str(path)), f"scipy_{name}_64_")
-        fn.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * n_pointers + [ctypes.c_size_t]
-        fn.restype = None
-        return fn
-    raise ImportError(f"numpy's OpenBLAS is not in {folder}")
+        return ctypes.CDLL(str(path))
+    raise ImportError(f"numpy's bundled OpenBLAS is not in {folder} (see README, private names)")
 
 
-_DPBTRF = _numpy_lapack("dpbtrf", 5)  # uplo, n, kd, ab, ldab, info
-_DPBTRS = _numpy_lapack("dpbtrs", 8)  # uplo, n, kd, nrhs, ab, ldab, b, ldb, info
+_OPENBLAS = _numpy_openblas()
+_DPBTRF, _DPBTRS = _OPENBLAS.scipy_dpbtrf_64_, _OPENBLAS.scipy_dpbtrs_64_
+for _fn, _n in ((_DPBTRF, 5), (_DPBTRS, 8)):  # by the Fortran ABI: uplo, _n pointers, len(uplo)
+    _fn.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * _n + [ctypes.c_size_t]
 
 
 @dataclass(frozen=True)
@@ -114,27 +112,25 @@ class L1Weights:
 # assembly
 
 
-class _Csr(NamedTuple):
-    """A square matrix held as scipy.sparse's CSR holds it; `@` runs the
-    compiled csr_matvec(s) that CSR's `@` runs, bit for bit."""
+@dataclass(frozen=True, eq=False)
+class _Csr:
+    """A square matrix held as scipy.sparse's CSR holds it. `@`, its only
+    operator, runs the compiled csr_matvec(s) that CSR's `@` runs."""
 
     indptr: np.ndarray
     indices: np.ndarray
     data: np.ndarray
-
-    def rows(self) -> np.ndarray:  # the row of each stored entry
-        return np.repeat(np.arange(self.indptr.size - 1), np.diff(self.indptr))
 
     def __matmul__(self, v):
         n = self.indptr.size - 1
         v = np.ascontiguousarray(v, dtype=float)
         if v.shape[:1] != (n,):
             raise ValueError(f"dimension mismatch: {n} x {n} matrix @ shape {v.shape}")
-        out = np.zeros(v.shape)
+        out, csr = np.zeros(v.shape), (self.indptr, self.indices, self.data)
         if v.ndim == 1:
-            _SPARSETOOLS.csr_matvec(n, n, *self, v, out)
+            _SPARSETOOLS.csr_matvec(n, n, *csr, v, out)
         else:
-            _SPARSETOOLS.csr_matvecs(n, n, v.size // n, *self, v, out)
+            _SPARSETOOLS.csr_matvecs(n, n, v.size // n, *csr, v, out)
         return out
 
 
@@ -151,13 +147,18 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
     return _Csr(indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 
-def _interior_block(K: _Csr, interior: np.ndarray) -> _Csr:
-    """K[interior][:, interior], interior sorted: K's entries there, renumbered."""
+def _interior_block(K: _Csr, interior: np.ndarray, kd: int) -> tuple[_Csr, np.ndarray]:
+    """K_II = K[interior][:, interior] for sorted interior, and its lower band lb[i - j, j]
+    = K_II[i, j], i >= j, of bandwidth kd, in Fortran order so LAPACK factors it in place."""
     new = np.full(K.indptr.size - 1, -1)
     new[interior] = np.arange(interior.size)
-    rows, cols = new[K.rows()], new[K.indices]
+    rows, cols = np.repeat(new, np.diff(K.indptr)), new[K.indices]
     keep = (rows >= 0) & (cols >= 0)
-    return _csr(rows[keep], cols[keep], K.data[keep], interior.size)
+    rows, cols, vals = rows[keep], cols[keep], K.data[keep]
+    lower = rows >= cols
+    lb = np.zeros((kd + 1, interior.size), order="F")
+    lb[(rows - cols)[lower], cols[lower]] = vals[lower]
+    return _csr(rows, cols, vals, interior.size), lb
 
 
 def _coeff_at(vals_or_callable, pts_1d: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -188,27 +189,14 @@ def _assemble_1d(grid: Grid1D, a, q):
     _check_coefficients(a_g, q_g)
 
     a_bar = a_g @ _GAUSS_W
-    s_off = -a_bar / h
-    # weighted mass with q: exact 3-pt Gauss per element
+    # element e's local [[k00, k01], [k01, k11]] on nodes e, e + 1; q's mass by 3-pt Gauss
     m00 = h * (q_g * (1.0 - _GAUSS_XI) ** 2) @ _GAUSS_W
     m01 = h * (q_g * _GAUSS_XI * (1.0 - _GAUSS_XI)) @ _GAUSS_W
     m11 = h * (q_g * _GAUSS_XI**2) @ _GAUSS_W
-
-    nn = grid.n_nodes
-    diag_a = np.zeros(nn)
-    diag_a[:-1] += a_bar / h + m00
-    diag_a[1:] += a_bar / h + m11
-    off_a = s_off + m01
-
-    diag_m = np.zeros(nn)
-    off_m = np.full(nn - 1, h / 6.0)
-    diag_m[:-1] += h / 3.0
-    diag_m[1:] += h / 3.0
-    i = np.arange(nn)
-    rows, cols = np.r_[i[1:], i, i[:-1]], np.r_[i[:-1], i, i[1:]]  # sub-, main, super-diagonal
-    M = _csr(rows, cols, np.r_[off_m, diag_m, off_m], nn)
-    A = _csr(rows, cols, np.r_[off_a, diag_a, off_a], nn)
-    return M, A
+    k_a = np.column_stack([a_bar / h + m00, -a_bar / h + m01, -a_bar / h + m01, a_bar / h + m11])
+    rows, cols = ((np.arange(n)[:, None] + d).ravel() for d in ([0, 0, 1, 1], [0, 1, 0, 1]))
+    return (_csr(rows, cols, np.tile([h / 3.0, h / 6.0, h / 6.0, h / 3.0], n), grid.n_nodes),
+            _csr(rows, cols, k_a.ravel(), grid.n_nodes))  # M, A
 
 
 def _assemble_2d(grid: Grid2D, a, q):
@@ -265,16 +253,6 @@ def _assemble_2d(grid: Grid2D, a, q):
     return M, A
 
 
-def _lower_band(K: _Csr, kd: int) -> np.ndarray:
-    """Lower band of the symmetric K of bandwidth kd, lb[i - j, j] = K[i, j]
-    for i >= j, in Fortran order so LAPACK factors it in place."""
-    rows = K.rows()
-    lower = rows >= K.indices
-    lb = np.zeros((kd + 1, K.indptr.size - 1), order="F")
-    lb[(rows - K.indices)[lower], K.indices[lower]] = K.data[lower]
-    return lb
-
-
 class FemOperator:
     """Mass M and elliptic A = S_a + M_q on all nodes in CSR form, their
     interior blocks M_II and A_II with the lower bands of both, and the
@@ -293,10 +271,9 @@ class FemOperator:
         else:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior = np.where(grid.interior_mask())[0]
-        self.M_II = _interior_block(self.M, self.interior)
-        self.A_II = _interior_block(self.A, self.interior)
         kd = 1 if isinstance(grid, Grid1D) else grid.n
-        self._bands = (_lower_band(self.M_II, kd), _lower_band(self.A_II, kd))  # (M_b, A_b)
+        blocks = (_interior_block(K, self.interior, kd) for K in (self.M, self.A))
+        (self.M_II, self.A_II), self._bands = zip(*blocks)  # _bands: (M_b, A_b)
         self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
@@ -318,9 +295,8 @@ class FemOperator:
             M_b, A_b = self._bands
             lb = c * M_b  # Fortran order, as M_b
             lb += A_b
-            ldab, m = lb.shape
-            ints = (ctypes.c_int64 * 5)(m, ldab - 1, ldab, 0, 1)  # n, kd, ldab, info, nrhs
-            p = ctypes.addressof(ints)
+            ints = (ctypes.c_int64 * 5)(lb.shape[1], lb.shape[0] - 1, lb.shape[0], 0, 1)
+            p = ctypes.addressof(ints)  # at p, p + 8, ..: n, kd, ldab, info, nrhs
             _DPBTRF(b"L", p, p + 8, lb.ctypes.data, p + 16, p + 24, 1)
             if ints[3] != 0:
                 raise NumericalError(f"banded factorization failed: dpbtrf info {ints[3]}")

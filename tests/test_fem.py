@@ -319,7 +319,7 @@ class TestFemOperator:
 
     def test_new_scale_builds_no_band(self, op, monkeypatch):
         calls = []
-        monkeypatch.setattr(fem_mod, "_lower_band", lambda K, kd: calls.append(kd))
+        monkeypatch.setattr(fem_mod, "_interior_block", lambda K, I, kd: calls.append(kd))
         op.factorized(self.C)
         op.factorized(2.0 * self.C)  # each scale reuses the held M_b and A_b
         assert calls == []
@@ -448,12 +448,14 @@ class TestScipyKernels:
         assert len(built) == 4  # A, M, then their interior blocks
         for (rows, cols, vals, size), ours in built[:2]:
             ref = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
-            for got, want in zip(ours, (ref.indptr, ref.indices, ref.data)):
+            for got, want in zip((ours.indptr, ours.indices, ours.data),
+                                 (ref.indptr, ref.indices, ref.data)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         I = op.interior
         for K, K_II in ((op.M, op.M_II), (op.A, op.A_II)):
             ref = scipy_csr(K)[I][:, I]
-            for got, want in zip(K_II, (ref.indptr, ref.indices, ref.data)):
+            for got, want in zip((K_II.indptr, K_II.indices, K_II.data),
+                                 (ref.indptr, ref.indices, ref.data)):
                 assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("grid", [Grid1D(128), Grid2D(32)], ids=["1d", "2d"])
@@ -467,6 +469,11 @@ class TestScipyKernels:
                 assert np.array_equal(K @ v, scipy_csr(K) @ v)
         with pytest.raises(ValueError, match="dimension mismatch"):
             op.M @ np.ones(3)
+        # `@` is the only operator: the sums and scalings of a sparse matrix fail at once
+        for expr in (lambda: op.M + op.A, lambda: 2.0 * op.M, lambda: op.M * 2.0,
+                     lambda: np.float64(2.0) * op.M, lambda: op.M - op.A):
+            with pytest.raises(TypeError):
+                expr()
 
     @pytest.mark.parametrize("grid", [Grid1D(128), Grid1D(2048), Grid2D(32), Grid2D(64)],
                              ids=["1d-128", "1d-2048", "2d-32", "2d-64"])
