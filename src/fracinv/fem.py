@@ -33,9 +33,10 @@ The same scheme also runs mode by mode: in the eigenbasis of the pencil
 the inversion's u(T) and v-Jacobian share one such march per (alpha, N, T)
 (`FemOperator.responses`); the time stepper (`l1_evolve`, and `solve_fem` to
 u(T) alone) serves the square, data synthesis and the tests' oracles. Both
-engines run on one march (`_l1_march`), which sums the history in blocks of
-steps by GEMMs; they differ only in the step that turns a history combination
-into u^k.
+engines run on one march (`_l1_march`), which gathers its weights once and
+sums the history in blocks of steps by GEMMs; they differ only in the step
+that writes u^k into the history. A process builds one operator per grid and
+diffusion (`_fixed_operator`) and one L^-1 of M_II = L L^T per grid.
 """
 
 from __future__ import annotations
@@ -327,7 +328,7 @@ class FemOperator:
         V = L^-T W. Dense, O(m^3) time and O(m^2) memory, once per operator.
         """
         eye = np.eye(self.interior.size)  # K @ eye is K dense, bit for bit
-        L_inv = np.linalg.inv(np.linalg.cholesky(self.M_II @ eye))
+        L_inv = _mass_cholesky_inverse(self.grid)
         lam, W = np.linalg.eigh(L_inv @ (self.A_II @ eye) @ L_inv.T)
         return lam, L_inv.T @ W
 
@@ -344,17 +345,18 @@ class FemOperator:
 
 
 def _l1_march(weights: L1Weights, first: np.ndarray,
-              step: Callable[[np.ndarray], np.ndarray]) -> np.ndarray:
-    """The L1 history u^0 = first, u^k = step(combo_k), k = 1..n_steps, with
-    combo_k what the bracket in the module docstring subtracts from u^k.
-    Returns the whole history, (n_steps+1,) + first.shape.
+              step: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
+    """The L1 history u^0 = first, u^k, k = 1..n_steps, which step(combo_k, out)
+    writes into out, the history's row k; combo_k is what the bracket in the
+    module docstring subtracts from u^k. Returns the whole history.
 
     The history runs in blocks of HISTORY_BLOCK steps (after Hairer, Lubich
     and Schlichte, SIAM J. Sci. Stat. Comput. 6, 1985): one GEMM writes the
     settled steps' share into the block's rows of the history, and each step
     adds its in-block terms. On the 5.3 data synthesis (2,048 cells, 1,024
     steps; 2-core VM, 2 BLAS threads) blocks of 16/32/64/128/256 steps took
-    0.14/0.13/0.13/0.13/0.17 s, one step at a time 0.28 s.
+    0.14/0.13/0.13/0.13/0.17 s, one step at a time 0.28 s. The weights are
+    gathered once per march; each block's panel is a view of them.
     """
     b = weights.b
     drop = b[:-1] - b[1:]  # drop[i] weighs u^(k-1-i) in step k's history, for k-1-i >= 1
@@ -365,14 +367,18 @@ def _l1_march(weights: L1Weights, first: np.ndarray,
     past = np.empty((n + 1,) + first.shape)
     past[0] = first
     flat = past.reshape(n + 1, -1)
+    # one Toeplitz buffer, buf[i, c] = drop[kl + i - c - 1] with kl the last block's
+    # first step (clipped where no block reads); block k0's panel is buf[:, kl - k0:]
+    kl = n - (n - 1) % HISTORY_BLOCK
+    buf = drop[np.minimum(kl - 1 + np.arange(HISTORY_BLOCK)[:, None] - np.arange(kl), n - 1)]
     for k0 in range(1, n + 1, HISTORY_BLOCK):
         k1 = min(k0 + HISTORY_BLOCK, n + 1)
-        ks = np.arange(k0, k1)
-        panel = drop[ks[:, None] - np.arange(k0) - 1]
-        panel[:, 0] = b[ks - 1]
+        panel = buf[:k1 - k0, kl - k0:]
+        panel[:, 0] = b[k0 - 1:k1 - 1]  # u^0 weighs b_(k-1)
         np.matmul(panel, flat[:k0], out=flat[k0:k1])
-        for k in ks:
-            past[k] = step((inblock[k0 - k - 1:] @ flat[k0:k + 1]).reshape(first.shape))
+        panel[:, 0] = drop[k0 - 1:k1 - 1]  # the later blocks' panels read it
+        for k in range(k0, k1):
+            step((inblock[k0 - k - 1:] @ flat[k0:k + 1]).reshape(first.shape), past[k])
     return past
 
 
@@ -394,11 +400,11 @@ def l1_evolve(
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
 
-    def step(combo):
+    def step(combo, out):
         rhs = c * op.mass_apply_interior(combo)
         if load is not None:
             rhs += load
-        return solve(rhs)
+        out[...] = solve(rhs)
 
     return _l1_march(weights, w0_int, step)
 
@@ -417,7 +423,7 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarra
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     gain = c / (c + lam)
-    r = _l1_march(weights, np.ones(lam.size), lambda combo: combo * gain)
+    r = _l1_march(weights, np.ones(lam.size), lambda combo, out: np.multiply(combo, gain, out=out))
     s = 1.0 - r
     s /= lam
     return r, s
@@ -459,13 +465,25 @@ def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
 
 
 @lru_cache(maxsize=32)
-def _mass_for(grid: GridLike):
-    return FemOperator(grid, 1.0, 0.0)
+def _fixed_operator(grid: GridLike, diffusion, /) -> FemOperator:
+    """`mass_inner`'s operator and `InverseSetup.fixed_operator`, with all it
+    holds; positional, as lru_cache keys a keyword apart."""
+    return FemOperator(grid, diffusion)
+
+
+@lru_cache(maxsize=32)
+def _mass_cholesky_inverse(grid: GridLike) -> np.ndarray:
+    """inv(chol(M_II)), read-only: M_II holds no coefficient (`FemOperator.modes`)."""
+    M_II = _fixed_operator(grid, 1.0).M_II
+    L_inv = np.linalg.inv(np.linalg.cholesky(M_II @ np.eye(M_II.indptr.size - 1)))
+    L_inv.setflags(write=False)
+    return L_inv
 
 
 def mass_inner(grid: GridLike, u: np.ndarray, v: np.ndarray) -> float:
     """Consistent-mass L2 inner product over the domain."""
-    return float(np.dot(np.asarray(u, float), _mass_for(grid).mass_apply(np.asarray(v, float))))
+    mass = _fixed_operator(grid, 1.0).mass_apply(np.asarray(v, float))
+    return float(np.dot(np.asarray(u, float), mass))
 
 
 def mass_norm(grid: GridLike, u: np.ndarray) -> float:

@@ -24,7 +24,8 @@ Sensitivity systems (direction h):
 
 Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
 (A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I)
-once per setup for bp/isp, and for ipp, whose A_q moves with v, once per
+for bp/isp once per grid and diffusion in a process, since every setup on
+them shares one fixed operator, and for ipp, whose A_q moves with v, once per
 iterate for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). The first two
 share one march of the mode responses r (w(0) = 1, no load) and s (w(0) = 0,
 unit load): F_I = lift_I + V (r^N o a0 + s^N o b), a0 = V^T M_II w0,
@@ -49,7 +50,7 @@ import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not in the first cell
 
 from .errors import AdmissibilityError, NumericalError, ParameterError
-from .fem import FemOperator, l1_evolve, mass_norm, modal_data, solve_fem
+from .fem import FemOperator, _fixed_operator, l1_evolve, mass_norm, modal_data, solve_fem
 from .grids import Grid1D, GridLike, as_nodal_values
 from .problems import ProblemSpec, TimeGrid
 
@@ -212,8 +213,13 @@ class InverseSetup:
 
     @cached_property
     def fixed_operator(self) -> FemOperator:
-        """The operator of the known coefficients; its mass M serves every kind."""
-        return FemOperator(self.grid, self.diffusion)
+        """The operator of the known coefficients, whose mass M serves every kind:
+        one a process per (grid, diffusion), or a nodal array's own."""
+        try:
+            hash(self.diffusion)
+        except TypeError:
+            return FemOperator(self.grid, self.diffusion)
+        return _fixed_operator(self.grid, self.diffusion)
 
     @property
     def modal(self) -> bool:
@@ -358,18 +364,12 @@ class ReconstructionResult:
 
 
 def _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P):
-    p = G.shape[0]
-    K = np.empty((p + 1, p + 1))
-    K[:p, :p] = G + gamma_k * P
-    K[:p, p] = cross
-    K[p, :p] = cross
-    K[p, p] = d + mu_k
-    rhs = np.concatenate([gv, [gT]])
+    K = np.block([[G + gamma_k * P, cross[:, None]], [cross, d + mu_k]])
     try:
-        sol = np.linalg.solve(K, rhs)
+        sol = np.linalg.solve(K, np.append(gv, gT))
     except np.linalg.LinAlgError as exc:  # pragma: no cover - SPD by construction
         raise NumericalError(f"normal system singular: {exc}")
-    return sol[:p], float(sol[p])
+    return sol[:-1], float(sol[-1])
 
 
 def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig,
@@ -428,9 +428,7 @@ def lm_reconstruct(
         raise ParameterError("oracle stopping needs the ground truth")
     state = LMState(v=np.zeros(setup.grid.n_nodes), T=cfg.T_init, k=0)
 
-    history = []
-    v_hist = []
-    discrepancy_hit = None
+    history, v_hist, hit = [], [], False
     for k in range(cfg.max_iter + 1):
         f0 = forward_map(setup, state.v, state.T)
         r = mass_norm(setup.grid, obs.g_delta - f0)
@@ -441,30 +439,14 @@ def lm_reconstruct(
         e = mass_norm(setup.grid, state.v - truth) if truth is not None else float("nan")
         history.append((k, r, e, state.T))
         v_hist.append(state.v.copy())
-        if cfg.stop == "discrepancy" and discrepancy_hit is None:
-            if r <= cfg.eta * obs.noise_level:
-                discrepancy_hit = k
-                break
-        if k == cfg.max_iter:
+        hit = cfg.stop == "discrepancy" and r <= cfg.eta * obs.noise_level
+        if hit or k == cfg.max_iter:
             break
         state = lm_step(setup, state, obs, cfg, f0)
 
-    if cfg.stop == "oracle":
-        errors = [h[2] for h in history]
-        k_star = int(np.nanargmin(errors))
-        converged = True
-    elif cfg.stop == "discrepancy":
-        k_star = discrepancy_hit if discrepancy_hit is not None else len(history) - 1
-        converged = discrepancy_hit is not None
-    else:
-        k_star = len(history) - 1
-        converged = True
-    return ReconstructionResult(
-        v_hat=v_hist[k_star],
-        T_hat=history[k_star][3],
-        k_star=k_star,
-        history=history,
-        converged=converged,
-        v_history=v_hist,
-    )
+    # the discrepancy rule stops at its first hit: all but the oracle take the last iterate
+    k_star = int(np.nanargmin([h[2] for h in history])) if cfg.stop == "oracle" else k
+    return ReconstructionResult(v_hat=v_hist[k_star], T_hat=history[k_star][3], k_star=k_star,
+                                history=history, converged=hit or cfg.stop != "discrepancy",
+                                v_history=v_hist)
 

@@ -9,7 +9,9 @@ properties the tests assert of the production code. `fem_trajectory` keeps
 every level of the time stepper's forward solve, of which `fem.solve_fem`
 returns the last. The L1 time stepper and the modal recursion have
 step-by-step oracles that sum each step's history directly, against which
-the blocked march is checked. `upper_band_factor` factors (c M + A)_II in
+the blocked march is checked, and `l1_march_per_block` is the blocked march
+with each block's weight panel gathered anew and each step returning u^k,
+against whose bits the march is checked. `upper_band_factor` factors (c M + A)_II in
 upper band storage, the operator's path before it moved to lower storage,
 against which its factor is checked. The potential
 problem's v-Jacobian has a column oracle that steps every sensitivity
@@ -36,7 +38,7 @@ from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.errors import DomainError, FracinvError, ParameterError
-from fracinv.fem import FemOperator, L1Weights, _initial_and_load, l1_evolve
+from fracinv.fem import HISTORY_BLOCK, FemOperator, L1Weights, _initial_and_load, l1_evolve
 from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
@@ -255,6 +257,28 @@ def l1_responses_stepwise(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray
     for k in range(1, tg.n_steps + 1):
         r[k] = (history_coefficients(weights, k) @ r[:k]) * gain
     return r, (1.0 - r) / lam
+
+
+def l1_march_per_block(weights: L1Weights, first: np.ndarray, step) -> np.ndarray:
+    """`fem._l1_march` with each block's weight panel gathered from the
+    weights on its own and u^k = step(combo_k) returned by the step."""
+    b = weights.b
+    drop = b[:-1] - b[1:]
+    inblock = np.append(drop[:HISTORY_BLOCK - 1][::-1], 1.0)
+
+    n = weights.n_steps
+    past = np.empty((n + 1,) + first.shape)
+    past[0] = first
+    flat = past.reshape(n + 1, -1)
+    for k0 in range(1, n + 1, HISTORY_BLOCK):
+        k1 = min(k0 + HISTORY_BLOCK, n + 1)
+        ks = np.arange(k0, k1)
+        panel = drop[ks[:, None] - np.arange(k0) - 1]
+        panel[:, 0] = b[ks - 1]
+        np.matmul(panel, flat[:k0], out=flat[k0:k1])
+        for k in ks:
+            past[k] = step((inblock[k0 - k - 1:] @ flat[k0:k + 1]).reshape(first.shape))
+    return past
 
 
 def upper_band(K) -> np.ndarray:

@@ -34,6 +34,7 @@ from oracles import (
     fd_eigendecomposition,
     fem_trajectory,
     l1_evolve_stepwise,
+    l1_march_per_block,
     l1_responses_stepwise,
     scipy_csr,
     solve_spectral,
@@ -538,6 +539,38 @@ class TestBlockedResponses:
         r = l1_responses(1.0, tg, lam)[0][-1]
         ref = (1.0 + tg.tau * lam) ** -n_steps
         assert np.allclose(r, ref, rtol=1e-12, atol=0.0)
+
+
+class TestMarchBits:
+    """`_l1_march` gathers its weights once per march and steps in place; its
+    bits are those of the march that gathers each block's panel anew."""
+
+    @pytest.fixture(scope="class")
+    def op(self):
+        return FemOperator(Grid1D(64), lambda x: 1.0 + 0.5 * np.sin(np.pi * x))
+
+    @pytest.mark.parametrize("n_steps", [1, HISTORY_BLOCK - 1, HISTORY_BLOCK,
+                                         HISTORY_BLOCK + 1, 100, 512, 1024])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_bit_identical_to_per_block_gather(self, op, n_steps, alpha):
+        weights = L1Weights(alpha, n_steps)
+        c = weights.scale(0.5 / n_steps)
+        gain = c / (c + op.modes[0])  # the modal engine's step on a vector state
+        ours = fem_mod._l1_march(weights, np.ones(gain.size),
+                                 lambda combo, out: np.multiply(combo, gain, out=out))
+        ref = l1_march_per_block(weights, np.ones(gain.size), lambda combo: combo * gain)
+        assert np.array_equal(ours, ref)
+
+        solve = op.factorized(c)  # the time stepper's step on an (m, p) state
+
+        def step(combo, out):
+            out[...] = solve(c * op.mass_apply_interior(combo))
+
+        w0 = np.random.default_rng(n_steps).standard_normal((gain.size, 3))
+        ours = fem_mod._l1_march(weights, w0, step)
+        ref = l1_march_per_block(weights, w0,
+                                 lambda combo: solve(c * op.mass_apply_interior(combo)))
+        assert np.array_equal(ours, ref)
 
 
 class TestSpectralFemAgreement:

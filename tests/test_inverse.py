@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import fracinv.fem as fem_mod
 from fracinv.errors import AdmissibilityError, FracinvError, ParameterError
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
@@ -215,6 +216,7 @@ class TestModalEngine:
         forward_map(setup, v, 0.5)
         again = forward_map(setup, v, 0.45)
         assert np.array_equal(again, first)
+        fem_mod._fixed_operator.cache_clear()  # a fresh fixed operator for bp/isp
         assert np.array_equal(again, forward_map(make(), v, 0.45))
         r, s = setup._operator_for(v).responses(setup.alpha, TimeGrid(setup.n_steps, 0.45))
         assert not (r.flags.writeable or s.flags.writeable)
@@ -222,8 +224,6 @@ class TestModalEngine:
     def test_old_responses_freed_before_march(self, monkeypatch):
         # the march at a new T runs while the operator holds no older pair
         import weakref
-
-        import fracinv.fem as fem_mod
 
         op = bp_setup()._operator_for(None)
         old = weakref.ref(op.responses(0.5, TimeGrid(64, 0.45))[0])
@@ -242,8 +242,6 @@ class TestModalEngine:
     def test_one_march_per_time(self, make, monkeypatch):
         # at max_iter = 3: one march at each T_k, k = 0..3, shared by F(v_k,
         # T_k) and the v-Jacobian, and one at each T_k + dT, k = 0..2
-        import fracinv.fem as fem_mod
-
         setup = make(n=32, steps=32)
         obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
         calls = []
@@ -260,15 +258,35 @@ class TestModalEngine:
         assert len(calls) == 7
 
     @pytest.mark.parametrize("make", [bp_setup, isp_setup])
-    def test_one_eigensolve_per_setup(self, make, monkeypatch):
-        assert _eigh_calls(make, 4, monkeypatch) == 1
+    def test_one_eigensolve_per_process(self, make, monkeypatch):
+        # the fixed operator and its modes are built once per (grid,
+        # diffusion) in a process: two setups of two orders on one grid make
+        # one eigh and one Cholesky of M_II
+        calls = _count_factorizations(monkeypatch)
+        for alpha in (0.5, 0.75):
+            _reconstruct(make(n=32, steps=32, alpha=alpha), 4)
+        assert calls == {"eigh": 1, "cholesky": 1}
 
     @pytest.mark.parametrize("make", [ipp_setup], ids=["ipp"])
     def test_one_eigensolve_per_iterate(self, make, monkeypatch):
         # the potential problem's operator moves with v: one eigh for the
         # data synthesis and one per iterate 0..3, shared by F(v_k, T_k), the
-        # v-Jacobian and F(v_k, T_k + dT)
-        assert _eigh_calls(make, 3, monkeypatch) == 5
+        # v-Jacobian and F(v_k, T_k + dT); M_II does not move, one Cholesky
+        calls = _count_factorizations(monkeypatch)
+        _reconstruct(make(n=32, steps=32), 3)
+        assert calls == {"eigh": 5, "cholesky": 1}
+
+    def test_array_diffusion_gets_its_own_operator(self):
+        # a nodal array cannot key the process's operators; its setup builds
+        # its own operator, which gives the bits of the scalar it equals
+        grid = Grid1D(32)
+        setup = InverseSetup("bp", grid, 0.5, 32, f=HAT, diffusion=np.ones(grid.n_nodes))
+        assert setup.fixed_operator is not fem_mod._fixed_operator(grid, 1.0)
+        v = SIN4(grid.nodes)
+        assert np.array_equal(forward_map(setup, v, 0.45),
+                              forward_map(bp_setup(n=32, steps=32), v, 0.45))
+        assert np.array_equal(jacobian_v_matrix(setup, v, 0.45),
+                              jacobian_v_matrix(bp_setup(n=32, steps=32), v, 0.45))
 
 
 class TestSquareEngine:
@@ -276,7 +294,6 @@ class TestSquareEngine:
         # 5.1ii at max_iter = 3: one banded factorization at each T_k, k =
         # 0..3, shared by F(v_k, T_k) and the stepped v-Jacobian, and one at
         # each T_k + dT, k = 0..2; the operator then holds the last one only
-        import fracinv.fem as fem_mod
         from fracinv.cases import get_case, make_setup, tensor_sine_basis
 
         case = get_case("5.1ii")
@@ -300,22 +317,27 @@ class TestSquareEngine:
         assert c_held == c_last and factor.shape == (17, 15 * 15)
 
 
-def _eigh_calls(make, max_iter, monkeypatch) -> int:
-    """The number of eigh calls in a max_iter-step reconstruction."""
-    calls = []
+def _count_factorizations(monkeypatch) -> dict:
+    """Empty the process's operator caches and count the eigh and Cholesky
+    calls made from here on."""
+    fem_mod._fixed_operator.cache_clear()
+    fem_mod._mass_cholesky_inverse.cache_clear()
+    calls = {"eigh": 0, "cholesky": 0}
+    for name in calls:
+        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return eigh(*args, **kwargs)
+        monkeypatch.setattr(np.linalg, name, counting)
+    return calls
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", counting)
-    setup = make(n=32, steps=32)
+
+def _reconstruct(setup, max_iter: int):
+    """A max_iter-step reconstruction from a noisy SIN4 snapshot at T = 0.5."""
     obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
     cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
                    max_iter=max_iter, stop="max_iter")
-    lm_reconstruct(setup, obs, cfg)
-    return len(calls)
+    return lm_reconstruct(setup, obs, cfg)
 
 
 class TestJacobians:
@@ -502,15 +524,15 @@ class TestLMReconstruct:
         assert res.T_hat == T[res.k_star] and np.all(T > 0)
 
     def test_discrepancy_mode(self):
-        setup = bp_setup(n=32, steps=32)
-        truth = np.sin(np.pi * setup.grid.nodes)
-        obs = add_noise(forward_map(setup, truth, 0.5), 1e-2, seed=3)
-        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.5,
-                       max_iter=12, stop="discrepancy", t_step_cap=5e-4)
-        res = lm_reconstruct(setup, obs, cfg)
-        r_at_stop = res.history[res.k_star][1]
-        if res.converged:
-            assert r_at_stop <= cfg.eta * obs.noise_level
+        # the run stops at the first iterate under eta * noise_level
+        res, bound = _discrepancy_run(eta=1.1)
+        hits = [k for k, r, _, _ in res.history if r <= bound]
+        assert res.converged and res.k_star == len(res.history) - 1 == hits[0]
+
+    def test_discrepancy_missed_returns_last_iterate(self):
+        res, bound = _discrepancy_run(eta=1e-6)
+        assert all(r > bound for _, r, _, _ in res.history)
+        assert not res.converged and res.k_star == len(res.history) - 1 == 12
 
     @pytest.mark.parametrize("make", [bp_setup, ipp_setup])
     def test_two_forward_solves_per_iteration(self, make, monkeypatch):
@@ -569,6 +591,40 @@ class TestLMReconstruct:
         res = lm_reconstruct(setup, obs, cfg, truth=truth)
         rs = [h[1] for h in res.history[:6]]
         assert all(a >= b - 1e-14 for a, b in zip(rs, rs[1:]))
+
+
+    @pytest.mark.parametrize("grid", [Grid1D(32), Grid2D(8)], ids=["modal", "stepped"])
+    def test_cells_in_either_order_give_the_same_bytes(self, grid):
+        # cells on one grid share the process's fixed operator; what it holds
+        # from one cell (responses, factor) never changes another's bytes
+        from fracinv.cases import tensor_sine_basis
+
+        basis = None if isinstance(grid, Grid1D) else tensor_sine_basis(grid, 2)
+        truth = np.sin(np.pi * grid.nodes) if basis is None else basis[0]
+
+        def cell(alpha, epsilon):
+            setup = InverseSetup("bp", grid, alpha, 32, f=0.5, basis=basis)
+            obs = add_noise(forward_map(setup, truth, 0.5), epsilon, seed=1)
+            cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
+                           max_iter=3, stop="max_iter")
+            res = lm_reconstruct(setup, obs, cfg)
+            return res.v_hat.tobytes() + repr(res.history).encode()
+
+        cells = [(0.5, 1e-2), (0.75, 1e-2), (0.5, 1e-3)]
+        runs = []
+        for order in (cells, cells[::-1]):
+            fem_mod._fixed_operator.cache_clear()
+            runs.append({key: cell(*key) for key in order})
+        assert runs[0] == runs[1]
+
+
+def _discrepancy_run(eta: float):
+    """A bp run under the discrepancy rule at eta, and its bound eta * noise_level."""
+    setup = bp_setup(n=32, steps=32)
+    obs = add_noise(forward_map(setup, np.sin(np.pi * setup.grid.nodes), 0.5), 1e-2, seed=3)
+    cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.5, eta=eta,
+                   max_iter=12, stop="discrepancy", t_step_cap=5e-4)
+    return lm_reconstruct(setup, obs, cfg), eta * obs.noise_level
 
 
 class Test2DRestrictedRecovery:

@@ -1,4 +1,6 @@
 import math
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -15,7 +17,7 @@ from fracinv.errors import (
 from fracinv.grids import Grid1D
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
-from fracinv.spectral import build_eigendecomposition, estimate_T, lambda_to_time
+from fracinv.spectral import _median, build_eigendecomposition, estimate_T, lambda_to_time
 
 from oracles import ResolutionError, fd_eigendecomposition, solve_spectral
 
@@ -265,6 +267,33 @@ class TestEstimateT:
         lam, uc, u0c = self._isp_data(0.5)
         est = estimate_T(uc, u0c, lam, 0.5, (50, 200), "ipp")
         assert abs(est.t_hat - self.T_TRUE) <= 0.01
+
+
+@pytest.mark.parametrize("size", range(1, 80))
+def test_median_is_numpys(size):
+    # the estimator's median gives np.median's bits on finite arrays, ties and
+    # a repeated middle included
+    rng = np.random.default_rng(size)
+    for x in (rng.standard_normal(size), rng.integers(0, 3, size).astype(float),
+              np.exp(rng.uniform(-30, 30, size))):
+        assert _median(x).tobytes() == np.median(x).tobytes()
+
+
+_NO_MASKED_ARRAYS = """
+import sys
+from fracinv.cases import estimate_prior_T, get_case
+estimate_prior_T(get_case("5.1i"), 0.5)
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_estimator_leaves_numpy_ma_out():
+    # np.median's NaN check imports numpy.ma on first use, ~10 ms of a cold
+    # estimate; the estimator's median does not
+    proc = subprocess.run([sys.executable, "-c", _NO_MASKED_ARRAYS], capture_output=True,
+                          text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_field_roundtrip():
