@@ -200,7 +200,7 @@ T_STEP_CAPS = {"bp": 2e-4, "isp": 5e-3, "ipp": 2e-2}
 
 
 def lm_config_for(case: BenchmarkCase, alpha: float, *, T_init: float = 0.4,
-                  max_iter: int = 30, stop: str = "oracle", **overrides) -> LMConfig:
+                  max_iter: int, stop: str, **overrides) -> LMConfig:
     if alpha not in case.lm_defaults:
         raise ConfigError(f"case {case.case_id} has no defaults for alpha={alpha}")
     gamma0, mu0, rho = case.lm_defaults[alpha]
@@ -248,13 +248,16 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, T: float = T_TRUE) -> fl
     """Terminal-time prior from the asymptotic mode-ratio estimator, applied
     to an exact snapshot synthesized on a fine observation grid.
 
-    1D cases only. The snapshot, less its boundary lift, is projected on the
-    sines with trapezoid weights; the reference coefficients are the case's
-    closed forms (sampling a rough reference field would alias into the high
-    modes that carry the decay signal).
+    1D cases only: on the square it raises a ConfigError, since only a
+    config (estimate-t, t_init = auto) asks for it there. The snapshot, less
+    its boundary lift, is projected on the sines with trapezoid weights; the
+    reference coefficients are the case's closed forms (sampling a rough
+    reference field would alias into the high modes that carry the decay
+    signal).
     """
     if case.domain != "interval":
-        raise ConfigError("the time prior is computed on interval cases")
+        raise ConfigError(f"case {case.case_id}: the terminal-time estimator of estimate-t and "
+                          "t_init = auto is one-dimensional; a 2D case needs an explicit t_init")
     grid = Grid1D(PRIOR_N_OBS)
     g = exact_observation(case, alpha, grid, T=T)
     n_modes = min(128, PRIOR_N_OBS // 4)

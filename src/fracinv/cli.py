@@ -89,8 +89,7 @@ def main(argv=None) -> int:
             res = experiments.run_recover(cfg, kind)
             print(f"k_star={res.k_star},T_hat={res.T_hat:.6f},converged={res.converged}")
         elif args.command == "table":
-            report = experiments.run_table(cfg, threads=args.threads)
-            for row in report.rows:
+            for row in experiments.run_table(cfg, threads=args.threads):
                 print(",".join(str(x) for x in row))
         elif args.command == "convergence":
             report = experiments.run_convergence(cfg)

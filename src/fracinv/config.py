@@ -75,7 +75,9 @@ def _floats(text: str, where: str) -> list:
 def parse_config(path) -> ExperimentConfig:
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
     try:
-        read = cp.read(path)
+        read = cp.read(path, encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file is not UTF-8: {exc}", source=str(path))
     except configparser.Error as exc:
         line = getattr(exc, "lineno", None)
         raise ConfigError(f"config syntax error: {exc.message}", source=str(path), line=line)

@@ -15,7 +15,6 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,7 +28,7 @@ from .cases import (
     tensor_sine_basis,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError, FracinvError
+from .errors import ConfigError, FracinvError, ParameterError
 from .fem import convergence_study, mass_norm
 from .grids import Grid1D, Grid2D, as_nodal_values
 from .inverse import LMConfig, ReconstructionResult, add_noise, lm_reconstruct
@@ -37,7 +36,6 @@ from .problems import ProblemSpec
 from .spectral import build_eigendecomposition, propagate_modes
 
 __all__ = [
-    "TableReport",
     "run_forward",
     "run_estimate_t",
     "run_recover",
@@ -71,25 +69,22 @@ def _snapshot_columns(grid, values):
     return "x,value", [grid.nodes, values]
 
 
-def _prior_for(case, alpha, cfg: ExperimentConfig) -> float:
-    if cfg.t_init != "auto":
-        return float(cfg.t_init)
-    if case.domain != "interval":
-        # the mode-ratio estimator is one-dimensional; never substitute the truth
-        raise ConfigError(f"case {case.case_id}: t_init = auto needs the 1D "
-                          "estimator; set an explicit t_init")
-    prior = estimate_prior_T(case, alpha)  # parse_config could not check deltaT against it
-    deltaT = cfg.lm_overrides.get("deltaT", LMConfig.deltaT)
-    if prior <= deltaT:
-        raise ConfigError(f"[lm] deltaT = {deltaT:g} must be below the prior "
-                          f"T_init = {prior:.6g} of t_init = auto (alpha = {alpha:g})")
-    return prior
+def _lm_config(case, alpha, cfg: ExperimentConfig) -> LMConfig:
+    """The LMConfig of one order: the case's weights, the config's settings
+    and the prior, t_init or the estimator's."""
+    prior = estimate_prior_T(case, alpha) if cfg.t_init == "auto" else float(cfg.t_init)
+    try:
+        return lm_config_for(case, alpha, T_init=prior, max_iter=cfg.max_iter,
+                             stop=cfg.stop, **cfg.lm_overrides)
+    except ParameterError as exc:  # parse_config could not check deltaT against an auto prior
+        raise ConfigError(f"{exc}: alpha = {alpha:g}, prior T_init = {prior:.6g}, [lm] deltaT = "
+                          f"{cfg.lm_overrides.get('deltaT', LMConfig.deltaT):g}") from None
 
 
-def run_forward(cfg: ExperimentConfig, out_dir=None) -> list:
+def run_forward(cfg: ExperimentConfig) -> list:
     """Exact snapshots plus one noisy observation per (alpha, epsilon)."""
     case = get_case(cfg.case_id)
-    out = out_dir or cfg.out_dir
+    out = cfg.out_dir
     os.makedirs(out, exist_ok=True)
     written = []
     cell = 0
@@ -125,12 +120,7 @@ def run_forward(cfg: ExperimentConfig, out_dir=None) -> list:
 def run_estimate_t(cfg: ExperimentConfig) -> list:
     """Asymptotic terminal-time estimates per alpha (1D cases)."""
     case = get_case(cfg.case_id)
-    if case.domain != "interval":
-        raise ConfigError("estimate-t runs on interval cases")
-    out = []
-    for alpha in cfg.alphas:
-        out.append((case.case_id, alpha, estimate_prior_T(case, alpha)))
-    return out
+    return [(case.case_id, alpha, estimate_prior_T(case, alpha)) for alpha in cfg.alphas]
 
 
 def _snapshot(case, alpha, cfg: ExperimentConfig) -> np.ndarray:
@@ -138,7 +128,7 @@ def _snapshot(case, alpha, cfg: ExperimentConfig) -> np.ndarray:
     return exact_observation(case, alpha, make_setup(case, alpha, n=cfg.n).grid)
 
 
-def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int, prior: float,
+def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int, lm: LMConfig,
                       g_dag: np.ndarray) -> tuple[ReconstructionResult, np.ndarray, object]:
     basis = None
     if case.domain == "unit_square":
@@ -146,26 +136,23 @@ def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int, prior:
     setup = make_setup(case, alpha, n=cfg.n, n_steps=cfg.steps, basis=basis)
     truth = case.truth_nodal(setup.grid)
     obs = add_noise(g_dag, eps, seed=seed, t_true=case_mod.T_TRUE)
-    lm = lm_config_for(case, alpha, T_init=prior, max_iter=cfg.max_iter,
-                       stop=cfg.stop, **cfg.lm_overrides)
-    truth_arg = truth if cfg.stop == "oracle" else None
+    truth_arg = truth if lm.stop == "oracle" else None
     res = lm_reconstruct(setup, obs, lm, truth=truth_arg)
     return res, truth, setup.grid
 
 
-def run_recover(cfg: ExperimentConfig, kind: str, out_dir=None) -> ReconstructionResult:
+def run_recover(cfg: ExperimentConfig, kind: str) -> ReconstructionResult:
     """One reconstruction (first alpha / epsilon of the config)."""
     case = get_case(cfg.case_id)
     if case.kind != kind:
         article = "an" if case.kind[0] in "aeiou" else "a"
         raise ConfigError(f"case {case.case_id} is {article} {case.kind} benchmark, not {kind}")
     alpha, eps = cfg.alphas[0], cfg.epsilons[0]
-    prior = _prior_for(case, alpha, cfg)
-    res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, prior,
+    lm = _lm_config(case, alpha, cfg)
+    res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, lm,
                                          _snapshot(case, alpha, cfg))
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    emit_plot_data(res, truth, grid, out, f"{case.case_id}_a{alpha:g}_e{eps:g}")
+    out = cfg.out_dir
+    emit_plot_data(res, truth, grid, out, f"{case.case_id}_a{alpha:g}_e{eps:g}")  # makes `out`
     _write_meta(os.path.join(out, f"recover_{case.case_id}_a{alpha:g}_e{eps:g}.json"),
                 {"case": case.case_id, "alpha": alpha, "epsilon": eps,
                  "rng": "PCG64", "seed": cfg.seed, "k_star": res.k_star,
@@ -173,30 +160,25 @@ def run_recover(cfg: ExperimentConfig, kind: str, out_dir=None) -> Reconstructio
     return res
 
 
-@dataclass
-class TableReport:
-    """Rows of (case, alpha, epsilon, e, k_star, T_hat); CSV-serializable."""
-
-    rows: list
-
-    def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            fh.write("case,alpha,epsilon,e,k_star,T_hat,note\n")
-            for case_id, alpha, eps, e, k_star, t_hat, note in self.rows:
-                fh.write(
-                    f"{case_id},{alpha:g},{eps:g},"
-                    + (_FMT % e if np.isfinite(e) else "nan")
-                    + f",{k_star},"
-                    + (_FMT % t_hat if np.isfinite(t_hat) else "nan")
-                    + f",{note}\n"
-                )
+def _write_table(path, rows) -> None:
+    """The table's CSV: one line per (case, alpha, epsilon, e, k_star, T_hat, note) row."""
+    with open(path, "w") as fh:
+        fh.write("case,alpha,epsilon,e,k_star,T_hat,note\n")
+        for case_id, alpha, eps, e, k_star, t_hat, note in rows:
+            fh.write(
+                f"{case_id},{alpha:g},{eps:g},"
+                + (_FMT % e if np.isfinite(e) else "nan")
+                + f",{k_star},"
+                + (_FMT % t_hat if np.isfinite(t_hat) else "nan")
+                + f",{note}\n"
+            )
 
 
 def _table_cell(args):
-    case_id, alpha, eps, cfg, seed, prior, g_dag = args
+    case_id, alpha, eps, cfg, seed, lm, g_dag = args
     case = get_case(case_id)
     try:
-        res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, seed, prior, g_dag)
+        res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, seed, lm, g_dag)
         e = mass_norm(grid, res.v_hat - truth)
         return (case_id, alpha, eps, e, res.k_star, res.T_hat, "")
     except FracinvError as exc:
@@ -204,34 +186,34 @@ def _table_cell(args):
                 type(exc).__name__)
 
 
-def run_table(cfg: ExperimentConfig, out_dir=None, threads: int = 1) -> TableReport:
-    """Full (alpha x epsilon) grid of reconstructions in study mode."""
+def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
+    """Full (alpha x epsilon) grid of reconstructions in study mode; returns
+    the rows of the CSV it writes. Every order's LMConfig is built before any
+    cell runs, so a configuration error stops the table before it starts."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     case = get_case(cfg.case_id)
-    priors = {alpha: _prior_for(case, alpha, cfg) for alpha in cfg.alphas}
+    lms = {alpha: _lm_config(case, alpha, cfg) for alpha in cfg.alphas}
     jobs = []
     cell = 0
     for alpha in cfg.alphas:
         g_dag = _snapshot(case, alpha, cfg)
         for eps in cfg.epsilons:
-            jobs.append((case.case_id, alpha, eps, cfg, cfg.seed + cell, priors[alpha], g_dag))
+            jobs.append((case.case_id, alpha, eps, cfg, cfg.seed + cell, lms[alpha], g_dag))
             cell += 1
     if threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_table_cell, jobs))
     else:
         rows = [_table_cell(j) for j in jobs]
-    report = TableReport(rows=rows)
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    report.to_csv(os.path.join(out, f"table_{case.case_id}.csv"))
-    _write_meta(os.path.join(out, f"table_{case.case_id}.json"),
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    _write_table(os.path.join(cfg.out_dir, f"table_{case.case_id}.csv"), rows)
+    _write_meta(os.path.join(cfg.out_dir, f"table_{case.case_id}.json"),
                 {"case": case.case_id, "alphas": list(cfg.alphas),
                  "epsilons": list(cfg.epsilons), "rng": "PCG64",
                  "seed": cfg.seed, "stop": cfg.stop,
-                 "priors": {f"{a:g}": priors[a] for a in cfg.alphas}})
-    return report
+                 "priors": {f"{a:g}": lms[a].T_init for a in cfg.alphas}})
+    return rows
 
 
 def emit_plot_data(result: ReconstructionResult, truth, grid, out_dir, prefix: str) -> list:
@@ -265,7 +247,7 @@ REFERENCE_MODES = 256
 REFERENCE_N = 4096
 
 
-def run_convergence(cfg: ExperimentConfig, out_dir=None):
+def run_convergence(cfg: ExperimentConfig):
     """Solver validation orders on the single-mode problem, against its modal
     solution interpolated from a fine grid."""
     alpha = cfg.alphas[0]
@@ -277,9 +259,8 @@ def run_convergence(cfg: ExperimentConfig, out_dir=None):
     u_ref = phi.T @ propagate_modes(alpha, lam, spec.T, u0c, 0.0)
     report = convergence_study(spec, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)
-    out = out_dir or cfg.out_dir
-    os.makedirs(out, exist_ok=True)
-    path = os.path.join(out, f"convergence_a{alpha:g}.csv")
+    os.makedirs(cfg.out_dir, exist_ok=True)
+    path = os.path.join(cfg.out_dir, f"convergence_a{alpha:g}.csv")
     with open(path, "w") as fh:
         fh.write("quantity,value\n")
         fh.write(f"space_order,{_FMT % report.space_order}\n")

@@ -278,13 +278,6 @@ class FemOperator:
         self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
         self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
-    def mass_apply(self, v: np.ndarray) -> np.ndarray:
-        return self.M @ v
-
-    def mass_apply_interior(self, v_int: np.ndarray) -> np.ndarray:
-        """M_II v (interior-to-interior)."""
-        return self.M_II @ v_int
-
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
         which the solver holds. The operator keeps the last c's factor only:
@@ -401,7 +394,7 @@ def l1_evolve(
     solve = op.factorized(c)
 
     def step(combo, out):
-        rhs = c * op.mass_apply_interior(combo)
+        rhs = c * (op.M_II @ combo)
         if load is not None:
             rhs += load
         out[...] = solve(rhs)
@@ -437,7 +430,7 @@ def _initial_and_load(spec: ProblemSpec, op: FemOperator):
         if not isinstance(op.grid, Grid1D):
             raise ParameterError("constant Dirichlet lift is defined on the interval")
         lift = spec.dirichlet[0] * (1.0 - op.grid.nodes) + spec.dirichlet[1] * op.grid.nodes
-    load = (op.mass_apply(as_nodal_values(spec.f, op.grid)) - op.A @ lift)[op.interior]
+    load = (op.M @ as_nodal_values(spec.f, op.grid) - op.A @ lift)[op.interior]
     return u0, lift, (u0 - lift)[op.interior], load
 
 
@@ -445,16 +438,18 @@ def modal_data(spec: ProblemSpec, op: FemOperator):
     """(lift, V^T M_II w0, V^T load) on the modes (lam, V) of `op`."""
     _, lift, w0, load = _initial_and_load(spec, op)
     V = op.modes[1]
-    return lift, V.T @ op.mass_apply_interior(w0), V.T @ load
+    return lift, V.T @ (op.M_II @ w0), V.T @ load
 
 
 def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
               op: Optional[FemOperator] = None) -> np.ndarray:
     """P1 + L1 forward solve through the time stepper; returns the nodal
     u(T), the lift plus the last step of w (the inversion on the interval
-    runs mode by mode instead)."""
+    runs mode by mode instead). A given `op` must be built on `grid`."""
     if op is None:
         op = FemOperator(grid, spec.diffusion, spec.potential)
+    elif op.grid != grid:
+        raise ParameterError(f"the operator is built on {op.grid}, not on {grid}")
     _, u, w0, load = _initial_and_load(spec, op)  # u = lift
     u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1] + u[op.interior]
     return u
@@ -482,7 +477,7 @@ def _mass_cholesky_inverse(grid: GridLike) -> np.ndarray:
 
 def mass_inner(grid: GridLike, u: np.ndarray, v: np.ndarray) -> float:
     """Consistent-mass L2 inner product over the domain."""
-    mass = _fixed_operator(grid, 1.0).mass_apply(np.asarray(v, float))
+    mass = _fixed_operator(grid, 1.0).M @ v
     return float(np.dot(np.asarray(u, float), mass))
 
 

@@ -203,9 +203,9 @@ class InverseSetup:
     def param_gram(self) -> np.ndarray:
         """L2 Gram matrix of the parameter space (the penalty metric)."""
         if self.basis is not None:
-            P = self.basis @ self.fixed_operator.mass_apply(self.basis.T)
+            P = self.basis @ (self.fixed_operator.M @ self.basis.T)
         else:
-            P = self.fixed_operator.mass_apply_interior(np.eye(self.fixed_operator.interior.size))
+            P = self.fixed_operator.M_II @ np.eye(self.fixed_operator.interior.size)
         P.setflags(write=False)  # built once, shared by every LM step
         return P
 
@@ -229,15 +229,6 @@ class InverseSetup:
         reconstruction by a third, from 106 to 140 MB."""
         return isinstance(self.grid, Grid1D)
 
-    def _operator_for(self, v_nodal: np.ndarray) -> FemOperator:
-        """The operator of F(v, .); for ipp, built once per distinct potential."""
-        if self.kind != "ipp":
-            return self.fixed_operator
-        key = v_nodal.tobytes()
-        if self._ipp_operator[0] != key:
-            self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal))
-        return self._ipp_operator[1]
-
     def spec_for(self, v, T: float) -> ProblemSpec:
         """The forward problem F(v, T): v fills the field its kind names."""
         fields = {"u0": self.u0, "f": self.f, "potential": 0.0}
@@ -247,12 +238,18 @@ class InverseSetup:
                            dirichlet=self.dirichlet, domain=domain, **fields)
 
     def _forward_problem(self, v, T: float):
-        """(spec, operator, time grid) of F(v, T); an ipp iterate is clamped."""
+        """(spec, operator, time grid) of F(v, T). An ipp iterate is clamped and
+        gets its own operator, built once per distinct potential."""
         tg = TimeGrid(self.n_steps, T)  # rejects T <= 0 before v is read
         v_nodal = as_nodal_values(v, self.grid)
+        op = self.fixed_operator
         if self.kind == "ipp":
             v_nodal = _clamp_ipp(v_nodal)
-        return self.spec_for(v_nodal, T), self._operator_for(v_nodal), tg
+            key = v_nodal.tobytes()
+            if self._ipp_operator[0] != key:
+                self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal))
+            op = self._ipp_operator[1]
+        return self.spec_for(v_nodal, T), op, tg
 
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
@@ -310,13 +307,13 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         V = op.modes[1]
         r, s = op.responses(setup.alpha, tg)
         resp = (r if setup.kind == "bp" else s)[-1]
-        J[op.interior] = (V * resp) @ (V.T @ op.mass_apply_interior(cols0))
+        J[op.interior] = (V * resp) @ (V.T @ (op.M_II @ cols0))
         return J
     # bp/isp on the square (and the modal engine's oracle): columns stepped in time
     if setup.kind == "bp":
         w0, load = cols0, None
     else:
-        w0, load = np.zeros(cols0.shape), op.mass_apply_interior(cols0)
+        w0, load = np.zeros(cols0.shape), op.M_II @ cols0
     J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load)[-1]
     return J
 
@@ -332,18 +329,11 @@ def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, n
     return diag, h * (ul + ur) / 12.0
 
 
-def jacobian_T(setup: InverseSetup, v, T: float, deltaT: float = 1e-3,
-               f0: Optional[np.ndarray] = None) -> np.ndarray:
-    """Forward finite difference (F(v, T + dT) - F(v, T)) / dT.
-
-    f0 is F(v, T) if it is at hand; otherwise it is solved for here.
-    """
+def jacobian_T(setup: InverseSetup, v, T: float, deltaT: float, f0: np.ndarray) -> np.ndarray:
+    """Forward finite difference (F(v, T + dT) - F(v, T)) / dT, with f0 = F(v, T)."""
     if T <= 0:
         raise ParameterError("T must be positive")
-    fp = forward_map(setup, v, T + deltaT)
-    if f0 is None:
-        f0 = forward_map(setup, v, T)
-    return (fp - f0) / deltaT
+    return (forward_map(setup, v, T + deltaT) - f0) / deltaT
 
 
 @dataclass
@@ -373,25 +363,22 @@ def _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, P):
 
 
 def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig,
-            f0: Optional[np.ndarray] = None) -> LMState:
+            f0: np.ndarray) -> LMState:
     """One Levenberg-Marquardt update of (v, T).
 
     Inner products are the discrete L2 (mass) pairings; the penalty metric is
     the L2 Gram of the parameter space, so the step is mesh-robust. f0 is
-    u(T_k) = F(state.v, state.T) if it is at hand; otherwise it is solved for
-    here. Either way the v-Jacobian reuses the responses of that solve.
+    u(T_k) = F(state.v, state.T), whose responses the v-Jacobian reuses.
     """
     gamma_k = cfg.gamma0 * cfg.rho**state.k
     mu_k = cfg.mu0 * cfg.rho**state.k
 
-    if f0 is None:
-        f0 = forward_map(setup, state.v, state.T)
     r = obs.g_delta - f0
     J = jacobian_v_matrix(setup, state.v, state.T)
     JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, f0)
 
-    MJ = setup.fixed_operator.mass_apply(J)
-    MJT = setup.fixed_operator.mass_apply(JT)
+    MJ = setup.fixed_operator.M @ J
+    MJT = setup.fixed_operator.M @ JT
     G = J.T @ MJ
     cross = J.T @ MJT
     d = float(JT @ MJT)

@@ -107,8 +107,6 @@ def ml_eval(params: MLParams, z: float) -> float:
     Positive z is served by the power series only, hence the small cutoff;
     large positive arguments grow like exp(z^(1/alpha)) and are out of scope.
     """
-    if not isinstance(params, MLParams):
-        params = MLParams(*params)
     z = float(z)
     if not np.isfinite(z):
         raise DomainError(f"z must be finite, got {z}")
@@ -117,10 +115,10 @@ def ml_eval(params: MLParams, z: float) -> float:
             f"z={z} is in the unsupported growth region (z > {POSITIVE_Z_MAX})"
         )
     if z >= 0.0:
-        value, ok = _series_scalar(params.alpha, params.beta, z)
-        if not ok:
+        value, ok = _series_batch(params.alpha, params.beta, np.asarray([z]))
+        if not ok[0]:
             raise DomainError(f"series did not converge for z={z}")
-        return value
+        return float(value[0])
     return float(ml_neg(params.alpha, params.beta, np.asarray([-z]))[0])
 
 
@@ -176,11 +174,6 @@ def ml_neg(alpha: float, beta: float, x) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # power series
-
-
-def _series_scalar(alpha: float, beta: float, z: float) -> tuple[float, bool]:
-    v, ok = _series_batch(alpha, beta, np.asarray([z]))
-    return float(v[0]), bool(ok[0])
 
 
 def _series_batch(alpha, beta, z):

@@ -40,9 +40,9 @@ from scipy.special import erfcx, roots_legendre
 from fracinv.errors import DomainError, FracinvError, ParameterError
 from fracinv.fem import HISTORY_BLOCK, FemOperator, L1Weights, _initial_and_load, l1_evolve
 from fracinv.grids import Grid1D, as_nodal_values
-from fracinv.inverse import _clamp_ipp, _trilinear_mass_1d, jacobian_v_matrix
+from fracinv.inverse import _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
-from fracinv.problems import ProblemSpec, TimeGrid
+from fracinv.problems import ProblemSpec
 from fracinv.spectral import build_eigendecomposition, propagate_modes
 
 
@@ -239,7 +239,7 @@ def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> n
     past[0] = w0_int
     for k in range(1, tg.n_steps + 1):
         combo = np.tensordot(history_coefficients(weights, k), past[:k], axes=1)
-        rhs = c * op.mass_apply_interior(combo)
+        rhs = c * (op.M_II @ combo)
         if load is not None:
             rhs = rhs + load
         past[k] = solve(rhs)
@@ -315,10 +315,8 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     w(0) = 0, stepped through the L1 scheme with the trajectory u^k of F(v, T)
     from the time stepper on the same operator (a load that changes at every
     step)."""
-    v_nodal = _clamp_ipp(np.asarray(v_nodal, float))
-    op = setup._operator_for(v_nodal)
-    tg = TimeGrid(setup.n_steps, T)
-    base = fem_trajectory(setup.spec_for(v_nodal, T), setup.grid, tg, op=op)
+    spec, op, tg = setup._forward_problem(v_nodal, T)  # v clamped as F clamps it
+    base = fem_trajectory(spec, setup.grid, tg, op=op)
     weights = L1Weights(setup.alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
@@ -333,7 +331,7 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
         load[:-1] += o * cols0[1:]
         load[1:] += o * cols0[:-1]
         combo = np.tensordot(history_coefficients(weights, k), w[:k], axes=1)
-        w[k] = solve(c * op.mass_apply_interior(combo) - load)
+        w[k] = solve(c * (op.M_II @ combo) - load)
     J = np.zeros((setup.grid.n_nodes, m))
     J[op.interior] = w[-1]
     return J
@@ -345,7 +343,7 @@ def nodal_to_param(setup, v_nodal: np.ndarray) -> np.ndarray:
     nodal setup, the L2 projection onto the span of a basis."""
     if setup.basis is None:
         return np.asarray(v_nodal, float)[setup.fixed_operator.interior]
-    W = setup.fixed_operator.mass_apply(setup.basis.T)  # (nodes, p)
+    W = setup.fixed_operator.M @ setup.basis.T  # (nodes, p)
     return np.linalg.solve(setup.param_gram, W.T @ v_nodal)
 
 
@@ -358,7 +356,7 @@ def jacobian_v_apply(setup, v, T: float, h) -> np.ndarray:
 def jacobian_v_adjoint_apply(setup, v, T: float, w) -> np.ndarray:
     """Adjoint J* w in the discrete L2 pairing: P^{-1} J^T M w."""
     J = jacobian_v_matrix(setup, v, T)
-    Mw = setup.fixed_operator.mass_apply(as_nodal_values(w, setup.grid))
+    Mw = setup.fixed_operator.M @ as_nodal_values(w, setup.grid)
     coeffs = np.linalg.solve(setup.param_gram, J.T @ Mw)
     return setup.param_to_nodal(coeffs)
 

@@ -67,7 +67,7 @@ def bp_ladder():
     for idx, eps in enumerate([0.0, 1e-3, 5e-3, 1e-2, 2e-2, 5e-2]):
         t0 = time.time()
         obs = add_noise(g_dag, eps, seed=1000 + idx, t_true=T_TRUE)
-        cfg = lm_config_for(case, alpha, T_init=prior, max_iter=24)
+        cfg = lm_config_for(case, alpha, T_init=prior, max_iter=24, stop="oracle")
         res = lm_reconstruct(setup, obs, cfg, truth=truth)
         es = np.array([h[2] for h in res.history])
         out["cells"][eps] = {
@@ -90,7 +90,7 @@ def ipp_runs():
         g_dag = exact_observation(case, alpha, setup.grid)
         truth = case.truth_nodal(setup.grid)
         obs = add_noise(g_dag, 0.0, seed=7, t_true=T_TRUE)
-        cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20)
+        cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20, stop="oracle")
         res = lm_reconstruct(setup, obs, cfg, truth=truth)
         out[alpha] = {
             "e": mass_norm(setup.grid, res.v_hat - truth),
@@ -103,7 +103,7 @@ def ipp_runs():
     g_dag = exact_observation(case, alpha, setup.grid)
     truth = case.truth_nodal(setup.grid)
     obs = add_noise(g_dag, 1e-2, seed=42, t_true=T_TRUE)
-    cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20)
+    cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20, stop="oracle")
     res = lm_reconstruct(setup, obs, cfg, truth=truth)
     out["noisy_e"] = mass_norm(setup.grid, res.v_hat - truth)
     return out
@@ -250,7 +250,7 @@ def test_criterion_7_isp_benchmark():
     g_dag = exact_observation(case, alpha, setup.grid)
     truth = case.truth_nodal(setup.grid)
     obs = add_noise(g_dag, 0.0, seed=5, t_true=T_TRUE)
-    cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20)
+    cfg = lm_config_for(case, alpha, T_init=prior, max_iter=20, stop="oracle")
     res = lm_reconstruct(setup, obs, cfg, truth=truth)
     e = mass_norm(setup.grid, res.v_hat - truth)
     ok = e <= 1e-2 and abs(res.T_hat - T_TRUE) <= 0.02

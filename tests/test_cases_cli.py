@@ -17,7 +17,7 @@ from fracinv.cases import (
 from fracinv.cli import main as cli_main
 from fracinv.config import parse_config
 from fracinv.errors import ConfigError, DomainError
-from fracinv.experiments import TableReport, emit_plot_data
+from fracinv.experiments import _write_table, emit_plot_data
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import ReconstructionResult
 from fracinv.spectral import build_eigendecomposition
@@ -75,10 +75,10 @@ class TestCases:
 
     def test_lm_defaults_lookup(self):
         case = get_case("5.2i")
-        cfg = lm_config_for(case, 0.5)
+        cfg = lm_config_for(case, 0.5, max_iter=30, stop="oracle")
         assert cfg.gamma0 == 1e-4 and cfg.mu0 == 5e-8 and cfg.rho == 0.8
         with pytest.raises(ConfigError):
-            lm_config_for(case, 0.33)
+            lm_config_for(case, 0.33, max_iter=30, stop="oracle")
 
     def test_tensor_sine_basis_orthonormal(self):
         from fracinv.fem import mass_inner
@@ -248,6 +248,26 @@ class TestCli:
         assert rc == 2
         err = capsys.readouterr().err
         assert "5.1ii" in err and "t_init" in err
+        assert cli_main(["estimate-t", "--config", str(p)]) == 2
+        err = capsys.readouterr().err
+        assert "5.1ii" in err and "t_init" in err
+
+    @pytest.mark.parametrize("case_id", ["5.1i", "5.1ii"])
+    def test_table_order_without_lm_defaults_exit_2(self, tmp_path, capsys, case_id):
+        # the cell used to record the ConfigError as its note, and the table exited 0
+        p = tmp_path / "a03.cfg"
+        p.write_text(f"[experiment]\ncase = {case_id}\nalphas = 0.5 0.3\nt_init = 0.45\n"
+                     "max_iter = 1\n[mesh]\nn = 8\nsteps = 8\n")
+        assert cli_main(["table", "--config", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert f"case {case_id} has no defaults for alpha=0.3" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_non_utf8_config_exit_2(self, tmp_path, capsys):
+        # configparser.read catches OSError only: this ended in a UnicodeDecodeError
+        p = tmp_path / "latin1.cfg"
+        p.write_bytes(b"[experiment]\ncase = 5.1i # caf\xe9\n")
+        assert cli_main(["estimate-t", "--config", str(p)]) == 2
+        assert "not UTF-8" in capsys.readouterr().err
 
     def test_deltaT_above_auto_prior_exit_2(self, tmp_path, capsys):
         # only the estimator's prior shows that deltaT does not fit below it
@@ -420,9 +440,7 @@ class TestPlotData:
             assert lines == ["k,value"]
 
     def test_table_report_csv(self, tmp_path):
-        rep = TableReport(rows=[("5.1i", 0.5, 0.0, 1.9e-3, 20, 0.4976, "")])
         path = tmp_path / "t.csv"
-        rep.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "case,alpha,epsilon,e,k_star,T_hat,note"
-        assert lines[1].startswith("5.1i,0.5,0,1.9")
+        _write_table(path, [("5.1i", 0.5, 0.0, 1.9e-3, 20, 0.4976, "")])
+        assert path.read_bytes() == (b"case,alpha,epsilon,e,k_star,T_hat,note\n"
+                                     b"5.1i,0.5,0,1.900000000000e-03,20,4.976000000000e-01,\n")

@@ -44,7 +44,10 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.inverse", "InverseSetup.nodal_to_param"),
            ("fracinv.problems", "ProblemSpec.sample"),
            ("fracinv.problems", "TimeGrid.times"),
-           ("fracinv.grids", "Grid1D.interior")]
+           ("fracinv.grids", "Grid1D.interior"),
+           ("fracinv.fem", "FemOperator.mass_apply"),
+           ("fracinv.fem", "FemOperator.mass_apply_interior"),
+           ("fracinv.experiments", "TableReport")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

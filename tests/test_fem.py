@@ -236,6 +236,12 @@ class TestSolveFemFinal:
             tracemalloc.stop()
         assert peak <= 1.1 * history
 
+    def test_operator_on_another_grid_rejected(self):
+        # the operator's grid used to decide the result's size, whatever grid was given
+        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        with pytest.raises(ParameterError, match="Grid1D"):
+            solve_fem(spec, Grid1D(64), TimeGrid(8, 0.5), op=FemOperator(Grid1D(32)))
+
 
 class TestFemOperator:
     """One sparse form and one banded Cholesky on both grids, checked against
@@ -287,7 +293,7 @@ class TestFemOperator:
         _, M_II = self._dense(op)
         v = np.random.default_rng(1).standard_normal((M_II.shape[0], 3))
         ref = M_II @ v
-        assert np.max(np.abs(op.mass_apply_interior(v) - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(op.M_II @ v - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(scipy_csr(op.M_II).toarray(), M_II)
 
     @pytest.mark.parametrize("n", [48, 128])
@@ -564,12 +570,12 @@ class TestMarchBits:
         solve = op.factorized(c)  # the time stepper's step on an (m, p) state
 
         def step(combo, out):
-            out[...] = solve(c * op.mass_apply_interior(combo))
+            out[...] = solve(c * (op.M_II @ combo))
 
         w0 = np.random.default_rng(n_steps).standard_normal((gain.size, 3))
         ours = fem_mod._l1_march(weights, w0, step)
         ref = l1_march_per_block(weights, w0,
-                                 lambda combo: solve(c * op.mass_apply_interior(combo)))
+                                 lambda combo: solve(c * (op.M_II @ combo)))
         assert np.array_equal(ours, ref)
 
 
