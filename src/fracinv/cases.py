@@ -248,9 +248,8 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, T: float = T_TRUE) -> fl
     """Terminal-time prior from the asymptotic mode-ratio estimator, applied
     to an exact snapshot synthesized on a fine observation grid.
 
-    1D cases only: on the square it raises a ConfigError, since only a
-    config (estimate-t, t_init = auto) asks for it there. The snapshot, less
-    its boundary lift, is projected on the sines with trapezoid weights; the
+    1D cases only (a ConfigError on the square). The snapshot, less its
+    boundary lift, is projected on the sines with trapezoid weights; the
     reference coefficients are the case's closed forms (sampling a rough
     reference field would alias into the high modes that carry the decay
     signal).

@@ -187,9 +187,8 @@ def _table_cell(args):
 
 
 def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
-    """Full (alpha x epsilon) grid of reconstructions in study mode; returns
-    the rows of the CSV it writes. Every order's LMConfig is built before any
-    cell runs, so a configuration error stops the table before it starts."""
+    """Full (alpha x epsilon) grid of reconstructions in study mode; returns the
+    CSV's rows. Every order's LMConfig is built before any cell runs."""
     if threads < 1:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     case = get_case(cfg.case_id)

@@ -218,7 +218,8 @@ class TestModalEngine:
         assert np.array_equal(again, first)
         fem_mod._fixed_operator.cache_clear()  # a fresh fixed operator for bp/isp
         assert np.array_equal(again, forward_map(make(), v, 0.45))
-        r, s = setup._forward_problem(v, 0.45)[1].responses(setup.alpha, TimeGrid(setup.n_steps, 0.45))
+        _, op, tg = setup._forward_problem(v, 0.45)
+        r, s = op.responses(setup.alpha, tg)
         assert not (r.flags.writeable or s.flags.writeable)
 
     def test_old_responses_freed_before_march(self, monkeypatch):
