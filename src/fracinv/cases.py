@@ -16,8 +16,8 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import ConfigError
-from .fem import solve_fem
+from .errors import ConfigError, ShapeError
+from .fem import dirichlet_lift, solve_fem
 from .grids import Grid1D, Grid2D, GridLike
 from .inverse import InverseSetup, LMConfig
 from .problems import TimeGrid
@@ -53,6 +53,10 @@ class BenchmarkCase:
     # avoid aliasing bias in the lambda_n-amplified mode ratios
     ref_sine_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
     truth_sine_coeff: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def grid(self, n: Optional[int] = None) -> GridLike:
+        """The case's mesh, n cells a side (default_n where n is None)."""
+        return (Grid1D if self.domain == "interval" else Grid2D)(n or self.default_n)
 
     def truth_nodal(self, grid: GridLike) -> np.ndarray:
         from .grids import as_nodal_values
@@ -176,14 +180,11 @@ def tensor_sine_basis(grid: Grid2D, k: int) -> np.ndarray:
 
 def make_setup(case: BenchmarkCase, alpha: float, n: Optional[int] = None,
                n_steps: Optional[int] = None, basis: Optional[np.ndarray] = None) -> InverseSetup:
-    n = n or case.default_n
-    n_steps = n_steps or case.default_steps
-    grid = Grid1D(n) if case.domain == "interval" else Grid2D(n)
     return InverseSetup(
         case.kind,
-        grid,
+        case.grid(n),
         alpha,
-        n_steps,
+        n_steps or case.default_steps,
         diffusion=case.diffusion,
         u0=case.u0,
         f=case.f,
@@ -199,7 +200,7 @@ def make_setup(case: BenchmarkCase, alpha: float, n: Optional[int] = None,
 T_STEP_CAPS = {"bp": 2e-4, "isp": 5e-3, "ipp": 2e-2}
 
 
-def lm_config_for(case: BenchmarkCase, alpha: float, *, T_init: float = 0.4,
+def lm_config_for(case: BenchmarkCase, alpha: float, *, T_init: float,
                   max_iter: int, stop: str, **overrides) -> LMConfig:
     if alpha not in case.lm_defaults:
         raise ConfigError(f"case {case.case_id} has no defaults for alpha={alpha}")
@@ -226,8 +227,11 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
     The 1D backward and source cases are synthesized mode by mode from their
     closed-form sine coefficients (exact in time, DATA_MODES modes);
     everything else uses the FEM solver with DATA_STEPS time steps on a mesh
-    DATA_REFINE times finer than `grid`, restricted to its nodes.
+    DATA_REFINE times finer than `grid`, restricted to its nodes. A ShapeError
+    where `grid` is not of the case's domain.
     """
+    if case.grid(grid.n) != grid:
+        raise ShapeError(f"case {case.case_id} is posed on the {case.domain}, not on {grid}")
     if case.domain == "interval" and case.kind in ("bp", "isp"):
         lam, phi = build_eigendecomposition(DATA_MODES, grid)
         ns = np.arange(1.0, DATA_MODES + 1)
@@ -237,7 +241,7 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
 
     steps = DATA_STEPS[case.domain]
     fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=steps)
-    u = solve_fem(fine.spec_for(case.truth, T), fine.grid, TimeGrid(steps, T))
+    u = solve_fem(fine.spec_for(case.truth), fine.grid, TimeGrid(steps, T))
     if case.domain == "interval":
         return u[::DATA_REFINE]
     side = fine.grid.n + 1
@@ -261,9 +265,7 @@ def estimate_prior_T(case: BenchmarkCase, alpha: float, T: float = T_TRUE) -> fl
     g = exact_observation(case, alpha, grid, T=T)
     n_modes = min(128, PRIOR_N_OBS // 4)
     lam, phi = build_eigendecomposition(n_modes, grid)
-    a0, a1 = case.dirichlet or (0.0, 0.0)
-    x = grid.nodes
-    obs_c = phi @ (grid.trapezoid_weights() * (g - (a0 * (1.0 - x) + a1 * x)))
+    obs_c = phi @ (grid.trapezoid_weights() * (g - dirichlet_lift(case.dirichlet, grid)))
     ref_c = case.ref_sine_coeff(np.arange(1.0, n_modes + 1))
     if case.kind == "isp":
         # reference alive only where the known initial state has modes

@@ -62,11 +62,12 @@ def _write_meta(path, payload: dict) -> None:
         fh.write("\n")
 
 
-def _snapshot_columns(grid, values):
-    if isinstance(grid, Grid2D):
-        pts = grid.nodes
-        return "x,y,value", [pts[:, 0], pts[:, 1], values]
-    return "x,value", [grid.nodes, values]
+def _write_nodal(path, grid, **fields) -> None:
+    """A CSV of nodal fields after the node-coordinate columns: x, or x and y."""
+    pts = grid.nodes
+    coords = {"x": pts[:, 0], "y": pts[:, 1]} if isinstance(grid, Grid2D) else {"x": pts}
+    columns = {**coords, **fields}
+    _write_columns(path, ",".join(columns), list(columns.values()))
 
 
 def _lm_config(case, alpha, cfg: ExperimentConfig) -> LMConfig:
@@ -91,16 +92,14 @@ def run_forward(cfg: ExperimentConfig) -> list:
     for alpha in cfg.alphas:
         setup = make_setup(case, alpha, n=cfg.n, n_steps=cfg.steps)
         g_dag = exact_observation(case, alpha, setup.grid)
-        header, cols = _snapshot_columns(setup.grid, g_dag)
         snap = os.path.join(out, f"snapshot_{case.case_id}_a{alpha:g}.csv")
-        _write_columns(snap, header, cols)
+        _write_nodal(snap, setup.grid, value=g_dag)
         written.append(snap)
         for eps in cfg.epsilons:
             obs = add_noise(g_dag, eps, seed=cfg.seed + cell, t_true=case_mod.T_TRUE)
             cell += 1
-            header, cols = _snapshot_columns(setup.grid, obs.g_delta)
             name = os.path.join(out, f"observation_{case.case_id}_a{alpha:g}_e{eps:g}.csv")
-            _write_columns(name, header, cols)
+            _write_nodal(name, setup.grid, value=obs.g_delta)
             written.append(name)
         _write_meta(
             os.path.join(out, f"forward_{case.case_id}_a{alpha:g}.json"),
@@ -125,14 +124,14 @@ def run_estimate_t(cfg: ExperimentConfig) -> list:
 
 def _snapshot(case, alpha, cfg: ExperimentConfig) -> np.ndarray:
     """The exact snapshot on the inversion mesh, shared by every epsilon."""
-    return exact_observation(case, alpha, make_setup(case, alpha, n=cfg.n).grid)
+    return exact_observation(case, alpha, case.grid(cfg.n))
 
 
 def _reconstruct_cell(case, alpha, eps, cfg: ExperimentConfig, seed: int, lm: LMConfig,
                       g_dag: np.ndarray) -> tuple[ReconstructionResult, np.ndarray, object]:
     basis = None
     if case.domain == "unit_square":
-        basis = tensor_sine_basis(Grid2D(cfg.n or case.default_n), 6)
+        basis = tensor_sine_basis(case.grid(cfg.n), 6)
     setup = make_setup(case, alpha, n=cfg.n, n_steps=cfg.steps, basis=basis)
     truth = case.truth_nodal(setup.grid)
     obs = add_noise(g_dag, eps, seed=seed, t_true=case_mod.T_TRUE)
@@ -201,7 +200,8 @@ def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
             jobs.append((case.case_id, alpha, eps, cfg, cfg.seed + cell, lms[alpha], g_dag))
             cell += 1
     if threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # a fork pool starts all its workers at the first submit: no more than the cells
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             rows = list(pool.map(_table_cell, jobs))
     else:
         rows = [_table_cell(j) for j in jobs]
@@ -229,13 +229,7 @@ def emit_plot_data(result: ReconstructionResult, truth, grid, out_dir, prefix: s
         _write_columns(path, "k,value", [ks, col] if len(ks) else [])
         paths.append(path)
     prof = os.path.join(out_dir, f"{prefix}_profile.csv")
-    if isinstance(grid, Grid2D):
-        pts = grid.nodes
-        _write_columns(prof, "x,y,v_hat,truth",
-                       [pts[:, 0], pts[:, 1], result.v_hat, np.asarray(truth, float)])
-    else:
-        _write_columns(prof, "x,v_hat,truth",
-                       [grid.nodes, result.v_hat, np.asarray(truth, float)])
+    _write_nodal(prof, grid, v_hat=result.v_hat, truth=np.asarray(truth, float))
     paths.append(prof)
     return paths
 
@@ -250,13 +244,13 @@ def run_convergence(cfg: ExperimentConfig):
     """Solver validation orders on the single-mode problem, against its modal
     solution interpolated from a fine grid."""
     alpha = cfg.alphas[0]
-    spec = ProblemSpec(alpha=alpha, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
+    spec, T = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0), 0.5
     t0 = time.time()
     fine = Grid1D(REFERENCE_N)
     lam, phi = build_eigendecomposition(REFERENCE_MODES, fine)
     u0c = phi @ (fine.trapezoid_weights() * as_nodal_values(spec.u0, fine))
-    u_ref = phi.T @ propagate_modes(alpha, lam, spec.T, u0c, 0.0)
-    report = convergence_study(spec, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
+    u_ref = phi.T @ propagate_modes(alpha, lam, T, u0c, 0.0)
+    report = convergence_study(spec, T, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)
     os.makedirs(cfg.out_dir, exist_ok=True)
     path = os.path.join(cfg.out_dir, f"convergence_a{alpha:g}.csv")

@@ -422,14 +422,21 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarra
     return r, s
 
 
+def dirichlet_lift(dirichlet: Optional[tuple[float, float]], grid: GridLike) -> np.ndarray:
+    """The affine lift a0 (1 - x) + a1 x of the constant Dirichlet values
+    (a0, a1) at the interval's nodes; zero where `dirichlet` is None."""
+    if dirichlet is None:
+        return np.zeros(grid.n_nodes)
+    if not isinstance(grid, Grid1D):
+        raise ParameterError("constant Dirichlet lift is defined on the interval")
+    x = grid.nodes
+    return dirichlet[0] * (1.0 - x) + dirichlet[1] * x
+
+
 def _initial_and_load(spec: ProblemSpec, op: FemOperator):
     """u0, the Dirichlet lift, and w0 = u0 - lift and the load on the interior."""
     u0 = as_nodal_values(spec.u0, op.grid)
-    lift = np.zeros(op.grid.n_nodes)
-    if spec.dirichlet is not None:
-        if not isinstance(op.grid, Grid1D):
-            raise ParameterError("constant Dirichlet lift is defined on the interval")
-        lift = spec.dirichlet[0] * (1.0 - op.grid.nodes) + spec.dirichlet[1] * op.grid.nodes
+    lift = dirichlet_lift(spec.dirichlet, op.grid)
     load = (op.M @ as_nodal_values(spec.f, op.grid) - op.A @ lift)[op.interior]
     return u0, lift, (u0 - lift)[op.interior], load
 
@@ -499,33 +506,34 @@ class ConvergenceReport:
 
 def convergence_study(
     spec: ProblemSpec,
-    reference: Callable[[GridLike], np.ndarray],
+    T: float,
+    reference: Callable[[Grid1D], np.ndarray],
     space_levels=(32, 64, 128),
     time_levels=(64, 128, 256),
     fine_steps: int = 2048,
     fine_n: int = 512,
 ) -> ConvergenceReport:
-    """Observed orders: spatial vs reference(grid), the solution's values at
-    the grid's nodes, at fixed fine tau; temporal by self-differences at
-    fixed fine h (both least-squares slopes).
+    """Observed orders of u(T) on the interval: spatial vs reference(grid),
+    the solution's values at the grid's nodes, at fixed fine tau; temporal by
+    self-differences at fixed fine h (both least-squares slopes).
     """
     space_errors = []
     for n in space_levels:
-        grid = spec.grid_for(n)
-        u = solve_fem(spec, grid, TimeGrid(fine_steps, spec.T))
+        grid = Grid1D(n)
+        u = solve_fem(spec, grid, TimeGrid(fine_steps, T))
         err = mass_norm(grid, u - reference(grid))
         space_errors.append((1.0 / n, err))
     hs, es = zip(*space_errors)
     space_order = float(np.polyfit(np.log(hs), np.log(es), 1)[0])
 
-    grid = spec.grid_for(fine_n)
+    grid = Grid1D(fine_n)
     finals = {}
     for n_steps in list(time_levels) + [2 * max(time_levels)]:
-        finals[n_steps] = solve_fem(spec, grid, TimeGrid(n_steps, spec.T))
+        finals[n_steps] = solve_fem(spec, grid, TimeGrid(n_steps, T))
     time_diffs = []
     for n_steps in time_levels:
         d = mass_norm(grid, finals[n_steps] - finals[2 * n_steps])
-        time_diffs.append((spec.T / n_steps, d))
+        time_diffs.append((T / n_steps, d))
     taus, ds = zip(*time_diffs)
     time_order = float(np.polyfit(np.log(taus), np.log(ds), 1)[0])
     return ConvergenceReport(space_order, time_order, space_errors, time_diffs)

@@ -49,7 +49,7 @@ from typing import Optional
 import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not in the first cell
 
-from .errors import AdmissibilityError, NumericalError, ParameterError
+from .errors import AdmissibilityError, NumericalError, ParameterError, ShapeError
 from .fem import FemOperator, _fixed_operator, l1_evolve, mass_norm, modal_data, solve_fem
 from .grids import Grid1D, GridLike, as_nodal_values
 from .problems import ProblemSpec, TimeGrid
@@ -229,13 +229,12 @@ class InverseSetup:
         reconstruction by a third, from 106 to 140 MB."""
         return isinstance(self.grid, Grid1D)
 
-    def spec_for(self, v, T: float) -> ProblemSpec:
-        """The forward problem F(v, T): v fills the field its kind names."""
+    def spec_for(self, v) -> ProblemSpec:
+        """The equation of F(v, .): v fills the field its kind names."""
         fields = {"u0": self.u0, "f": self.f, "potential": 0.0}
         fields[_UNKNOWN_FIELD[self.kind]] = v
-        domain = "interval" if isinstance(self.grid, Grid1D) else "unit_square"
-        return ProblemSpec(alpha=self.alpha, T=T, diffusion=self.diffusion,
-                           dirichlet=self.dirichlet, domain=domain, **fields)
+        return ProblemSpec(alpha=self.alpha, diffusion=self.diffusion,
+                           dirichlet=self.dirichlet, **fields)
 
     def _forward_problem(self, v, T: float):
         """(spec, operator, time grid) of F(v, T). An ipp iterate is clamped and
@@ -249,7 +248,7 @@ class InverseSetup:
             if self._ipp_operator[0] != key:
                 self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal))
             op = self._ipp_operator[1]
-        return self.spec_for(v_nodal, T), op, tg
+        return self.spec_for(v_nodal), op, tg
 
 
 def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
@@ -413,6 +412,10 @@ def lm_reconstruct(
     """
     if cfg.stop == "oracle" and truth is None:
         raise ParameterError("oracle stopping needs the ground truth")
+    for name, values in (("observation", obs.g_delta), ("truth", truth)):
+        if values is not None and np.shape(values) != (setup.grid.n_nodes,):
+            raise ShapeError(f"the {name} has shape {np.shape(values)}, "
+                             f"the grid {setup.grid.n_nodes} nodes")
     state = LMState(v=np.zeros(setup.grid.n_nodes), T=cfg.T_init, k=0)
 
     history, v_hist, hit = [], [], False

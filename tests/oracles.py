@@ -450,7 +450,7 @@ def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> np.nd
     built for spec.potential. Backward- and source-problem specs are alike
     here: each is a pair (u0, f), whichever of the two is the unknown. Warns
     when the modes miss more than 1e-6 of the squared norm of u0 or f."""
-    if spec.domain != "interval":
+    if not isinstance(ed.grid, Grid1D):
         raise ParameterError("spectral solver is one-dimensional")
     a = as_nodal_values(spec.diffusion, ed.grid)
     if np.any(np.abs(a - 1.0) > 1e-14):

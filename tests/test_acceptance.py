@@ -207,8 +207,7 @@ def test_criterion_4_t_estimator():
 
 def test_criterion_5_solver_cross_validation():
     alpha = 0.5
-    spec = ProblemSpec(alpha=alpha, T=T_TRUE, u0=lambda x: np.sin(np.pi * x),
-                       f=0.0)
+    spec = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0)
     grid = Grid1D(512)
     u = solve_fem(spec, grid, TimeGrid(1024, T_TRUE))
     factor = float(ml_neg(alpha, 1.0, np.array([np.pi**2 * T_TRUE**alpha]))[0])
@@ -217,7 +216,7 @@ def test_criterion_5_solver_cross_validation():
     def reference(g):
         return factor * np.sin(np.pi * g.nodes)
 
-    report = convergence_study(spec, reference, space_levels=(16, 32, 64),
+    report = convergence_study(spec, T_TRUE, reference, space_levels=(16, 32, 64),
                                time_levels=(32, 64, 128), fine_steps=2048, fine_n=512)
     ok = gap <= 5e-4 and report.space_order >= 1.9 and report.time_order >= alpha
     _report(5, "FEM-vs-spectral cross-validation", ok,

@@ -8,15 +8,17 @@ import pytest
 from fracinv.cases import (
     CASE_IDS,
     PRIOR_N_OBS,
+    BenchmarkCase,
     estimate_prior_T,
     exact_observation,
     get_case,
     lm_config_for,
+    make_setup,
     tensor_sine_basis,
 )
 from fracinv.cli import main as cli_main
 from fracinv.config import parse_config
-from fracinv.errors import ConfigError, DomainError
+from fracinv.errors import ConfigError, DomainError, ShapeError
 from fracinv.experiments import _write_table, emit_plot_data
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import ReconstructionResult
@@ -57,6 +59,21 @@ class TestCases:
             proj = phi @ (grid.trapezoid_weights() * field)
             assert np.max(np.abs(case.ref_sine_coeff(ns) - proj)) < 1e-5, case.case_id
 
+    @pytest.mark.parametrize("case_id, grid", [("5.1i", Grid1D(128)), ("5.1ii", Grid2D(32))])
+    def test_case_grid_is_the_setups(self, case_id, grid):
+        # one rule for a case's mesh: its domain, n cells a side, default_n by default
+        case = get_case(case_id)
+        assert case.grid() == grid and case.grid(8) == type(grid)(8)
+        assert make_setup(case, 0.5).grid == grid and make_setup(case, 0.5, n=8).grid == case.grid(8)
+
+    @pytest.mark.parametrize("case_id, grid", [("5.1i", Grid2D(8)), ("5.3", Grid2D(8)),
+                                               ("5.1ii", Grid1D(8))])
+    def test_exact_observation_on_other_dimension_rejected(self, case_id, grid):
+        # 5.1i on Grid2D(8) returned 162 values for its 81 nodes, 5.1ii on
+        # Grid1D(8) a 9 x 9 square snapshot for its 9 nodes
+        with pytest.raises(ShapeError, match=case_id):
+            exact_observation(get_case(case_id), 0.5, grid)
+
     def test_exact_observation_deterministic(self):
         case = get_case("5.1i")
         g1 = exact_observation(case, 0.5, Grid1D(64))
@@ -75,10 +92,11 @@ class TestCases:
 
     def test_lm_defaults_lookup(self):
         case = get_case("5.2i")
-        cfg = lm_config_for(case, 0.5, max_iter=30, stop="oracle")
+        cfg = lm_config_for(case, 0.5, T_init=0.4, max_iter=30, stop="oracle")
         assert cfg.gamma0 == 1e-4 and cfg.mu0 == 5e-8 and cfg.rho == 0.8
+        assert cfg.T_init == 0.4 and cfg.t_step_cap == 5e-3
         with pytest.raises(ConfigError):
-            lm_config_for(case, 0.33, max_iter=30, stop="oracle")
+            lm_config_for(case, 0.33, T_init=0.4, max_iter=30, stop="oracle")
 
     def test_tensor_sine_basis_orthonormal(self):
         from fracinv.fem import mass_inner
@@ -396,6 +414,60 @@ class TestTable:
         cli_main(["table", "--config", str(p), "--out", str(out1)])
         cli_main(["table", "--config", str(p), "--out", str(out2), "--threads", "2"])
         assert (out1 / "table_5.2i.csv").read_bytes() == (out2 / "table_5.2i.csv").read_bytes()
+
+    def test_pool_no_larger_than_the_cells(self, tmp_path, monkeypatch):
+        # a fork pool starts all its max_workers processes at the first submit:
+        # --threads 8 on two cells started 8
+        import fracinv.experiments as experiments
+
+        sizes = []
+
+        class SerialPool:  # records its size and runs the cells here, starting no process
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(experiments, "ProcessPoolExecutor", SerialPool)
+        p = tmp_path / "two.cfg"
+        p.write_text(self.CFG.replace("epsilons = 0", "epsilons = 0 1e-2"))
+        out1, out8 = tmp_path / "s", tmp_path / "t"
+        assert cli_main(["table", "--config", str(p), "--out", str(out1)]) == 0
+        assert cli_main(["table", "--config", str(p), "--out", str(out8), "--threads", "8"]) == 0
+        assert sizes == [2]
+        assert (out1 / "table_5.2i.csv").read_bytes() == (out8 / "table_5.2i.csv").read_bytes()
+
+    @pytest.mark.parametrize("command", ["table", "recover-bp"])
+    def test_square_cell_grids_follow_the_case_rule(self, tmp_path, monkeypatch, command):
+        # the snapshot, the setup and the 2D basis of a cell all take their mesh
+        # from BenchmarkCase.grid; the basis grid used to repeat its default
+        import fracinv.experiments as experiments
+
+        rule, grids = BenchmarkCase.grid, []
+        monkeypatch.setattr(BenchmarkCase, "grid", lambda case, n=None: rule(case, n or 8))
+
+        def recording(grid, k):
+            grids.append(grid)
+            return tensor_sine_basis(grid, k)
+
+        monkeypatch.setattr(experiments, "tensor_sine_basis", recording)
+        p = tmp_path / "sq.cfg"
+        p.write_text("[experiment]\ncase = 5.1ii\nalphas = 0.5\nepsilons = 1e-2\n"
+                     "t_init = 0.45\nmax_iter = 1\n")
+        out = tmp_path / "o"
+        assert cli_main([command, "--config", str(p), "--out", str(out)]) == 0
+        assert grids == [Grid2D(8)]
+        if command == "table":  # the cell ran: its note is empty
+            assert (out / "table_5.1ii.csv").read_text().splitlines()[1].endswith(",")
+        else:
+            assert len((out / "5.1ii_a0.5_e0.01_profile.csv").read_text().splitlines()) == 82
 
     def test_one_snapshot_per_alpha(self, tmp_path, monkeypatch):
         # the snapshot depends on (case, alpha, mesh), not on epsilon

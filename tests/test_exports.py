@@ -8,6 +8,7 @@ by reading each module's syntax tree.
 """
 
 import ast
+import dataclasses
 import importlib
 import pkgutil
 from pathlib import Path
@@ -38,7 +39,8 @@ def test_package_imports_resolve():
 
 
 # (module, name) of public API that was deleted, a dotted name for a class
-# attribute; a stale re-export or `__all__` entry would bring the name back
+# attribute or a dataclass field; a stale re-export or `__all__` entry would
+# bring the name back
 REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.errors", "ResolutionError"),
            ("fracinv.inverse", "InverseSetup.nodal_to_param"),
@@ -47,7 +49,10 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.grids", "Grid1D.interior"),
            ("fracinv.fem", "FemOperator.mass_apply"),
            ("fracinv.fem", "FemOperator.mass_apply_interior"),
-           ("fracinv.experiments", "TableReport")]
+           ("fracinv.experiments", "TableReport"),
+           ("fracinv.problems", "ProblemSpec.T"),
+           ("fracinv.problems", "ProblemSpec.domain"),
+           ("fracinv.problems", "ProblemSpec.grid_for")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)
@@ -56,7 +61,10 @@ def test_removed_names_stay_gone(module, name):
     *path, attr = name.split(".")
     for part in path:
         owner = getattr(owner, part)
-    assert not hasattr(owner, attr) and name not in getattr(mod, "__all__", [])
+    # a field without a default has no class attribute: hasattr cannot see it
+    fields = {f.name for f in dataclasses.fields(owner)} if dataclasses.is_dataclass(owner) else ()
+    assert not hasattr(owner, attr) and attr not in fields
+    assert name not in getattr(mod, "__all__", [])
 
 
 def _annotations(tree):

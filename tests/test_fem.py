@@ -91,15 +91,15 @@ class TestSolveFem1D:
         alpha, T = 0.5, 0.5
         grid = Grid1D(512)
         tg = TimeGrid(1024, T)
-        spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        spec = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0)
         u = solve_fem(spec, grid, tg)
         ref = spectral_single_mode(alpha, T, grid)
         assert mass_norm(grid, u - ref) <= 5e-4
 
     def test_steady_state_long_run(self):
         grid = Grid1D(128)
-        spec = ProblemSpec(alpha=0.5, T=200.0, u0=0.0, f=lambda x: np.sin(np.pi * x))
-        u = solve_fem(spec, grid, TimeGrid(256, spec.T))
+        spec = ProblemSpec(alpha=0.5, u0=0.0, f=lambda x: np.sin(np.pi * x))
+        u = solve_fem(spec, grid, TimeGrid(256, 200.0))
         ref = np.sin(np.pi * grid.nodes) / np.pi**2
         # discrete steady state of the P1 operator differs from the exact one
         # by O(h^2); the remaining transient decays algebraically
@@ -108,7 +108,7 @@ class TestSolveFem1D:
     def test_determinism_bitwise(self):
         grid = Grid1D(64)
         tg = TimeGrid(32, 0.5)
-        spec = ProblemSpec(alpha=0.4, T=0.5, u0=lambda x: np.sin(np.pi * x),
+        spec = ProblemSpec(alpha=0.4, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         u1 = solve_fem(spec, grid, tg)
@@ -119,7 +119,7 @@ class TestSolveFem1D:
         # all data symmetric about x = 1/2: solution symmetric at every step
         grid = Grid1D(128)
         tg = TimeGrid(64, 0.5)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         vals = fem_trajectory(spec, grid, tg)
         assert np.max(np.abs(vals - vals[:, ::-1])) < 1e-12
@@ -127,7 +127,7 @@ class TestSolveFem1D:
     def test_positivity_nonneg_data(self):
         grid = Grid1D(128)
         tg = TimeGrid(128, 0.5)
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                            potential=lambda x: np.sin(np.pi * x) ** 4)
         vals = fem_trajectory(spec, grid, tg)
         assert vals.min() >= -1e-10
@@ -138,7 +138,7 @@ class TestSolveFem1D:
         tg = TimeGrid(512, 0.5)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=1.0, f=f, potential=q)
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f, potential=q)
         traj = fem_trajectory(spec, grid, tg)
         dalpha = caputo_derivative_at_T(traj, tg, 0.5)
         x = grid.nodes[1:-1]
@@ -154,9 +154,8 @@ class TestSolveFem1D:
         grid = Grid1D(256)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, T=500.0, u0=1.0, f=f,
-                           potential=q, dirichlet=(0.5, 0.25))
-        u = solve_fem(spec, grid, TimeGrid(256, spec.T))
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f, potential=q, dirichlet=(0.5, 0.25))
+        u = solve_fem(spec, grid, TimeGrid(256, 500.0))
         assert u[0] == pytest.approx(0.5) and u[-1] == pytest.approx(0.25)
 
         def rhs(x, y):
@@ -174,7 +173,7 @@ class TestSolveFem1D:
 class TestSolveFem2D:
     def _spec_2d(self):
         return ProblemSpec(
-            alpha=0.5, T=0.5, domain="unit_square",
+            alpha=0.5,
             u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
             diffusion=lambda x, y: 1.0 + np.sin(np.pi * x) * y * (1 - y),
             f=lambda x, y: np.minimum(x, 1 - x) * np.exp(x) * np.sin(2 * np.pi * y),
@@ -182,8 +181,8 @@ class TestSolveFem2D:
 
     def test_2d_self_convergence(self):
         spec = self._spec_2d()
-        coarse = solve_fem(spec, Grid2D(32), TimeGrid(64, spec.T))
-        fine = solve_fem(spec, Grid2D(64), TimeGrid(128, spec.T))
+        coarse = solve_fem(spec, Grid2D(32), TimeGrid(64, 0.5))
+        fine = solve_fem(spec, Grid2D(64), TimeGrid(128, 0.5))
         # restrict fine to coarse nodes (every other node per direction)
         fine_grid = Grid2D(64)
         f2 = fine.reshape(65, 65)[::2, ::2].ravel()
@@ -193,12 +192,12 @@ class TestSolveFem2D:
 
     def test_2d_laplace_single_mode(self):
         spec = ProblemSpec(
-            alpha=0.5, T=0.5, domain="unit_square",
+            alpha=0.5,
             u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
             f=0.0,
         )
         grid = Grid2D(48)
-        u = solve_fem(spec, grid, TimeGrid(96, spec.T))
+        u = solve_fem(spec, grid, TimeGrid(96, 0.5))
         lam = 2 * np.pi**2
         factor = float(ml_neg(0.5, 1.0, np.array([lam * 0.5**0.5]))[0])
         pts = grid.nodes
@@ -214,7 +213,7 @@ class TestSolveFemFinal:
     def _case_problem(case_id, n, steps):
         case = get_case(case_id)
         setup = make_setup(case, 0.5, n=n, n_steps=steps)
-        return setup.spec_for(case.truth, 0.5), setup.grid, TimeGrid(steps, 0.5)
+        return setup.spec_for(case.truth), setup.grid, TimeGrid(steps, 0.5)
 
     # 5.3: Dirichlet lift and a potential; 5.1ii: the square
     @pytest.mark.parametrize("case_id, n, steps", [("5.3", 256, 128), ("5.1ii", 16, 32)])
@@ -238,7 +237,7 @@ class TestSolveFemFinal:
 
     def test_operator_on_another_grid_rejected(self):
         # the operator's grid used to decide the result's size, whatever grid was given
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
         with pytest.raises(ParameterError, match="Grid1D"):
             solve_fem(spec, Grid1D(64), TimeGrid(8, 0.5), op=FemOperator(Grid1D(32)))
 
@@ -584,7 +583,7 @@ class TestSpectralFemAgreement:
         # mixed initial state + hat source: modal solve (200 modes) vs the
         # FEM engine at fine resolution
         alpha, T = 0.5, 0.5
-        spec = ProblemSpec(alpha=alpha, T=T, u0=lambda x: np.sin(np.pi * x),
+        spec = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x))
         ed = fd_eigendecomposition(0.0, 200, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, T)
@@ -597,7 +596,7 @@ class TestSpectralFemAgreement:
         # nonzero potential: the FEM/spectral gap shrinks under joint
         # space-time refinement
         q = lambda x: np.sin(np.pi * x) ** 4
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x),
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x),
                            f=lambda x: np.minimum(x, 1 - x),
                            potential=q)
         ed = fd_eigendecomposition(q, 128, grid=Grid1D(2048))
@@ -614,26 +613,26 @@ class TestSpectralFemAgreement:
 
 class TestConvergence:
     def test_orders_single_mode(self):
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
 
         def reference(grid):
             return spectral_single_mode(0.5, 0.5, grid)
 
         report = convergence_study(
-            spec, reference, space_levels=(16, 32, 64), time_levels=(32, 64, 128),
+            spec, 0.5, reference, space_levels=(16, 32, 64), time_levels=(32, 64, 128),
             fine_steps=2048, fine_n=512,
         )
         assert report.space_order >= 1.9
         assert report.time_order >= 0.5
 
     def test_identical_runs_identical_errors(self):
-        spec = ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
 
         def reference(grid):
             return spectral_single_mode(0.5, 0.5, grid)
 
-        r1 = convergence_study(spec, reference, (16, 32), (16, 32), 256, 128)
-        r2 = convergence_study(spec, reference, (16, 32), (16, 32), 256, 128)
+        r1 = convergence_study(spec, 0.5, reference, (16, 32), (16, 32), 256, 128)
+        r2 = convergence_study(spec, 0.5, reference, (16, 32), (16, 32), 256, 128)
         assert r1.space_errors == r2.space_errors
         assert r1.time_diffs == r2.time_diffs
 

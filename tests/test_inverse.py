@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import fracinv.fem as fem_mod
-from fracinv.errors import AdmissibilityError, FracinvError, ParameterError
+from fracinv.errors import AdmissibilityError, FracinvError, ParameterError, ShapeError
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
@@ -84,9 +84,9 @@ class TestForwardMap:
         setup = {"bp": bp_setup, "isp": isp_setup, "ipp": ipp_setup}[kind]()
         v = np.sin(np.pi * setup.grid.nodes)
         spec = {
-            "bp": ProblemSpec(alpha=0.5, T=0.5, u0=v, f=HAT),
-            "isp": ProblemSpec(alpha=0.5, T=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
-            "ipp": ProblemSpec(alpha=0.5, T=0.5, u0=1.0,
+            "bp": ProblemSpec(alpha=0.5, u0=v, f=HAT),
+            "isp": ProblemSpec(alpha=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
+            "ipp": ProblemSpec(alpha=0.5, u0=1.0,
                                f=lambda x: np.abs(np.sin(2 * np.pi * x)),
                                potential=v, dirichlet=(0.0, 0.0)),
         }[kind]
@@ -548,6 +548,17 @@ class TestLMReconstruct:
         res = lm_reconstruct(setup, obs, cfg)
         assert len(res.history) == K + 1
         assert len(calls) == 2 * K + 1
+
+    @pytest.mark.parametrize("what", ["observation", "truth"])
+    def test_data_on_another_grid_is_shape_error(self, what):
+        # numpy's untyped broadcast ValueError, which is no FracinvError, used
+        # to end a whole table instead of one cell
+        setup = bp_setup(n=32, steps=32)
+        right, wrong = np.ones(33), np.ones(17)
+        obs = add_noise(wrong if what == "observation" else right, 0.0, seed=1)
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45, max_iter=1)
+        with pytest.raises(ShapeError, match=what):
+            lm_reconstruct(setup, obs, cfg, truth=wrong if what == "truth" else right)
 
     def test_oracle_requires_truth(self):
         setup = bp_setup(n=32, steps=32)

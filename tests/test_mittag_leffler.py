@@ -196,9 +196,9 @@ from fracinv import cli
 from fracinv.fem import solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.problems import ProblemSpec, TimeGrid
-solve_fem(ProblemSpec(0.5, 0.5, u0=lambda x: x * (1 - x), f=1.0, potential=1.0),
+solve_fem(ProblemSpec(0.5, u0=lambda x: x * (1 - x), f=1.0, potential=1.0),
           Grid1D(16), TimeGrid(8, 0.5))
-solve_fem(ProblemSpec(0.5, 0.5, u0=lambda x, y: x * y, f=1.0, domain="unit_square"),
+solve_fem(ProblemSpec(0.5, u0=lambda x, y: x * y, f=1.0),
           Grid2D(8), TimeGrid(8, 0.5))
 fracinv.ml_neg(0.75, 1.0, [5.3, 5.9])
 fracinv.add_noise([1.0, 2.0], 0.1, seed=1)

@@ -104,7 +104,7 @@ class TestEigendecomposition:
 
 def apply_F(ed, alpha, t, v, potential=0.0):
     """F(t) v: the modal solve from v with a zero source."""
-    spec = ProblemSpec(alpha=alpha, T=1.0, u0=v, f=0.0, potential=potential)
+    spec = ProblemSpec(alpha=alpha, u0=v, f=0.0, potential=potential)
     return solve_spectral(spec, ed, t)
 
 
@@ -148,7 +148,7 @@ class TestSolveSpectral:
     def test_single_mode_decay(self):
         ed = fd_eigendecomposition(0.0, 16)
         x = ed.grid.nodes
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=lambda x: np.sin(np.pi * x), f=0.0)
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
         u = solve_spectral(spec, ed, 0.25)
         factor = float(ml_neg(0.5, 1.0, np.array([np.pi**2 * 0.25**0.5]))[0])
         assert np.allclose(u, factor * np.sin(np.pi * x), atol=1e-12)
@@ -156,14 +156,14 @@ class TestSolveSpectral:
     def test_steady_state(self):
         ed = fd_eigendecomposition(0.0, 16)
         x = ed.grid.nodes
-        spec = ProblemSpec(alpha=0.4, T=1.0, u0=0.0, f=lambda x: np.sin(np.pi * x))
+        spec = ProblemSpec(alpha=0.4, u0=0.0, f=lambda x: np.sin(np.pi * x))
         u = solve_spectral(spec, ed, 1e15)
         assert np.max(np.abs(u - np.sin(np.pi * x) / np.pi**2)) < 1e-8
 
     def test_potential_must_match_basis(self):
         # a q = 0 basis would silently return the q = 0 solution
         ed = fd_eigendecomposition(0.0, 16, grid=Grid1D(256))
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=lambda x: np.sin(np.pi * x), f=0.0,
+        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0,
                            potential=lambda x: 10.0 * Q_SIN4(x))
         with pytest.raises(ParameterError, match="potential"):
             solve_spectral(spec, ed, 0.5)
@@ -171,14 +171,14 @@ class TestSolveSpectral:
     def test_outside_the_modal_form_rejected(self):
         # nonzero Dirichlet values need a lift the modal solve does not have
         ed = fd_eigendecomposition(0.0, 16, grid=Grid1D(256))
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=0.0, f=0.0, dirichlet=(0.5, 0.25))
+        spec = ProblemSpec(alpha=0.5, u0=0.0, f=0.0, dirichlet=(0.5, 0.25))
         with pytest.raises(ParameterError):
             solve_spectral(spec, ed, 0.5)
 
     def test_truncation_warning_attached(self):
         ed = fd_eigendecomposition(0.0, 3)
         rough = lambda x: np.where(x > 0.5, 1.0, 0.0)
-        spec = ProblemSpec(alpha=0.5, T=1.0, u0=rough, f=0.0)
+        spec = ProblemSpec(alpha=0.5, u0=rough, f=0.0)
         with pytest.warns(RuntimeWarning, match="u0 is truncated"):
             solve_spectral(spec, ed, 0.1)
 
