@@ -12,7 +12,7 @@ import math
 import re
 import sys
 
-from .config import check_seed, parse_config
+from .config import parse_config
 from .errors import ConfigError, FracinvError, ParameterError
 from .mittag_leffler import POSITIVE_Z_MAX, MLParams, ml_eval
 
@@ -46,15 +46,6 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_config(args):
-    cfg = parse_config(args.config)
-    if args.seed is not None:
-        cfg.seed = check_seed(args.seed, "--seed")
-    if args.out is not None:
-        cfg.out_dir = args.out
-    return cfg
-
-
 def _ml_params(args) -> MLParams:
     """The order pair of `ml-eval`, with its arguments checked as configuration."""
     try:
@@ -76,7 +67,7 @@ def main(argv=None) -> int:
 
         from . import experiments
 
-        cfg = _load_config(args)
+        cfg = parse_config(args.config, seed=args.seed, out_dir=args.out)
         if args.command == "forward":
             written = experiments.run_forward(cfg)
             for path in written:

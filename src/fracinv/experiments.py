@@ -70,6 +70,15 @@ def _write_nodal(path, grid, **fields) -> None:
     _write_columns(path, ",".join(columns), list(columns.values()))
 
 
+def _make_out_dir(cfg: ExperimentConfig) -> str:
+    """Make the output directory: after a driver's config checks, before its first computation."""
+    try:
+        os.makedirs(cfg.out_dir, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot make the output directory: {exc}") from None
+    return cfg.out_dir
+
+
 def _lm_config(case, alpha, cfg: ExperimentConfig) -> LMConfig:
     """The LMConfig of one order: the case's weights, the config's settings
     and the prior, t_init or the estimator's."""
@@ -85,8 +94,7 @@ def _lm_config(case, alpha, cfg: ExperimentConfig) -> LMConfig:
 def run_forward(cfg: ExperimentConfig) -> list:
     """Exact snapshots plus one noisy observation per (alpha, epsilon)."""
     case = get_case(cfg.case_id)
-    out = cfg.out_dir
-    os.makedirs(out, exist_ok=True)
+    out = _make_out_dir(cfg)
     written = []
     cell = 0
     for alpha in cfg.alphas:
@@ -148,10 +156,10 @@ def run_recover(cfg: ExperimentConfig, kind: str) -> ReconstructionResult:
         raise ConfigError(f"case {case.case_id} is {article} {case.kind} benchmark, not {kind}")
     alpha, eps = cfg.alphas[0], cfg.epsilons[0]
     lm = _lm_config(case, alpha, cfg)
+    out = _make_out_dir(cfg)
     res, truth, grid = _reconstruct_cell(case, alpha, eps, cfg, cfg.seed, lm,
                                          _snapshot(case, alpha, cfg))
-    out = cfg.out_dir
-    emit_plot_data(res, truth, grid, out, f"{case.case_id}_a{alpha:g}_e{eps:g}")  # makes `out`
+    emit_plot_data(res, truth, grid, out, f"{case.case_id}_a{alpha:g}_e{eps:g}")
     _write_meta(os.path.join(out, f"recover_{case.case_id}_a{alpha:g}_e{eps:g}.json"),
                 {"case": case.case_id, "alpha": alpha, "epsilon": eps,
                  "rng": "PCG64", "seed": cfg.seed, "k_star": res.k_star,
@@ -192,6 +200,7 @@ def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
         raise ConfigError(f"threads must be >= 1, got {threads}")
     case = get_case(cfg.case_id)
     lms = {alpha: _lm_config(case, alpha, cfg) for alpha in cfg.alphas}
+    out = _make_out_dir(cfg)
     jobs = []
     cell = 0
     for alpha in cfg.alphas:
@@ -205,9 +214,8 @@ def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
             rows = list(pool.map(_table_cell, jobs))
     else:
         rows = [_table_cell(j) for j in jobs]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_table(os.path.join(cfg.out_dir, f"table_{case.case_id}.csv"), rows)
-    _write_meta(os.path.join(cfg.out_dir, f"table_{case.case_id}.json"),
+    _write_table(os.path.join(out, f"table_{case.case_id}.csv"), rows)
+    _write_meta(os.path.join(out, f"table_{case.case_id}.json"),
                 {"case": case.case_id, "alphas": list(cfg.alphas),
                  "epsilons": list(cfg.epsilons), "rng": "PCG64",
                  "seed": cfg.seed, "stop": cfg.stop,
@@ -216,8 +224,7 @@ def run_table(cfg: ExperimentConfig, threads: int = 1) -> list:
 
 
 def emit_plot_data(result: ReconstructionResult, truth, grid, out_dir, prefix: str) -> list:
-    """Columnar series (k, r), (k, e), (k, T) and the profile (x, v_hat, truth)."""
-    os.makedirs(out_dir, exist_ok=True)
+    """Columnar series (k, r), (k, e), (k, T) and the profile (x, v_hat, truth), in out_dir."""
     hist = result.history
     ks = np.array([h[0] for h in hist], dtype=float)
     rs = np.array([h[1] for h in hist])
@@ -243,6 +250,7 @@ REFERENCE_N = 4096
 def run_convergence(cfg: ExperimentConfig):
     """Solver validation orders on the single-mode problem, against its modal
     solution interpolated from a fine grid."""
+    out = _make_out_dir(cfg)
     alpha = cfg.alphas[0]
     spec, T = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0), 0.5
     t0 = time.time()
@@ -252,8 +260,7 @@ def run_convergence(cfg: ExperimentConfig):
     u_ref = phi.T @ propagate_modes(alpha, lam, T, u0c, 0.0)
     report = convergence_study(spec, T, lambda grid: np.interp(grid.nodes, fine.nodes, u_ref))
     print(f"convergence study took {time.time() - t0:.1f}s", file=sys.stderr)
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    path = os.path.join(cfg.out_dir, f"convergence_a{alpha:g}.csv")
+    path = os.path.join(out, f"convergence_a{alpha:g}.csv")
     with open(path, "w") as fh:
         fh.write("quantity,value\n")
         fh.write(f"space_order,{_FMT % report.space_order}\n")

@@ -129,6 +129,8 @@ class Observation:
 def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) -> Observation:
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
+    if not (isinstance(seed, (int, np.integer)) and seed >= 0):  # recorded even at epsilon = 0
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
     g = np.asarray(g_dag, float)
     scale = float(np.max(np.abs(g)))
     if epsilon == 0.0:

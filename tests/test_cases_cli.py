@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -186,6 +187,17 @@ dir = results
         p = self._write(tmp_path, "[lm]\nt_step_cap = inf\n")
         assert parse_config(p).lm_overrides == {"t_step_cap": float("inf")}
 
+    def test_seed_override_checked(self, tmp_path):
+        p = self._write(tmp_path, "[experiment]\nseed = 3\n")
+        assert parse_config(p, seed=5).seed == 5
+        with pytest.raises(ConfigError, match="seed.*--seed"):
+            parse_config(p, seed=-1)
+
+    def test_parsed_config_frozen(self, tmp_path):
+        cfg = parse_config(self._write(tmp_path, "[experiment]\nseed = 3\n"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            cfg.seed = 4
+
 
 class TestCli:
     def test_ml_eval_prints_15_digits(self, capsys):
@@ -313,6 +325,25 @@ class TestCli:
         assert rc == 2
         assert "threads" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["forward", "table"])
+    @pytest.mark.parametrize("where", ["--out file", "empty dir"])
+    def test_output_directory_not_made_exit_2(self, tmp_path, monkeypatch, capsys,
+                                               command, where):
+        # an empty [output] dir and an --out naming a file ended in a
+        # FileNotFoundError or FileExistsError traceback, the table's after its cells
+        import fracinv.experiments as experiments
+
+        cells = []
+        monkeypatch.setattr(experiments, "_table_cell", lambda job: cells.append(job))
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nepsilons = 0 1e-2\n"
+                     "t_init = 0.45\nmax_iter = 1\n[mesh]\nn = 8\nsteps = 8\n"
+                     + ("[output]\ndir =\n" if where == "empty dir" else ""))
+        out = ["--out", str(p)] if where == "--out file" else []
+        assert cli_main([command, "--config", str(p), *out]) == 2
+        assert "output directory" in capsys.readouterr().err
+        assert cells == []
 
     def test_forward_byte_deterministic(self, tmp_path):
         p = tmp_path / "exp.cfg"

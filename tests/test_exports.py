@@ -52,7 +52,8 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.experiments", "TableReport"),
            ("fracinv.problems", "ProblemSpec.T"),
            ("fracinv.problems", "ProblemSpec.domain"),
-           ("fracinv.problems", "ProblemSpec.grid_for")]
+           ("fracinv.problems", "ProblemSpec.grid_for"),
+           ("fracinv.config", "check_seed")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

@@ -76,6 +76,19 @@ class TestAddNoise:
         with pytest.raises(ParameterError, match="epsilon"):
             add_noise(np.ones(9), epsilon, seed=1)
 
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_bad_seed(self, epsilon, seed):
+        # at epsilon = 0 seed -1 was accepted and recorded; above it numpy
+        # raised an untyped ValueError (TypeError for 1.5), which ends a table
+        with pytest.raises(ParameterError, match="seed"):
+            add_noise(np.ones(9), epsilon, seed=seed)
+
+    def test_numpy_integer_seed(self):
+        g = np.linspace(0, 1, 65)
+        assert np.array_equal(add_noise(g, 0.05, seed=np.int64(3)).g_delta,
+                              add_noise(g, 0.05, seed=3).g_delta)
+
 
 class TestForwardMap:
     @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
