@@ -82,7 +82,7 @@ def parse_config(path, *, seed: Optional[int] = None,
                  out_dir: Optional[str] = None) -> ExperimentConfig:
     """The config of the file at `path`, with `seed` and `out_dir`, where
     given, in place of the file's; every value checked."""
-    cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
+    cp = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#", ";"))
     try:
         read = cp.read(path, encoding="utf-8")
     except UnicodeDecodeError as exc:

@@ -9,6 +9,7 @@ from typing import Callable, Optional, Union
 import numpy as np
 
 from .errors import ParameterError
+from .mittag_leffler import MLParams
 
 __all__ = ["ProblemSpec", "TimeGrid"]
 
@@ -32,8 +33,7 @@ class ProblemSpec:
     dirichlet: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
-        if not (0.0 < self.alpha <= 1.0):
-            raise ParameterError(f"alpha must be in (0, 1], got {self.alpha}")
+        MLParams(self.alpha)  # the order rule, alpha in (0, 1]
         if self.dirichlet is not None:
             a0, a1 = self.dirichlet
             if a0 < 0 or a1 < 0:

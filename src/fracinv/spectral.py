@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DegenerateReferenceError, InconsistentDataError, ParameterError
 from .grids import Grid1D
-from .mittag_leffler import gamma as gamma_fn, ml_neg
+from .mittag_leffler import MLParams, gamma as gamma_fn, ml_neg
 
 __all__ = [
     "build_eigendecomposition",
@@ -133,8 +133,7 @@ def estimate_T(
     nonpositive or the order is 1 (classical diffusion: the product
     lambda_n exp(-lambda_n T) vanishes and T is not identifiable).
     """
-    if not (0.0 < alpha <= 1.0):
-        raise ParameterError(f"alpha must be in (0, 1], got {alpha}")
+    MLParams(alpha)  # the order rule, alpha in (0, 1]
     obs_c, ref_c, lam = (np.asarray(a, float) for a in (obs_c, ref_c, lam))
     n_lo, n_hi = mode_window
     if not (1 <= n_lo <= n_hi <= lam.size):

@@ -345,6 +345,15 @@ class TestCli:
         assert "output directory" in capsys.readouterr().err
         assert cells == []
 
+    def test_percent_in_config_value_is_literal(self, tmp_path):
+        # configparser's default interpolation ended this in a traceback, exit 1
+        out = tmp_path / "out100%"
+        p = tmp_path / "exp.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nepsilons = 0\n"
+                     f"[mesh]\nn = 8\nsteps = 8\n[output]\ndir = {out}\n")
+        assert cli_main(["forward", "--config", str(p)]) == 0
+        assert os.listdir(out)
+
     def test_forward_byte_deterministic(self, tmp_path):
         p = tmp_path / "exp.cfg"
         p.write_text(
@@ -402,7 +411,7 @@ class TestCli:
             runs.append((tmp_path / name / "convergence_a0.5.csv").read_bytes())
         rows = runs[0].decode().splitlines()
         assert rows[0] == "quantity,value"
-        assert len(rows[1:]) == 8  # two orders, three space errors, three time diffs
+        assert len(rows[1:]) == 8  # two orders, three space diffs, three time diffs
         assert runs[0] == runs[1]
 
     def test_console_entry_point(self):
