@@ -17,8 +17,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import ConfigError, ShapeError
-from .fem import dirichlet_lift, solve_fem
-from .grids import Grid1D, Grid2D, GridLike
+from .fem import FemOperator, dirichlet_lift, solve_fem
+from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
 from .inverse import InverseSetup, LMConfig
 from .problems import TimeGrid
 from .spectral import build_eigendecomposition, estimate_T, propagate_modes
@@ -56,11 +56,9 @@ class BenchmarkCase:
 
     def grid(self, n: Optional[int] = None) -> GridLike:
         """The case's mesh, n cells a side (default_n where n is None)."""
-        return (Grid1D if self.domain == "interval" else Grid2D)(n or self.default_n)
+        return (Grid1D if self.domain == "interval" else Grid2D)(self.default_n if n is None else n)
 
     def truth_nodal(self, grid: GridLike) -> np.ndarray:
-        from .grids import as_nodal_values
-
         return as_nodal_values(self.truth, grid)
 
 
@@ -184,7 +182,7 @@ def make_setup(case: BenchmarkCase, alpha: float, n: Optional[int] = None,
         case.kind,
         case.grid(n),
         alpha,
-        n_steps or case.default_steps,
+        case.default_steps if n_steps is None else n_steps,
         diffusion=case.diffusion,
         u0=case.u0,
         f=case.f,
@@ -228,8 +226,10 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
     closed-form sine coefficients (exact in time, DATA_MODES modes);
     everything else uses the FEM solver with DATA_STEPS time steps on a mesh
     DATA_REFINE times finer than `grid`, restricted to its nodes. A ShapeError
-    where `grid` is not of the case's domain.
+    where `grid` is not of the case's domain, a ParameterError where T is not
+    a time grid's.
     """
+    tg = TimeGrid(DATA_STEPS[case.domain], T)
     if case.grid(grid.n) != grid:
         raise ShapeError(f"case {case.case_id} is posed on the {case.domain}, not on {grid}")
     if case.domain == "interval" and case.kind in ("bp", "isp"):
@@ -237,11 +237,12 @@ def exact_observation(case: BenchmarkCase, alpha: float, grid: GridLike,
         ns = np.arange(1.0, DATA_MODES + 1)
         known, hidden = case.ref_sine_coeff(ns), case.truth_sine_coeff(ns)
         u0c, fc = (hidden, known) if case.kind == "bp" else (known, hidden)
-        return phi.T @ propagate_modes(alpha, lam, T, u0c, fc)
+        return phi.T @ propagate_modes(alpha, lam, tg.T, u0c, fc)
 
-    steps = DATA_STEPS[case.domain]
-    fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=steps)
-    u = solve_fem(fine.spec_for(case.truth), fine.grid, TimeGrid(steps, T))
+    fine = make_setup(case, alpha, n=grid.n * DATA_REFINE, n_steps=tg.n_steps)
+    # a local on the callable truth (its Gauss points): no factor outlives the synthesis
+    op = FemOperator(fine.grid, case.diffusion, case.truth if case.kind == "ipp" else 0.0)
+    u = solve_fem(fine.spec_for(case.truth), op, tg)
     if case.domain == "interval":
         return u[::DATA_REFINE]
     side = fine.grid.n + 1

@@ -49,7 +49,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import NumericalError, ParameterError
+from .errors import NumericalError, ParameterError, ShapeError
 from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
 from .mittag_leffler import MLParams, _load_core, gamma as gamma_fn
 from .problems import ProblemSpec, TimeGrid
@@ -125,7 +125,7 @@ class _Csr:
         n = self.indptr.size - 1
         v = np.ascontiguousarray(v, dtype=float)
         if v.shape[:1] != (n,):
-            raise ValueError(f"dimension mismatch: {n} x {n} matrix @ shape {v.shape}")
+            raise ShapeError(f"dimension mismatch: {n} x {n} matrix @ shape {v.shape}")
         out, csr = np.zeros(v.shape), (self.indptr, self.indices, self.data)
         if v.ndim == 1:
             _SPARSETOOLS.csr_matvec(n, n, *csr, v, out)
@@ -215,15 +215,10 @@ def _assemble_2d(grid: Grid2D, a, q):
 
     def coeff2(fun):
         if callable(fun):
-            return np.asarray(fun(mids[..., 0], mids[..., 1]), dtype=float) * np.ones(
-                mids.shape[:2]
-            )
+            return np.asarray(fun(mids[..., 0], mids[..., 1]), float) * np.ones(mids.shape[:2])
         # nodal values: P1 value at edge midpoints = average of edge endpoints
         v = as_nodal_values(fun, grid)[tris]  # (ntri, 3)
-        return np.stack(
-            [(v[:, 0] + v[:, 1]) / 2, (v[:, 1] + v[:, 2]) / 2, (v[:, 2] + v[:, 0]) / 2],
-            axis=1,
-        )
+        return (v + np.roll(v, -1, axis=1)) / 2
 
     a_m = coeff2(a)
     q_m = coeff2(q)
@@ -249,11 +244,11 @@ def _assemble_2d(grid: Grid2D, a, q):
 
 
 class FemOperator:
-    """Mass M and elliptic A = S_a + M_q on all nodes in CSR form, their
-    interior blocks M_II and A_II with the lower bands of both, and the
-    banded Cholesky factor of (c M + A)_II at the last scale c asked for, on
-    either grid (module docstring). Construction checks the coefficients
-    (`_check_coefficients`)."""
+    """The grid and the coefficients a and q of a forward problem: mass M and
+    elliptic A = S_a + M_q on all nodes in CSR form, their interior blocks
+    M_II and A_II with the lower bands of both, and the banded Cholesky
+    factor of (c M + A)_II at the last scale c asked for, on either grid
+    (module docstring). Construction checks the coefficients."""
 
     def __init__(self, grid: GridLike, diffusion=1.0, potential=0.0):
         self.grid = grid
@@ -298,7 +293,7 @@ class FemOperator:
         def solve(rhs):
             x = np.array(rhs, dtype=float, order="F")  # overwritten by the solution
             if x.shape[:1] != cb.shape[1:]:  # the closure holds cb, into which ab points
-                raise ValueError(f"right-hand side of shape {x.shape} for {cb.shape[1]} unknowns")
+                raise ShapeError(f"right-hand side of shape {x.shape} for {cb.shape[1]} unknowns")
             ints[4] = x.size // cb.shape[1]
             _DPBTRS(b"U", p, p + 8, p + 32, ab, p + 16, x.ctypes.data, p, p + 24, 1)
             if ints[3] != 0:
@@ -442,15 +437,11 @@ def modal_data(spec: ProblemSpec, op: FemOperator):
     return lift, V.T @ (op.M_II @ w0), V.T @ load
 
 
-def solve_fem(spec: ProblemSpec, grid: GridLike, tg: TimeGrid,
-              op: Optional[FemOperator] = None) -> np.ndarray:
-    """P1 + L1 forward solve through the time stepper; returns the nodal
-    u(T), the lift plus the last step of w (the inversion on the interval
-    runs mode by mode instead). A given `op` must be built on `grid`."""
-    if op is None:
-        op = FemOperator(grid, spec.diffusion, spec.potential)
-    elif op.grid != grid:
-        raise ParameterError(f"the operator is built on {op.grid}, not on {grid}")
+def solve_fem(spec: ProblemSpec, op: FemOperator, tg: TimeGrid) -> np.ndarray:
+    """P1 + L1 forward solve of the data `spec` with the coefficients of `op`,
+    on its grid, through the time stepper; returns the nodal u(T), the lift
+    plus the last step of w (the inversion on the interval runs mode by mode
+    instead)."""
     _, u, w0, load = _initial_and_load(spec, op)  # u = lift
     u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1] + u[op.interior]
     return u
@@ -512,19 +503,20 @@ def _slope(pairs) -> float:
 
 
 def convergence_study(spec: ProblemSpec, T: float) -> ConvergenceReport:
-    """Observed orders of u(T) on the interval, both by self-differences:
-    in space ||u_h - u_{h/2}|| at SPACE_STEPS steps, u_{h/2} restricted to
-    the coarse nodes and measured in the coarse mass norm; in time
-    ||u_tau - u_{tau/2}|| on TIME_N cells. Only the finest level of each
-    study adds a solve, at half its step. Both orders are least-squares
-    slopes.
+    """Observed orders of u(T) on the interval, a = 1 and q = 0, both by
+    self-differences: in space ||u_h - u_{h/2}|| at SPACE_STEPS steps,
+    u_{h/2} restricted to the coarse nodes and measured in the coarse mass
+    norm; in time ||u_tau - u_{tau/2}|| on TIME_N cells. Only the finest
+    level of each study adds a solve, at half its step. Both orders are
+    least-squares slopes.
     """
     tg = TimeGrid(SPACE_STEPS, T)
-    by_n = {n: solve_fem(spec, Grid1D(n), tg) for n in SPACE_LEVELS + (2 * SPACE_LEVELS[-1],)}
+    by_n = {n: solve_fem(spec, FemOperator(Grid1D(n)), tg)
+            for n in SPACE_LEVELS + (2 * SPACE_LEVELS[-1],)}
     space_diffs = [(1.0 / n, mass_norm(Grid1D(n), by_n[n] - by_n[2 * n][::2]))
                    for n in SPACE_LEVELS]
-    grid = Grid1D(TIME_N)
-    by_steps = {k: solve_fem(spec, grid, TimeGrid(k, T))
+    op = FemOperator(Grid1D(TIME_N))
+    by_steps = {k: solve_fem(spec, op, TimeGrid(k, T))
                 for k in TIME_LEVELS + (2 * TIME_LEVELS[-1],)}
-    time_diffs = [(T / k, mass_norm(grid, by_steps[k] - by_steps[2 * k])) for k in TIME_LEVELS]
+    time_diffs = [(T / k, mass_norm(op.grid, by_steps[k] - by_steps[2 * k])) for k in TIME_LEVELS]
     return ConvergenceReport(_slope(space_diffs), _slope(time_diffs), space_diffs, time_diffs)

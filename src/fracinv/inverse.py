@@ -42,7 +42,7 @@ Jacobian columns step through the L1 time stepper, (1)'s test oracle.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 from typing import Optional
 
@@ -69,8 +69,6 @@ __all__ = [
 
 IPP_CLAMP_MAX = 2.0
 IPP_CLAMP_SLACK = 0.5
-# the ProblemSpec field that the unknown v fills, per problem kind
-_UNKNOWN_FIELD = {"bp": "u0", "isp": "f", "ipp": "potential"}
 
 
 @dataclass(frozen=True)
@@ -92,7 +90,7 @@ class LMConfig:
     t_step_cap: float = 0.05
 
     def __post_init__(self):
-        for name in ("gamma0", "mu0", "rho", "T_init", "deltaT", "max_iter", "eta", "t_step_cap"):
+        for name in ("gamma0", "mu0", "rho", "T_init", "deltaT", "eta", "t_step_cap"):
             value = getattr(self, name)  # t_step_cap = inf is no cap on the time step
             if math.isnan(value) or (math.isinf(value) and name != "t_step_cap"):
                 raise ParameterError(f"{name} must be a finite number, got {value}")
@@ -110,8 +108,8 @@ class LMConfig:
             raise ParameterError(f"unknown stop rule {self.stop!r}")
         if self.t_step_cap <= 0:
             raise ParameterError("t_step_cap must be positive")
-        if self.max_iter < 0:
-            raise ParameterError(f"max_iter must be >= 0, got {self.max_iter}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
+            raise ParameterError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
 
 
 @dataclass(frozen=True)
@@ -147,7 +145,8 @@ def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) 
 
 
 class InverseSetup:
-    """Fixed context of one inverse problem: everything except (v, T).
+    """Fixed context of one inverse problem: everything except (v, T); the
+    known data is one ProblemSpec, `known`.
 
     kind selects which parameter v stands for:
       "bp"  - initial state (source f known)
@@ -170,7 +169,7 @@ class InverseSetup:
         basis: Optional[np.ndarray] = None,
     ):
         kind = kind.lower()
-        if kind not in _UNKNOWN_FIELD:
+        if kind not in ("bp", "isp", "ipp"):
             raise ParameterError(f"unknown problem kind {kind!r}")
         if kind == "bp" and f is None:
             raise ParameterError("bp needs the known source f")
@@ -180,14 +179,12 @@ class InverseSetup:
             raise ParameterError("ipp needs u0 and f")
         if kind == "ipp" and not isinstance(grid, Grid1D):
             raise ParameterError("potential reconstruction is one-dimensional")
+        TimeGrid(n_steps, 1.0)  # the step rule, an integer n_steps >= 1
         self.kind = kind
         self.grid = grid
-        self.alpha = float(alpha)
-        self.n_steps = int(n_steps)
+        self.known = ProblemSpec(float(alpha), u0, f, dirichlet)
+        self.n_steps = n_steps
         self.diffusion = diffusion
-        self.u0 = u0
-        self.f = f
-        self.dirichlet = dirichlet
         self.basis = None if basis is None else np.asarray(basis, float)
         self._ipp_operator: tuple = (None, None)  # (v_nodal bytes, FemOperator)
 
@@ -232,15 +229,15 @@ class InverseSetup:
         return isinstance(self.grid, Grid1D)
 
     def spec_for(self, v) -> ProblemSpec:
-        """The equation of F(v, .): v fills the field its kind names."""
-        fields = {"u0": self.u0, "f": self.f, "potential": 0.0}
-        fields[_UNKNOWN_FIELD[self.kind]] = v
-        return ProblemSpec(alpha=self.alpha, diffusion=self.diffusion,
-                           dirichlet=self.dirichlet, **fields)
+        """The data of F(v, .): v is u0 for bp and f for isp; ipp's v is the
+        potential of the iterate's operator, so its data is the known data."""
+        if self.kind == "ipp":
+            return self.known
+        return replace(self.known, **{"u0" if self.kind == "bp" else "f": v})
 
     def _forward_problem(self, v, T: float):
-        """(spec, operator, time grid) of F(v, T). An ipp iterate is clamped and
-        gets its own operator, built once per distinct potential."""
+        """(data, operator, time grid) of F(v, T). An ipp iterate is clamped
+        and gets its own operator, built once per distinct potential."""
         tg = TimeGrid(self.n_steps, T)  # rejects T <= 0 before v is read
         v_nodal = as_nodal_values(v, self.grid)
         op = self.fixed_operator
@@ -269,9 +266,9 @@ def forward_map(setup: InverseSetup, v, T: float) -> np.ndarray:
     run mode by mode to u(T) alone, else stepped in time."""
     spec, op, tg = setup._forward_problem(v, T)
     if not setup.modal:
-        return solve_fem(spec, setup.grid, tg, op=op)
+        return solve_fem(spec, op, tg)
     u, a0, b = modal_data(spec, op)  # u = lift
-    r, s = op.responses(setup.alpha, tg)
+    r, s = op.responses(spec.alpha, tg)
     u[op.interior] += op.modes[1] @ (r[-1] * a0 + s[-1] * b)
     return u
 
@@ -292,7 +289,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
         lift, a0, b = modal_data(spec, op)
         V = op.modes[1]
-        r, s = op.responses(setup.alpha, tg)
+        r, s = op.responses(spec.alpha, tg)
         K = s[:0:-1] - s[-2::-1]  # (N, m): row k - 1 is K(N - k); sum_n K_j(n) = s_j^N
         U = np.outer(s[-1], lift)  # (m, n_nodes); two GEMMs need no (N, m) temporaries
         U[:, op.interior] += ((K.T @ r[1:]) * a0 + (K.T @ s[1:]) * b) @ V.T
@@ -306,7 +303,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
     if setup.modal:
         # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
         V = op.modes[1]
-        r, s = op.responses(setup.alpha, tg)
+        r, s = op.responses(spec.alpha, tg)
         resp = (r if setup.kind == "bp" else s)[-1]
         J[op.interior] = (V * resp) @ (V.T @ (op.M_II @ cols0))
         return J
@@ -315,7 +312,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         w0, load = cols0, None
     else:
         w0, load = np.zeros(cols0.shape), op.M_II @ cols0
-    J[op.interior] = l1_evolve(op, setup.alpha, tg, w0, load)[-1]
+    J[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1]
     return J
 
 
@@ -388,6 +385,8 @@ def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig
 
     dp, dT = _lm_solve_block(G, cross, d, gv, gT, gamma_k, mu_k, setup.param_gram)
     dT = float(np.clip(dT, -cfg.t_step_cap * state.T, cfg.t_step_cap * state.T))
+    if not (np.all(np.isfinite(dp)) and math.isfinite(state.T + dT)):
+        raise NumericalError(f"the step diverged at iteration {state.k}")
     # keep the time iterate positive: damp the time step, not the space step
     while state.T + dT <= cfg.deltaT:
         dT *= 0.5

@@ -106,6 +106,7 @@ def ml_eval(params: MLParams, z: float) -> float:
 
     Positive z is served by the power series only, hence the small cutoff;
     large positive arguments grow like exp(z^(1/alpha)) and are out of scope.
+    z <= 0 is `ml_neg`'s, whose value at 0 is 1/Gamma(beta), 0 at a pole of Gamma.
     """
     z = float(z)
     if not np.isfinite(z):
@@ -114,7 +115,7 @@ def ml_eval(params: MLParams, z: float) -> float:
         raise DomainError(
             f"z={z} is in the unsupported growth region (z > {POSITIVE_Z_MAX})"
         )
-    if z >= 0.0:
+    if z > 0.0:
         value, ok = _series_batch(params.alpha, params.beta, np.asarray([z]))
         if not ok[0]:
             raise DomainError(f"series did not converge for z={z}")
@@ -327,7 +328,7 @@ def _highprec_scalar(alpha: float, beta: float, z: float) -> float:
         s = mp.mpf(0)
         k = 0
         while True:
-            term = zz**k / mp.gamma(a * k + b)
+            term = zz**k * mp.rgamma(a * k + b)  # 0 at a pole of Gamma
             s += term
             if k > 4 and abs(term) < mp.mpf(10) ** (-dps) * abs(s):
                 break

@@ -1,8 +1,9 @@
-"""Forward-problem description of the FEM solver: one time-independent
-source f(x), the field the source problem recovers."""
+"""Forward-problem data of the FEM solver: one time-independent source f(x),
+the field the source problem recovers, and the uniform time grid."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Union
 
@@ -18,8 +19,9 @@ FieldData = Union[float, np.ndarray, Callable]
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """One forward equation: order, coefficients and data. The horizon is
-    the time grid's (`TimeGrid`), the domain the mesh's.
+    """The data of one forward equation: order, initial state, source and
+    boundary values. The coefficients are the operator's (`fem.FemOperator`),
+    the horizon the time grid's (`TimeGrid`), the domain the mesh's.
 
     dirichlet is None for homogeneous boundary values, or a constant pair
     (a0, a1) on the interval (left, right).
@@ -28,8 +30,6 @@ class ProblemSpec:
     alpha: float
     u0: FieldData
     f: FieldData
-    diffusion: FieldData = 1.0
-    potential: FieldData = 0.0
     dirichlet: Optional[tuple[float, float]] = None
 
     def __post_init__(self):
@@ -42,16 +42,16 @@ class ProblemSpec:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    """Uniform time grid 0 = t_0 < ... < t_N = T."""
+    """Uniform time grid 0 = t_0 < ... < t_N = T: an integer N >= 1, a finite T > 0."""
 
     n_steps: int
     T: float
 
     def __post_init__(self):
-        if self.n_steps < 1:
-            raise ParameterError("need at least one time step")
-        if self.T <= 0.0:
-            raise ParameterError("T must be positive")
+        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
+            raise ParameterError(f"need an integer number of time steps >= 1, got {self.n_steps!r}")
+        if not (0.0 < self.T < math.inf):
+            raise ParameterError(f"T must be finite and positive, got {self.T}")
 
     @property
     def tau(self) -> float:

@@ -38,7 +38,7 @@ from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.errors import DomainError, FracinvError, ParameterError
-from fracinv.fem import HISTORY_BLOCK, FemOperator, L1Weights, _initial_and_load, l1_evolve
+from fracinv.fem import HISTORY_BLOCK, L1Weights, _initial_and_load, l1_evolve
 from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
@@ -79,7 +79,7 @@ def mp_series(alpha: float, beta: float, z: float) -> float:
         s = mp.mpf(0)
         k = 0
         while True:
-            t = zz**k / mp.gamma(a * k + b)
+            t = zz**k * mp.rgamma(a * k + b)
             s += t
             if k > 4 and abs(t) < mp.mpf(10) ** (-dps) * abs(s):
                 break
@@ -213,12 +213,10 @@ def caputo_derivative_at_T(values, tg, alpha: float) -> np.ndarray:
     return c * (values[N] - np.tensordot(coef, values[:N], axes=1))
 
 
-def fem_trajectory(spec: ProblemSpec, grid, tg, op=None) -> np.ndarray:
+def fem_trajectory(spec: ProblemSpec, op, tg) -> np.ndarray:
     """Every level u^0..u^N of the forward solve `fem.solve_fem` steps
     through, (n_steps + 1, n_nodes): u^0 = u0, then the Dirichlet lift plus
     the stepped w^k on the interior."""
-    if op is None:
-        op = FemOperator(grid, spec.diffusion, spec.potential)
     u0, lift, w0, load = _initial_and_load(spec, op)
     hist = l1_evolve(op, spec.alpha, tg, w0, load)
     hist += lift[op.interior]
@@ -316,8 +314,8 @@ def ipp_jacobian_columns(setup, v_nodal, T: float) -> np.ndarray:
     from the time stepper on the same operator (a load that changes at every
     step)."""
     spec, op, tg = setup._forward_problem(v_nodal, T)  # v clamped as F clamps it
-    base = fem_trajectory(spec, setup.grid, tg, op=op)
-    weights = L1Weights(setup.alpha, tg.n_steps)
+    base = fem_trajectory(spec, op, tg)
+    weights = L1Weights(spec.alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     solve = op.factorized(c)
     m = op.interior.size
@@ -445,22 +443,18 @@ def fd_eigendecomposition(q, n_modes: int, grid: Optional[Grid1D] = None) -> Eig
 
 
 def solve_spectral(spec: ProblemSpec, ed: EigenDecomposition, t: float) -> np.ndarray:
-    """Exact modal solve at time t, as nodal values on ed.grid, of any spec in
-    the modal form: 1D, diffusion == 1 and zero boundary values, on eigenpairs
-    built for spec.potential. Backward- and source-problem specs are alike
-    here: each is a pair (u0, f), whichever of the two is the unknown. Warns
-    when the modes miss more than 1e-6 of the squared norm of u0 or f."""
+    """Exact modal solve at time t, as nodal values on ed.grid, of the data
+    `spec` with zero boundary values, on the eigenpairs of -d_xx + q in `ed`,
+    which hold the coefficients: a = 1 and ed's potential q. Backward- and
+    source-problem specs are alike here: each is a pair (u0, f), whichever of
+    the two is the unknown. Warns when the modes miss more than 1e-6 of the
+    squared norm of u0 or f."""
     if not isinstance(ed.grid, Grid1D):
         raise ParameterError("spectral solver is one-dimensional")
-    a = as_nodal_values(spec.diffusion, ed.grid)
-    if np.any(np.abs(a - 1.0) > 1e-14):
-        raise ParameterError("spectral solver requires diffusion == 1")
     if t < 0:
         raise ParameterError("t must be nonnegative")
     if spec.dirichlet is not None and any(abs(v) > 0 for v in spec.dirichlet):
         raise ParameterError("spectral solver requires zero boundary values")
-    if np.max(np.abs(as_nodal_values(spec.potential, ed.grid) - ed.potential)) > 1e-12:
-        raise ParameterError("eigendecomposition was built for a different potential")
 
     coeffs = []
     for what in ("u0", "f"):

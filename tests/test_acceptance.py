@@ -20,7 +20,7 @@ from fracinv.cases import (
     make_setup,
 )
 from fracinv.errors import InconsistentDataError
-from fracinv.fem import TimeGrid, convergence_study, mass_inner, mass_norm, solve_fem
+from fracinv.fem import FemOperator, TimeGrid, convergence_study, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D
 from fracinv.inverse import (
     InverseSetup,
@@ -209,7 +209,7 @@ def test_criterion_5_solver_cross_validation():
     alpha = 0.5
     spec = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0)
     grid = Grid1D(512)
-    u = solve_fem(spec, grid, TimeGrid(1024, T_TRUE))
+    u = solve_fem(spec, FemOperator(grid), TimeGrid(1024, T_TRUE))
     factor = float(ml_neg(alpha, 1.0, np.array([np.pi**2 * T_TRUE**alpha]))[0])
     gap = mass_norm(grid, u - factor * np.sin(np.pi * grid.nodes))
     report = convergence_study(spec, T_TRUE)

@@ -19,7 +19,7 @@ from fracinv.cases import (
 )
 from fracinv.cli import main as cli_main
 from fracinv.config import parse_config
-from fracinv.errors import ConfigError, DomainError, ShapeError
+from fracinv.errors import ConfigError, DomainError, ParameterError, ShapeError
 from fracinv.experiments import _write_table, emit_plot_data
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import ReconstructionResult
@@ -66,6 +66,28 @@ class TestCases:
         case = get_case(case_id)
         assert case.grid() == grid and case.grid(8) == type(grid)(8)
         assert make_setup(case, 0.5).grid == grid and make_setup(case, 0.5, n=8).grid == case.grid(8)
+
+    @pytest.mark.parametrize("case_id", ["5.1i", "5.1ii"])
+    def test_zero_is_not_the_default(self, case_id):
+        # None means the case's default; 0 used to mean it too, 128 cells and 512 steps
+        case = get_case(case_id)
+        with pytest.raises(ShapeError):
+            case.grid(0)
+        with pytest.raises(ShapeError):
+            make_setup(case, 0.5, n=0)
+        with pytest.raises(ParameterError):
+            make_setup(case, 0.5, n_steps=0)
+
+    @pytest.mark.parametrize("case_id", ["5.1i", "5.2i", "5.3"])
+    @pytest.mark.parametrize("T", [-0.1, np.nan])
+    def test_snapshot_time_follows_the_time_grid_rule(self, case_id, T):
+        # the sine synthesis of 5.1i and 5.2i took T = -0.1 (a ComplexWarning,
+        # sin(pi x)-like values and a prior of 4.3e-10), where 5.3 raised
+        case = get_case(case_id)
+        with pytest.raises(ParameterError, match="T must be"):
+            exact_observation(case, 0.5, case.grid(16), T=T)
+        with pytest.raises(ParameterError, match="T must be"):
+            estimate_prior_T(case, 0.5, T=T)
 
     @pytest.mark.parametrize("case_id, grid", [("5.1i", Grid2D(8)), ("5.3", Grid2D(8)),
                                                ("5.1ii", Grid1D(8))])
@@ -229,6 +251,14 @@ class TestCli:
         assert cli_main(["ml-eval", "0.5", "1", z]) == 0
         assert cli_main(["ml-eval", "0.5", "1", "--", z]) == 0
         assert capsys.readouterr().out.split() == [expected, expected]
+
+    @pytest.mark.parametrize("args, expected", [(["0.5", "0", "0"], "0"),
+                                                (["0.7", "0", "-5"], "-0.0610056208357806")])
+    def test_ml_eval_at_a_gamma_pole_of_beta(self, args, expected, capsys):
+        # 1/Gamma(0) = 0: these exited 3 ("series did not converge") and 1
+        # (a ValueError traceback from mpmath's gamma)
+        assert cli_main(["ml-eval", *args]) == 0
+        assert capsys.readouterr().out.strip() == expected
 
     def test_ml_eval_failure_exit_3(self, monkeypatch, capsys):
         import fracinv.cli as cli_mod

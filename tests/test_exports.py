@@ -53,6 +53,8 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.problems", "ProblemSpec.T"),
            ("fracinv.problems", "ProblemSpec.domain"),
            ("fracinv.problems", "ProblemSpec.grid_for"),
+           ("fracinv.problems", "ProblemSpec.diffusion"),
+           ("fracinv.problems", "ProblemSpec.potential"),
            ("fracinv.config", "check_seed")]
 
 

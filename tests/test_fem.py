@@ -92,14 +92,14 @@ class TestSolveFem1D:
         grid = Grid1D(512)
         tg = TimeGrid(1024, T)
         spec = ProblemSpec(alpha=alpha, u0=lambda x: np.sin(np.pi * x), f=0.0)
-        u = solve_fem(spec, grid, tg)
+        u = solve_fem(spec, FemOperator(grid), tg)
         ref = spectral_single_mode(alpha, T, grid)
         assert mass_norm(grid, u - ref) <= 5e-4
 
     def test_steady_state_long_run(self):
         grid = Grid1D(128)
         spec = ProblemSpec(alpha=0.5, u0=0.0, f=lambda x: np.sin(np.pi * x))
-        u = solve_fem(spec, grid, TimeGrid(256, 200.0))
+        u = solve_fem(spec, FemOperator(grid), TimeGrid(256, 200.0))
         ref = np.sin(np.pi * grid.nodes) / np.pi**2
         # discrete steady state of the P1 operator differs from the exact one
         # by O(h^2); the remaining transient decays algebraically
@@ -109,27 +109,25 @@ class TestSolveFem1D:
         grid = Grid1D(64)
         tg = TimeGrid(32, 0.5)
         spec = ProblemSpec(alpha=0.4, u0=lambda x: np.sin(np.pi * x),
-                           f=lambda x: np.minimum(x, 1 - x),
-                           potential=lambda x: np.sin(np.pi * x) ** 4)
-        u1 = solve_fem(spec, grid, tg)
-        u2 = solve_fem(spec, grid, tg)
+                           f=lambda x: np.minimum(x, 1 - x))
+        q = lambda x: np.sin(np.pi * x) ** 4
+        u1 = solve_fem(spec, FemOperator(grid, 1.0, q), tg)
+        u2 = solve_fem(spec, FemOperator(grid, 1.0, q), tg)
         assert np.array_equal(u1, u2)
 
     def test_symmetry_preserved(self):
         # all data symmetric about x = 1/2: solution symmetric at every step
         grid = Grid1D(128)
         tg = TimeGrid(64, 0.5)
-        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
-                           potential=lambda x: np.sin(np.pi * x) ** 4)
-        vals = fem_trajectory(spec, grid, tg)
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)))
+        vals = fem_trajectory(spec, FemOperator(grid, 1.0, lambda x: np.sin(np.pi * x) ** 4), tg)
         assert np.max(np.abs(vals - vals[:, ::-1])) < 1e-12
 
     def test_positivity_nonneg_data(self):
         grid = Grid1D(128)
         tg = TimeGrid(128, 0.5)
-        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
-                           potential=lambda x: np.sin(np.pi * x) ** 4)
-        vals = fem_trajectory(spec, grid, tg)
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)))
+        vals = fem_trajectory(spec, FemOperator(grid, 1.0, lambda x: np.sin(np.pi * x) ** 4), tg)
         assert vals.min() >= -1e-10
 
     def test_pde_residual_identity_at_T(self):
@@ -138,8 +136,8 @@ class TestSolveFem1D:
         tg = TimeGrid(512, 0.5)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f, potential=q)
-        traj = fem_trajectory(spec, grid, tg)
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f)
+        traj = fem_trajectory(spec, FemOperator(grid, 1.0, q), tg)
         dalpha = caputo_derivative_at_T(traj, tg, 0.5)
         x = grid.nodes[1:-1]
         u = traj[-1]
@@ -154,8 +152,8 @@ class TestSolveFem1D:
         grid = Grid1D(256)
         q = lambda x: np.sin(np.pi * x) ** 4
         f = lambda x: np.abs(np.sin(2 * np.pi * x))
-        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f, potential=q, dirichlet=(0.5, 0.25))
-        u = solve_fem(spec, grid, TimeGrid(256, 500.0))
+        spec = ProblemSpec(alpha=0.5, u0=1.0, f=f, dirichlet=(0.5, 0.25))
+        u = solve_fem(spec, FemOperator(grid, 1.0, q), TimeGrid(256, 500.0))
         assert u[0] == pytest.approx(0.5) and u[-1] == pytest.approx(0.25)
 
         def rhs(x, y):
@@ -171,18 +169,15 @@ class TestSolveFem1D:
 
 
 class TestSolveFem2D:
-    def _spec_2d(self):
-        return ProblemSpec(
+    def test_2d_self_convergence(self):
+        spec = ProblemSpec(
             alpha=0.5,
             u0=lambda x, y: np.sin(np.pi * x) * np.sin(np.pi * y),
-            diffusion=lambda x, y: 1.0 + np.sin(np.pi * x) * y * (1 - y),
             f=lambda x, y: np.minimum(x, 1 - x) * np.exp(x) * np.sin(2 * np.pi * y),
         )
-
-    def test_2d_self_convergence(self):
-        spec = self._spec_2d()
-        coarse = solve_fem(spec, Grid2D(32), TimeGrid(64, 0.5))
-        fine = solve_fem(spec, Grid2D(64), TimeGrid(128, 0.5))
+        a = lambda x, y: 1.0 + np.sin(np.pi * x) * y * (1 - y)
+        coarse = solve_fem(spec, FemOperator(Grid2D(32), a), TimeGrid(64, 0.5))
+        fine = solve_fem(spec, FemOperator(Grid2D(64), a), TimeGrid(128, 0.5))
         # restrict fine to coarse nodes (every other node per direction)
         fine_grid = Grid2D(64)
         f2 = fine.reshape(65, 65)[::2, ::2].ravel()
@@ -197,7 +192,7 @@ class TestSolveFem2D:
             f=0.0,
         )
         grid = Grid2D(48)
-        u = solve_fem(spec, grid, TimeGrid(96, 0.5))
+        u = solve_fem(spec, FemOperator(grid), TimeGrid(96, 0.5))
         lam = 2 * np.pi**2
         factor = float(ml_neg(0.5, 1.0, np.array([lam * 0.5**0.5]))[0])
         pts = grid.nodes
@@ -211,35 +206,31 @@ class TestSolveFemFinal:
 
     @staticmethod
     def _case_problem(case_id, n, steps):
+        """The data synthesis of `cases.exact_observation`, at n cells and steps steps."""
         case = get_case(case_id)
         setup = make_setup(case, 0.5, n=n, n_steps=steps)
-        return setup.spec_for(case.truth), setup.grid, TimeGrid(steps, 0.5)
+        op = FemOperator(setup.grid, case.diffusion, case.truth if case.kind == "ipp" else 0.0)
+        return setup.spec_for(case.truth), op, TimeGrid(steps, 0.5)
 
     # 5.3: Dirichlet lift and a potential; 5.1ii: the square
     @pytest.mark.parametrize("case_id, n, steps", [("5.3", 256, 128), ("5.1ii", 16, 32)])
     def test_final_is_last_trajectory_level(self, case_id, n, steps):
-        spec, grid, tg = self._case_problem(case_id, n, steps)
-        assert np.array_equal(solve_fem(spec, grid, tg), fem_trajectory(spec, grid, tg)[-1])
+        spec, op, tg = self._case_problem(case_id, n, steps)
+        assert np.array_equal(solve_fem(spec, op, tg), fem_trajectory(spec, op, tg)[-1])
 
     def test_peak_memory_is_the_history(self):
         # on the 5.3 data synthesis (2,048 cells, 1,024 steps) the L1 history
         # of the interior unknown is the one large array; a nodal trajectory
         # formed beside it doubled the peak
-        spec, grid, tg = self._case_problem("5.3", 2048, 1024)
-        history = 8 * (tg.n_steps + 1) * (grid.n - 1)
+        spec, op, tg = self._case_problem("5.3", 2048, 1024)
+        history = 8 * (tg.n_steps + 1) * (op.grid.n - 1)
         tracemalloc.start()
         try:
-            solve_fem(spec, grid, tg)
+            solve_fem(spec, op, tg)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
         assert peak <= 1.1 * history
-
-    def test_operator_on_another_grid_rejected(self):
-        # the operator's grid used to decide the result's size, whatever grid was given
-        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0)
-        with pytest.raises(ParameterError, match="Grid1D"):
-            solve_fem(spec, Grid1D(64), TimeGrid(8, 0.5), op=FemOperator(Grid1D(32)))
 
 
 class TestFemOperator:
@@ -604,7 +595,7 @@ class TestSpectralFemAgreement:
         ed = fd_eigendecomposition(0.0, 200, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, T)
         grid = Grid1D(512)
-        u_fem = solve_fem(spec, grid, TimeGrid(4096, T))
+        u_fem = solve_fem(spec, FemOperator(grid), TimeGrid(4096, T))
         u_ref = np.interp(grid.nodes, ed.grid.nodes, u_spectral)
         assert mass_norm(grid, u_fem - u_ref) <= 2e-4
 
@@ -613,14 +604,13 @@ class TestSpectralFemAgreement:
         # space-time refinement
         q = lambda x: np.sin(np.pi * x) ** 4
         spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x),
-                           f=lambda x: np.minimum(x, 1 - x),
-                           potential=q)
+                           f=lambda x: np.minimum(x, 1 - x))
         ed = fd_eigendecomposition(q, 128, grid=Grid1D(2048))
         u_spectral = solve_spectral(spec, ed, 0.5)
         gaps = []
         for n, steps in [(64, 64), (128, 256), (256, 1024)]:
             grid = Grid1D(n)
-            u = solve_fem(spec, grid, TimeGrid(steps, 0.5))
+            u = solve_fem(spec, FemOperator(grid, 1.0, q), TimeGrid(steps, 0.5))
             ref = np.interp(grid.nodes, ed.grid.nodes, u_spectral)
             gaps.append(mass_norm(grid, u - ref))
         assert gaps[0] > gaps[1] > gaps[2]
@@ -643,6 +633,21 @@ class TestConvergence:
         r2 = convergence_study(spec, 0.5)
         assert r1.space_diffs == r2.space_diffs
         assert r1.time_diffs == r2.time_diffs
+
+
+class TestTimeGrid:
+    @pytest.mark.parametrize("n_steps, T", [(4, np.nan), (4, np.inf), (2.5, 1.0)])
+    def test_horizon_and_steps_rejected(self, n_steps, T):
+        # forward_map used to return NaN at T = nan and numbers at T = inf;
+        # 2.5 steps failed later with a TypeError
+        with pytest.raises(ParameterError):
+            TimeGrid(n_steps, T)
+
+
+def test_mass_norm_of_another_size_is_shape_error():
+    # an untyped ValueError came from the CSR product
+    with pytest.raises(ShapeError):
+        mass_norm(Grid1D(8), np.ones(5))
 
 
 def test_mass_inner_is_exact_for_linears():

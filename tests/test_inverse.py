@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 import fracinv.fem as fem_mod
-from fracinv.errors import AdmissibilityError, FracinvError, ParameterError, ShapeError
+from fracinv.errors import (AdmissibilityError, FracinvError, NumericalError, ParameterError,
+                            ShapeError)
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
@@ -93,17 +94,17 @@ class TestAddNoise:
 class TestForwardMap:
     @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
     def test_consistency_with_solver(self, kind):
-        # v lands in u0, f or the potential; sin(pi x) is an admissible potential
+        # v lands in u0, f or the operator's potential; sin(pi x) is an admissible potential
         setup = {"bp": bp_setup, "isp": isp_setup, "ipp": ipp_setup}[kind]()
         v = np.sin(np.pi * setup.grid.nodes)
         spec = {
             "bp": ProblemSpec(alpha=0.5, u0=v, f=HAT),
             "isp": ProblemSpec(alpha=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
             "ipp": ProblemSpec(alpha=0.5, u0=1.0,
-                               f=lambda x: np.abs(np.sin(2 * np.pi * x)),
-                               potential=v, dirichlet=(0.0, 0.0)),
+                               f=lambda x: np.abs(np.sin(2 * np.pi * x)), dirichlet=(0.0, 0.0)),
         }[kind]
-        direct = solve_fem(spec, setup.grid, TimeGrid(setup.n_steps, 0.5))
+        op = FemOperator(setup.grid, 1.0, v if kind == "ipp" else 0.0)
+        direct = solve_fem(spec, op, TimeGrid(setup.n_steps, 0.5))
         via_map = forward_map(setup, v, 0.5)
         if setup.modal:
             # bp/isp run the same L1 scheme mode by mode: equal up to rounding
@@ -232,7 +233,7 @@ class TestModalEngine:
         fem_mod._fixed_operator.cache_clear()  # a fresh fixed operator for bp/isp
         assert np.array_equal(again, forward_map(make(), v, 0.45))
         _, op, tg = setup._forward_problem(v, 0.45)
-        r, s = op.responses(setup.alpha, tg)
+        r, s = op.responses(setup.known.alpha, tg)
         assert not (r.flags.writeable or s.flags.writeable)
 
     def test_old_responses_freed_before_march(self, monkeypatch):
@@ -326,7 +327,7 @@ class TestSquareEngine:
         result = lm_reconstruct(setup, obs, cfg)
         assert len(calls) == 7
         tg = TimeGrid(setup.n_steps, result.history[-1][3])
-        c_last = fem_mod.L1Weights(setup.alpha, tg.n_steps).scale(tg.tau)
+        c_last = fem_mod.L1Weights(setup.known.alpha, tg.n_steps).scale(tg.tau)
         c_held, factor, _ = setup.fixed_operator._factor
         assert c_held == c_last and factor.shape == (17, 15 * 15)
 
@@ -583,6 +584,33 @@ class TestLMReconstruct:
     def test_negative_max_iter_rejected(self):
         with pytest.raises(ParameterError, match="max_iter"):
             LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=-1)
+
+    def test_fractional_max_iter_rejected(self):
+        # max_iter = 2.5 used to pass, and lm_reconstruct then raised a TypeError
+        with pytest.raises(ParameterError, match="max_iter"):
+            LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=2.5)
+
+    def test_fractional_step_count_rejected(self):
+        # 2.7 steps used to be truncated to 2 without a word
+        with pytest.raises(ParameterError, match="time steps"):
+            InverseSetup("bp", Grid1D(8), 0.5, 2.7, f=HAT)
+
+    @pytest.mark.parametrize("dT", [np.nan, np.inf])
+    def test_diverged_time_step_is_numerical_error(self, dT, monkeypatch):
+        # a step whose time is not finite is a diverged iterate, not a time
+        # grid's ParameterError at the next F; at dT = inf and no cap the
+        # iteration used to run on to T_hat = inf
+        import fracinv.inverse as inverse_mod
+
+        solve = inverse_mod._lm_solve_block
+        monkeypatch.setattr(inverse_mod, "_lm_solve_block",
+                            lambda *args: (solve(*args)[0], dT))
+        setup = bp_setup(n=16, steps=16)
+        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 0.0, seed=1)
+        cfg = LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.45, max_iter=2,
+                       stop="max_iter", t_step_cap=np.inf)
+        with pytest.raises(NumericalError, match="diverged"):
+            lm_reconstruct(setup, obs, cfg)
 
     @pytest.mark.parametrize("name, value", [
         ("gamma0", np.nan), ("gamma0", np.inf), ("mu0", np.inf), ("mu0", np.nan),

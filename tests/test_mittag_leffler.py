@@ -29,6 +29,16 @@ def test_value_at_zero_is_one():
     assert ml_eval(MLParams(0.5, 1.0), 0.0) == 1.0
 
 
+def test_beta_at_a_gamma_pole():
+    # E_{a,0}(z) = sum_k z^k / Gamma(a k) with 1/Gamma(0) = 0: E_{0.5,0}(0) = 0
+    # used to fail to converge, and the high-precision series of E_{0.7,0}(-5)
+    # divided by Gamma at its pole
+    assert ml_eval(MLParams(0.5, 0.0), 0.0) == 0.0
+    got = ml_eval(MLParams(0.7, 0.0), -5.0)
+    assert got == pytest.approx(-0.061005620835780635, rel=1e-12)
+    assert got == pytest.approx(mp_series(0.7, 0.0, -5.0), rel=1e-12)
+
+
 def test_alpha_one_is_exponential():
     assert ml_eval(MLParams(1.0, 1.0), -2.0) == pytest.approx(
         0.1353352832366127, rel=1e-14
@@ -193,13 +203,13 @@ import sys
 import fracinv
 print('numpy.random' in sys.modules)
 from fracinv import cli
-from fracinv.fem import solve_fem
+from fracinv.fem import FemOperator, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.problems import ProblemSpec, TimeGrid
-solve_fem(ProblemSpec(0.5, u0=lambda x: x * (1 - x), f=1.0, potential=1.0),
-          Grid1D(16), TimeGrid(8, 0.5))
+solve_fem(ProblemSpec(0.5, u0=lambda x: x * (1 - x), f=1.0),
+          FemOperator(Grid1D(16), 1.0, 1.0), TimeGrid(8, 0.5))
 solve_fem(ProblemSpec(0.5, u0=lambda x, y: x * y, f=1.0),
-          Grid2D(8), TimeGrid(8, 0.5))
+          FemOperator(Grid2D(8)), TimeGrid(8, 0.5))
 fracinv.ml_neg(0.75, 1.0, [5.3, 5.9])
 fracinv.add_noise([1.0, 2.0], 0.1, seed=1)
 cli.main(['ml-eval', '0.5', '1', '-5'])

@@ -102,9 +102,9 @@ class TestEigendecomposition:
         with pytest.raises(ResolutionError):
             fd_eigendecomposition(0.0, 300, grid=Grid1D(1024))
 
-def apply_F(ed, alpha, t, v, potential=0.0):
-    """F(t) v: the modal solve from v with a zero source."""
-    spec = ProblemSpec(alpha=alpha, u0=v, f=0.0, potential=potential)
+def apply_F(ed, alpha, t, v):
+    """F(t) v: the modal solve from v with a zero source, on ed's potential."""
+    spec = ProblemSpec(alpha=alpha, u0=v, f=0.0)
     return solve_spectral(spec, ed, t)
 
 
@@ -139,7 +139,7 @@ class TestSolutionOperators:
         ed = fd_eigendecomposition(Q_SIN4, 32, grid=Grid1D(1024))
         x = ed.grid.nodes
         v = np.minimum(x, 1 - x)
-        norms = [ed.norm(apply_F(ed, 0.4, t, v, potential=Q_SIN4))
+        norms = [ed.norm(apply_F(ed, 0.4, t, v))
                  for t in np.linspace(0, 3, 12)]
         assert all(a >= b - 1e-12 for a, b in zip(norms, norms[1:]))
 
@@ -159,14 +159,6 @@ class TestSolveSpectral:
         spec = ProblemSpec(alpha=0.4, u0=0.0, f=lambda x: np.sin(np.pi * x))
         u = solve_spectral(spec, ed, 1e15)
         assert np.max(np.abs(u - np.sin(np.pi * x) / np.pi**2)) < 1e-8
-
-    def test_potential_must_match_basis(self):
-        # a q = 0 basis would silently return the q = 0 solution
-        ed = fd_eigendecomposition(0.0, 16, grid=Grid1D(256))
-        spec = ProblemSpec(alpha=0.5, u0=lambda x: np.sin(np.pi * x), f=0.0,
-                           potential=lambda x: 10.0 * Q_SIN4(x))
-        with pytest.raises(ParameterError, match="potential"):
-            solve_spectral(spec, ed, 0.5)
 
     def test_outside_the_modal_form_rejected(self):
         # nonzero Dirichlet values need a lift the modal solve does not have
