@@ -12,7 +12,7 @@ from typing import Union
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ParameterError, ShapeError
 
 __all__ = ["Grid1D", "Grid2D", "as_nodal_values"]
 
@@ -95,6 +95,8 @@ GridLike = Union[Grid1D, Grid2D]
 
 def as_nodal_values(f, grid: GridLike) -> np.ndarray:
     """Sample a callable / broadcast a scalar / validate an array on grid nodes."""
+    if f is None:  # np.asarray(None, float) would be a NaN field
+        raise ParameterError("a field is None, not a callable, a number or an array")
     if callable(f):
         if isinstance(grid, Grid1D):
             return np.asarray(f(grid.nodes), dtype=float)

@@ -36,7 +36,8 @@ of V^T J_II is -V_j^T B(U_j)_II, U_j = sum_k K_j(N - k) u^k = s_j^N lift +
 V [sum_k K_j(N - k) (r^k o a0 + s^k o b)]: no trajectory, and O(N m^2)
 against the O(N^2 m^2) of stepping all m columns. (2) bp/isp on the square,
 where a dense eigensolve raises the peak memory by a third: F and all
-Jacobian columns step through the L1 time stepper, (1)'s test oracle.
+Jacobian columns step through the L1 time stepper, (1)'s test oracle, F by
+dpbtrs and the columns together by the factor's grid-row block sweeps.
 """
 
 from __future__ import annotations
@@ -424,9 +425,7 @@ def lm_reconstruct(
         f0 = forward_map(setup, state.v, state.T)
         r = mass_norm(setup.grid, obs.g_delta - f0)
         if not np.isfinite(r):
-            err = NumericalError(f"residual diverged at iteration {k}")
-            err.history = history
-            raise err
+            raise NumericalError(f"residual diverged at iteration {k}")
         e = mass_norm(setup.grid, state.v - truth) if truth is not None else float("nan")
         history.append((k, r, e, state.T))
         v_hist.append(state.v.copy())

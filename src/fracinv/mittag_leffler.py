@@ -42,7 +42,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from .errors import DomainError, ParameterError
 
@@ -55,8 +54,8 @@ __all__ = [
 
 def _load_core(subpackage: str, name: str):
     """A compiled scipy module, loaded from its file under its full name, which the
-    package's import shares: that import costs ~0.2 s, scipy._lib._array_api mostly."""
-    folder = str(Path(scipy.__file__).parent / subpackage)
+    package's import shares (~0.2 s, scipy._lib._array_api mostly); not even scipy's runs."""
+    folder = str(Path(importlib.util.find_spec("scipy").submodule_search_locations[0], subpackage))
     spec = importlib.machinery.PathFinder.find_spec(f"scipy.{subpackage}.{name}", [folder])
     if spec is None:
         raise ImportError(f"scipy's compiled {name} is not in {folder}")

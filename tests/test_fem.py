@@ -25,7 +25,7 @@ from fracinv.fem import (
     mass_norm,
     solve_fem,
 )
-from fracinv.grids import Grid1D, Grid2D
+from fracinv.grids import Grid1D, Grid2D, as_nodal_values
 from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec, TimeGrid
 
@@ -441,6 +441,94 @@ class TestBandFactor:
         assert len(digests[0]) == 2 and digests[0] == digests[1]
 
 
+_SWEEP_DIGESTS = """
+import hashlib
+import numpy as np
+from fracinv.fem import FemOperator
+from fracinv.grids import Grid2D
+for n in (16, 32, 64):
+    op = FemOperator(Grid2D(n), 1.0, 0.0)
+    for p in (3, 36, 127):
+        rhs = np.random.default_rng(n).standard_normal((op.interior.size, p))
+        out = np.empty_like(rhs)
+        op.row_sweep(300.0)(rhs, out)
+        print(hashlib.sha256(out.tobytes()).hexdigest())
+"""
+
+
+class TestRowSweep:
+    """`FemOperator.row_sweep`, the square's solve of a column block, on the
+    factor it reads, against `factorized` column by column, its oracle."""
+
+    SCALES = (3.0, 300.0, 3e4)
+
+    @pytest.mark.parametrize("n", [8, 16, 32, 64])
+    @pytest.mark.parametrize("potential", [0.0, lambda x, y: 1.0 + x + y**2], ids=["q0", "q"])
+    def test_factor_is_grid_row_block_bidiagonal(self, n, potential):
+        # U[r, r + d] = ub[kd - d, r + d] is exactly 0.0 unless r and r + d lie
+        # in one block of n - 1 rows or in neighbouring ones
+        op = FemOperator(Grid2D(n), 1.0, potential)
+        for c in self.SCALES:
+            op.factorized(c)
+            ub = op._factor[1]
+            col = np.arange(ub.shape[1])
+            row = col - (ub.shape[0] - 1 - np.arange(ub.shape[0]))[:, None]
+            outside = (row >= 0) & (col // (n - 1) - row // (n - 1) > 1)
+            assert outside.sum() == n - 3  # U[i, i + n] at the end of each grid row but two
+            assert np.all(ub[outside] == 0.0)
+
+    @pytest.mark.parametrize("p", [1, 3, 36])
+    def test_matches_factorized(self, p):
+        for n in (8, 16, 32):
+            op = TestBandFactor._op(Grid2D(n))
+            rhs = np.random.default_rng(p).standard_normal((op.interior.size, p))
+            for c in self.SCALES:
+                ref = np.column_stack([op.factorized(c)(col) for col in rhs.T])
+                out = np.empty_like(rhs)
+                op.row_sweep(c)(rhs.copy(), out)
+                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_blocks_held_beside_the_factor(self, monkeypatch):
+        # built once per held c from the held factor, no dpbtrf of their own,
+        # and dropped with the factor of another c
+        op = FemOperator(Grid2D(8))
+        op.row_sweep(3.0)
+        blocks, factor = op._row_blocks, op._factor
+        monkeypatch.setattr(fem_mod, "_DPBTRF", None)  # a further factorization would fail
+        op.row_sweep(3.0)
+        assert op._row_blocks is blocks and op._factor is factor
+        monkeypatch.undo()
+        op.factorized(300.0)
+        assert op._row_blocks is None and len(op._factor) == 3
+
+    @pytest.mark.parametrize("kind", ["bp", "isp"])
+    def test_stepped_columns_match_factorized(self, kind, monkeypatch):
+        # l1_evolve takes the sweep for a column block on the square only
+        op = FemOperator(Grid2D(16), 1.0, 0.5)
+        w0 = np.eye(op.interior.size)[:, ::40]
+        args = (w0, None) if kind == "bp" else (np.zeros_like(w0), op.M_II @ w0)
+        tg = TimeGrid(16, 0.5)
+        got = l1_evolve(op, 0.5, tg, *args)
+        monkeypatch.setattr(FemOperator, "row_sweep", None)
+        ref = np.stack([l1_evolve(op, 0.5, tg, *(a if a is None else a[:, j] for a in args))
+                        for j in range(w0.shape[1])], axis=-1)
+        assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
+
+    def test_independent_of_blas_threads(self):
+        # its products stay below OpenBLAS's threading threshold (the march's
+        # history sums over m p columns do not: their bits move with the count)
+        src = str(Path(fem_mod.__file__).parents[1])
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", _SWEEP_DIGESTS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 9 and digests[0] == digests[1]
+
+
 class TestScipyKernels:
     """`FemOperator`'s CSR arrays and banded LAPACK calls, which run scipy's
     compiled kernels and numpy's OpenBLAS without scipy's packages, against
@@ -659,3 +747,12 @@ def test_mass_inner_is_exact_for_linears():
     g2 = Grid2D(8)
     one2 = np.ones(g2.n_nodes)
     assert mass_inner(g2, one2, one2) == pytest.approx(1.0, rel=1e-13)
+
+
+@pytest.mark.parametrize("grid", [Grid1D(4), Grid2D(4)], ids=["1d", "2d"])
+def test_none_field_is_parameter_error(grid):
+    # as_nodal_values(None) was an all-NaN field, and a solve from it NaN inside
+    with pytest.raises(ParameterError, match="None"):
+        as_nodal_values(None, grid)
+    with pytest.raises(ParameterError, match="None"):
+        solve_fem(ProblemSpec(0.5, None, 1.0), FemOperator(grid), TimeGrid(4, 0.5))

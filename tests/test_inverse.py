@@ -331,6 +331,31 @@ class TestSquareEngine:
         c_held, factor, _ = setup.fixed_operator._factor
         assert c_held == c_last and factor.shape == (17, 15 * 15)
 
+    # (e, k*, T_hat) of `fracinv table` cells at alpha 0.5, seed 7, t_init 0.45,
+    # max_iter 24, when every column of the stepped v-Jacobian ran through dpbtrs
+    DPBTRS_CELLS = {
+        "5.1ii": [(0.0, 0.026189577441285448, 20, 0.44891217265397193),
+                  (1e-2, 0.026952325755782845, 10, 0.44919881686153124)],
+        "5.2ii": [(0.0, 0.008671647566417194, 12, 0.47775501533902476),
+                  (1e-2, 0.017186293514515272, 4, 0.45906772528125)],
+    }
+
+    @pytest.mark.parametrize("case_id", sorted(DPBTRS_CELLS))
+    def test_table_cells_as_with_dpbtrs(self, case_id, tmp_path):
+        # the row sweep moves e and T_hat by rounding only, and no k*
+        from fracinv.config import parse_config
+        from fracinv.experiments import run_table
+
+        cfg = tmp_path / "sq.cfg"
+        cfg.write_text(f"[experiment]\ncase = {case_id}\nalphas = 0.5\nepsilons = 0 1e-2\n"
+                       f"seed = 7\nt_init = 0.45\nmax_iter = 24\n[output]\ndir = {tmp_path}\n")
+        rows = run_table(parse_config(cfg))
+        assert len(rows) == 2
+        for (_, _, eps, e, k_star, t_hat, note), ref in zip(rows, self.DPBTRS_CELLS[case_id]):
+            assert (eps, k_star, note) == (ref[0], ref[2], "")
+            assert e == pytest.approx(ref[1], rel=1e-9)
+            assert t_hat == pytest.approx(ref[3], rel=1e-9)
+
 
 def _count_factorizations(monkeypatch) -> dict:
     """Empty the process's operator caches and count the eigh and Cholesky
