@@ -36,14 +36,14 @@ solve U^T Y = R and U X = Y (Golub and Van Loan, Matrix Computations, ch. 4).
 0.14 ms against 0.04 ms, so vectors stay on dpbtrs (2-core VM).
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
-(A_II, M_II) each step is a scalar product (`l1_responses`). On the interval
-the inversion's u(T) and v-Jacobian share one such march per (alpha, N, T)
-(`FemOperator.responses`); the time stepper (`l1_evolve`, and `solve_fem` to
-u(T) alone) serves the square, data synthesis and the tests' oracles. Both
-engines run on one march (`_l1_march`), which gathers its weights once and
-sums the history in blocks of steps by GEMMs; they differ only in the step
-that writes u^k into the history. A process builds one operator per grid and
-diffusion (`_fixed_operator`) and one L^-1 of M_II = L L^T per grid.
+(A_II, M_II) each step multiplies by the gain g = c / (c + lam), so the step-N
+response is one polynomial in g per (alpha, N), which the inversion on the
+interval evaluates at every T (`l1_responses`); the time stepper (`l1_evolve`,
+`solve_fem`) serves the square, data synthesis and the tests' oracles. Both
+run on one blocked march (`_l1_march`) and differ only in the step that
+writes u^k into the history: a solve, or a shift of the polynomial's
+coefficients by one degree (`_l1_polynomial`). A process builds one operator
+per grid and diffusion (`_fixed_operator`) and one L^-1 of M_II = L L^T per grid.
 """
 
 from __future__ import annotations
@@ -273,7 +273,6 @@ class FemOperator:
         (self.M_II, self.A_II), self._bands = zip(*blocks)  # _bands: (M_b, A_b)
         self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
         self._row_blocks: Optional[tuple] = None  # the held factor's grid-row blocks (row_sweep)
-        self._responses: tuple = (None, None)  # ((alpha, tg), (r, s)) of the last march
 
     def factorized(self, c: float):
         """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
@@ -354,17 +353,6 @@ class FemOperator:
         lam, W = np.linalg.eigh(L_inv @ (self.A_II @ eye) @ L_inv.T)
         return lam, L_inv.T @ W
 
-    def responses(self, alpha: float, tg: TimeGrid) -> tuple[np.ndarray, np.ndarray]:
-        """`l1_responses` on `modes`, read-only; the last (alpha, N, T) is
-        kept, so F and the v-Jacobian at one LM iterate share one march."""
-        if self._responses[0] != (alpha, tg):
-            self._responses = (None, None)  # free the old pair before the march
-            r, s = l1_responses(alpha, tg, self.modes[0])
-            r.setflags(write=False)
-            s.setflags(write=False)
-            self._responses = ((alpha, tg), (r, s))
-        return self._responses[1]
-
 
 def _l1_march(weights: L1Weights, first: np.ndarray,
               step: Callable[[np.ndarray, np.ndarray], None]) -> np.ndarray:
@@ -438,24 +426,36 @@ def l1_evolve(
     return _l1_march(weights, w0_int, step)
 
 
-def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The L1 scheme on one mode of eigenvalue lam_j, for all modes at once.
+@lru_cache(maxsize=32)
+def _l1_polynomial(alpha: float, n_steps: int) -> np.ndarray:
+    """p of r^N(g) = sum_n p_n g^n, read-only: r^k = g combo_k with weights free
+    of g, so one march of coefficient vectors builds it. p >= 0 sums to 1 (r = 1
+    at g = 1), p = e_N at alpha = 1; the (N + 1)^2 history is freed on return."""
+    def step(combo, out):  # r^k = g combo_k, one degree up; combo_k has degree k - 1 < N
+        out[0], out[1:] = 0.0, combo[:-1]
+
+    p = _l1_march(L1Weights(alpha, n_steps), np.eye(1, n_steps + 1)[0], step)[-1].copy()
+    p.setflags(write=False)
+    return p
+
+
+def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The L1 scheme on one mode of eigenvalue lam_j at step N, for all modes at once.
 
     In the eigenbasis of the pencil (A_II, M_II) the step (c M + A) w^k =
     c M combo_k + F splits into (c + lam_j) a_j^k = c combo_k(a_j) + F_j, so
     each mode's state at step k is r_j^k a_j^0 + s_j^k F_j, with the
     responses r (a^0 = 1, no load) and s (a^0 = 0, unit load). The history
-    coefficients sum to 1, so the steady state a = F / lam is a fixed point
-    and s = (1 - r) / lam: one march serves both. Returns (r, s) at every
-    step, (n_steps+1, m) each.
-    """
-    weights = L1Weights(alpha, tg.n_steps)
-    c = weights.scale(tg.tau)
+    coefficients sum to 1, so a = F / lam is a fixed point and s = (1 - r) / lam.
+    r^N is `_l1_polynomial` at g_j = c / (c + lam_j), a sum of terms >= 0, and
+    dg/dlam = -g^2 / c. Returns (r^N, s^N, dr^N/dlam), (m,) each."""
+    p = _l1_polynomial(alpha, tg.n_steps)
+    c = L1Weights(alpha, tg.n_steps).scale(tg.tau)
     gain = c / (c + lam)
-    r = _l1_march(weights, np.ones(lam.size), lambda combo, out: np.multiply(combo, gain, out=out))
-    s = 1.0 - r
-    s /= lam
-    return r, s
+    powers = np.cumprod(np.broadcast_to(gain, (tg.n_steps, lam.size)), axis=0)  # g^1..g^N
+    r = p[1:] @ powers
+    dr = (np.arange(1, tg.n_steps + 1) * p[1:]) @ powers
+    return r, (1.0 - r) / lam, -gain / c * dr
 
 
 def dirichlet_lift(dirichlet: Optional[tuple[float, float]], grid: GridLike) -> np.ndarray:

@@ -26,18 +26,19 @@ Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
 (A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I)
 for bp/isp once per grid and diffusion in a process, since every setup on
 them shares one fixed operator, and for ipp, whose A_q moves with v, once per
-iterate for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). The first two
-share one march of the mode responses r (w(0) = 1, no load) and s (w(0) = 0,
-unit load): F_I = lift_I + V (r^N o a0 + s^N o b), a0 = V^T M_II w0,
-b = V^T load; for bp/isp J_II = V diag(r^N or s^N) V^T M_II. ipp's
-sensitivity starts from zero, so the scheme is shift-invariant: mode j
-answers a unit load n steps later with K_j(n) = s_j^(n+1) - s_j^n, and row j
-of V^T J_II is -V_j^T B(U_j)_II, U_j = sum_k K_j(N - k) u^k = s_j^N lift +
-V [sum_k K_j(N - k) (r^k o a0 + s^k o b)]: no trajectory, and O(N m^2)
-against the O(N^2 m^2) of stepping all m columns. (2) bp/isp on the square,
-where a dense eigensolve raises the peak memory by a third: F and all
-Jacobian columns step through the L1 time stepper, (1)'s test oracle, F by
-dpbtrs and the columns together by the factor's grid-row block sweeps.
+iterate for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). Each reads the
+step-N responses r (w(0) = 1, no load) and s (w(0) = 0, unit load) of the
+modes, with no march per T (`fem.l1_responses`): F_I = lift_I + V (r^N o a0
++ s^N o b), a0 = V^T M_II w0, b = V^T load; for bp/isp J_II =
+V diag(r^N or s^N) V^T M_II. ipp's sensitivity starts from zero, and the
+scheme is shift-invariant: mode j answers a unit load n steps later with
+K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is -V_j^T B(U_j)_II, U_j =
+sum_k K_j(N - k) u^k = s_j^N lift + V [sum_k K_j(N - k) (r^k o a0 + s^k o b)],
+whose sums are divided differences of r^N in lam (`_history_sums`): O(m^2),
+not the O(N^2 m^2) of stepping m columns. (2) bp/isp on the square, where a
+dense eigensolve raises the peak memory by a third: F and all Jacobian
+columns step through the L1 time stepper, (1)'s test oracle, F by dpbtrs and
+the columns together by the factor's grid-row block sweeps.
 """
 
 from __future__ import annotations
@@ -51,9 +52,10 @@ import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not in the first cell
 
 from .errors import AdmissibilityError, NumericalError, ParameterError, ShapeError
-from .fem import FemOperator, _fixed_operator, l1_evolve, mass_norm, modal_data, solve_fem
+from .fem import (FemOperator, _fixed_operator, l1_evolve, l1_responses, mass_norm, modal_data,
+                  solve_fem)
 from .grids import Grid1D, GridLike, as_nodal_values
-from .problems import ProblemSpec, TimeGrid
+from .problems import ProblemSpec, TimeGrid, check_count
 
 __all__ = [
     "LMConfig",
@@ -109,8 +111,7 @@ class LMConfig:
             raise ParameterError(f"unknown stop rule {self.stop!r}")
         if self.t_step_cap <= 0:
             raise ParameterError("t_step_cap must be positive")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 0):
-            raise ParameterError(f"max_iter must be an integer >= 0, got {self.max_iter!r}")
+        check_count("max_iter", self.max_iter, 0)
 
 
 @dataclass(frozen=True)
@@ -128,8 +129,7 @@ class Observation:
 def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) -> Observation:
     if not (epsilon >= 0 and math.isfinite(epsilon)):
         raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
-    if not (isinstance(seed, (int, np.integer)) and seed >= 0):  # recorded even at epsilon = 0
-        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
+    check_count("seed", seed, 0)  # recorded even at epsilon = 0
     g = np.asarray(g_dag, float)
     scale = float(np.max(np.abs(g)))
     if epsilon == 0.0:
@@ -269,8 +269,8 @@ def forward_map(setup: InverseSetup, v, T: float) -> np.ndarray:
     if not setup.modal:
         return solve_fem(spec, op, tg)
     u, a0, b = modal_data(spec, op)  # u = lift
-    r, s = op.responses(spec.alpha, tg)
-    u[op.interior] += op.modes[1] @ (r[-1] * a0 + s[-1] * b)
+    r, s, _ = l1_responses(spec.alpha, tg, op.modes[0])
+    u[op.interior] += op.modes[1] @ (r * a0 + s * b)
     return u
 
 
@@ -289,11 +289,11 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
     if setup.kind == "ipp":
         # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
         lift, a0, b = modal_data(spec, op)
-        V = op.modes[1]
-        r, s = op.responses(spec.alpha, tg)
-        K = s[:0:-1] - s[-2::-1]  # (N, m): row k - 1 is K(N - k); sum_n K_j(n) = s_j^N
-        U = np.outer(s[-1], lift)  # (m, n_nodes); two GEMMs need no (N, m) temporaries
-        U[:, op.interior] += ((K.T @ r[1:]) * a0 + (K.T @ s[1:]) * b) @ V.T
+        lam, V = op.modes
+        r, s, dr = l1_responses(spec.alpha, tg, lam)
+        KR, KS = _history_sums(r, s, dr, lam)
+        U = np.outer(s, lift)  # (m, n_nodes)
+        U[:, op.interior] += (KR * a0 + KS * b) @ V.T
         diag, off = _trilinear_mass_1d(setup.grid, U)
         d, o, Vt = diag[:, 1:-1], off[:, 1:-1], V.T
         R = d * Vt  # row j: (B(U_j)_II V_j)^T, B tridiagonal
@@ -303,9 +303,8 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         return J
     if setup.modal:
         # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
-        V = op.modes[1]
-        r, s = op.responses(spec.alpha, tg)
-        resp = (r if setup.kind == "bp" else s)[-1]
+        lam, V = op.modes
+        resp = l1_responses(spec.alpha, tg, lam)[0 if setup.kind == "bp" else 1]
         J[op.interior] = (V * resp) @ (V.T @ (op.M_II @ cols0))
         return J
     # bp/isp on the square (and the modal engine's oracle): columns stepped in time
@@ -315,6 +314,18 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         w0, load = np.zeros(cols0.shape), op.M_II @ cols0
     J[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1]
     return J
+
+
+def _history_sums(r, s, dr, lam) -> tuple[np.ndarray, np.ndarray]:
+    """KR[j, l] = sum_k K_j(N - k) r_l^k, k = 1..N, and KS likewise of s, from the
+    step-N responses: r^N's divided differences (r_l - r_j) / (lam_j - lam_l), -dr_j
+    on the diagonal (a discrete Loewner identity; Higham, Functions of Matrices,
+    ch. 3), and KS[j, l] = (s_j - KR[j, l]) / lam_l, as sum_k K_j(N - k) = s_j."""
+    gap = lam[:, None] - lam
+    np.fill_diagonal(gap, 1.0)
+    KR = (r - r[:, None]) / gap
+    np.fill_diagonal(KR, -dr)
+    return KR, (s[:, None] - KR) / lam
 
 
 def _trilinear_mass_1d(grid: Grid1D, u_nodal: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -367,7 +378,7 @@ def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig
 
     Inner products are the discrete L2 (mass) pairings; the penalty metric is
     the L2 Gram of the parameter space, so the step is mesh-robust. f0 is
-    u(T_k) = F(state.v, state.T), whose responses the v-Jacobian reuses.
+    u(T_k) = F(state.v, state.T).
     """
     gamma_k = cfg.gamma0 * cfg.rho**state.k
     mu_k = cfg.mu0 * cfg.rho**state.k

@@ -17,6 +17,12 @@ __all__ = ["ProblemSpec", "TimeGrid"]
 FieldData = Union[float, np.ndarray, Callable]
 
 
+def check_count(name: str, value, least: int) -> None:
+    """The count rule: an integer >= least, and a bool is no count."""
+    if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
+        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class ProblemSpec:
     """The data of one forward equation: order, initial state, source and
@@ -48,8 +54,7 @@ class TimeGrid:
     T: float
 
     def __post_init__(self):
-        if not (isinstance(self.n_steps, (int, np.integer)) and self.n_steps >= 1):
-            raise ParameterError(f"need an integer number of time steps >= 1, got {self.n_steps!r}")
+        check_count("the number of time steps", self.n_steps, 1)
         if not (0.0 < self.T < math.inf):
             raise ParameterError(f"T must be finite and positive, got {self.T}")
 

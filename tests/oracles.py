@@ -9,7 +9,9 @@ properties the tests assert of the production code. `fem_trajectory` keeps
 every level of the time stepper's forward solve, of which `fem.solve_fem`
 returns the last. The L1 time stepper and the modal recursion have
 step-by-step oracles that sum each step's history directly, against which
-the blocked march is checked, and `l1_march_per_block` is the blocked march
+the blocked march and the step polynomial are checked. From the modal one
+two GEMMs form the potential problem's history sums, the oracle of their
+divided differences. `l1_march_per_block` is the blocked march
 with each block's weight panel gathered anew and each step returning u^k,
 against whose bits the march is checked. `upper_band_factor` factors (c M + A)_II in
 upper band storage, the operator's path before it moved to lower storage,
@@ -245,8 +247,9 @@ def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> n
 
 
 def l1_responses_stepwise(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`fem.l1_responses` with each step's history summed over all earlier
-    steps at that step, with no blocking: (r, s) at every step."""
+    """The responses of `fem.l1_responses` at every step, each step's history
+    summed over all earlier steps at that step, with no blocking: (r, s),
+    (n_steps + 1, m) each."""
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
     gain = c / (c + lam)
@@ -255,6 +258,16 @@ def l1_responses_stepwise(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray
     for k in range(1, tg.n_steps + 1):
         r[k] = (history_coefficients(weights, k) @ r[:k]) * gain
     return r, (1.0 - r) / lam
+
+
+def history_sums_by_gemm(alpha: float, tg, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`inverse._history_sums` as two GEMMs over every step's responses, the
+    potential problem's v-Jacobian before it used the step-N responses alone:
+    (K^T r, K^T s) over steps 1..N, with K's row k - 1 the increment K(N - k),
+    K_j(n) = s_j^(n+1) - s_j^n."""
+    r, s = l1_responses_stepwise(alpha, tg, lam)
+    K = s[:0:-1] - s[-2::-1]
+    return K.T @ r[1:], K.T @ s[1:]
 
 
 def l1_march_per_block(weights: L1Weights, first: np.ndarray, step) -> np.ndarray:

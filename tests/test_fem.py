@@ -614,8 +614,9 @@ class TestBlockedHistory:
 
 
 class TestBlockedResponses:
-    """The modal engine `l1_responses` runs the same blocked march as
-    `l1_evolve`; checked against the step-by-step recursion."""
+    """The modal engine `l1_responses` evaluates at step N the polynomial in
+    the step gain whose coefficients the blocked march builds
+    (`_l1_polynomial`); checked against the step-by-step recursion."""
 
     @pytest.fixture(scope="class")
     def lam(self):
@@ -629,16 +630,36 @@ class TestBlockedResponses:
     def test_matches_stepwise(self, lam, n_steps, alpha):
         tg = TimeGrid(n_steps, 0.5)
         for ours, ref in zip(l1_responses(alpha, tg, lam), l1_responses_stepwise(alpha, tg, lam)):
-            assert ours.shape == ref.shape == (n_steps + 1, lam.size)
-            assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+            assert ours.shape == ref[-1].shape == (lam.size,)
+            assert np.max(np.abs(ours - ref[-1])) <= 1e-12 * np.max(np.abs(ref[-1]))
 
     @pytest.mark.parametrize("n_steps", [1, 33, 512])
     def test_backward_euler_closed_form(self, lam, n_steps):
         # alpha = 1: r^N = (1 + tau lam)^(-N)
         tg = TimeGrid(n_steps, 0.5)
-        r = l1_responses(1.0, tg, lam)[0][-1]
+        r = l1_responses(1.0, tg, lam)[0]
         ref = (1.0 + tg.tau * lam) ** -n_steps
         assert np.allclose(r, ref, rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("n_steps", [1, HISTORY_BLOCK, HISTORY_BLOCK + 1, 512, 1024])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75, 1.0])
+    def test_polynomial_is_a_distribution(self, n_steps, alpha):
+        # r = g combo has nonnegative coefficients, r = 1 at g = 1, and
+        # backward Euler (alpha = 1) is r^N = g^N
+        p = fem_mod._l1_polynomial(alpha, n_steps)
+        assert p.shape == (n_steps + 1,) and not p.flags.writeable
+        assert np.all(p >= 0.0) and abs(p.sum() - 1.0) <= 1e-14
+        if alpha == 1.0:
+            assert np.array_equal(p, np.eye(1, n_steps + 1, n_steps)[0])
+
+    @pytest.mark.parametrize("n_steps", [1, 33, 512])
+    def test_lam_derivative(self, lam, n_steps):
+        # dr^N/dlam against a central difference of r^N in lam
+        tg = TimeGrid(n_steps, 0.5)
+        h = 1e-6 * lam
+        up, down = (l1_responses(0.5, tg, lam + d)[0] for d in (h, -h))
+        assert np.allclose(l1_responses(0.5, tg, lam)[2], (up - down) / (2 * h),
+                           rtol=1e-6, atol=1e-12)
 
 
 class TestMarchBits:
@@ -724,10 +745,10 @@ class TestConvergence:
 
 
 class TestTimeGrid:
-    @pytest.mark.parametrize("n_steps, T", [(4, np.nan), (4, np.inf), (2.5, 1.0)])
+    @pytest.mark.parametrize("n_steps, T", [(4, np.nan), (4, np.inf), (2.5, 1.0), (True, 1.0)])
     def test_horizon_and_steps_rejected(self, n_steps, T):
         # forward_map used to return NaN at T = nan and numbers at T = inf;
-        # 2.5 steps failed later with a TypeError
+        # 2.5 steps failed later with a TypeError; True passed as one step
         with pytest.raises(ParameterError):
             TimeGrid(n_steps, T)
 

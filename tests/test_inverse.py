@@ -7,6 +7,7 @@ from fracinv.errors import (AdmissibilityError, FracinvError, NumericalError, Pa
 from fracinv.fem import FemOperator, TimeGrid, mass_inner, mass_norm, solve_fem
 from fracinv.grids import Grid1D, Grid2D
 from fracinv.inverse import (
+    _history_sums,
     _trilinear_mass_1d,
     InverseSetup,
     LMConfig,
@@ -22,6 +23,7 @@ from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 
 from oracles import (
+    history_sums_by_gemm,
     ipp_jacobian_columns,
     jacobian_v_adjoint_apply,
     jacobian_v_apply,
@@ -78,10 +80,11 @@ class TestAddNoise:
             add_noise(np.ones(9), epsilon, seed=1)
 
     @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
-    @pytest.mark.parametrize("seed", [-1, 1.5])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True])
     def test_rejects_bad_seed(self, epsilon, seed):
         # at epsilon = 0 seed -1 was accepted and recorded; above it numpy
-        # raised an untyped ValueError (TypeError for 1.5), which ends a table
+        # raised an untyped ValueError (TypeError for 1.5), which ends a
+        # table; True was recorded as the seed
         with pytest.raises(ParameterError, match="seed"):
             add_noise(np.ones(9), epsilon, seed=seed)
 
@@ -232,45 +235,42 @@ class TestModalEngine:
         assert np.array_equal(again, first)
         fem_mod._fixed_operator.cache_clear()  # a fresh fixed operator for bp/isp
         assert np.array_equal(again, forward_map(make(), v, 0.45))
-        _, op, tg = setup._forward_problem(v, 0.45)
-        r, s = op.responses(setup.known.alpha, tg)
-        assert not (r.flags.writeable or s.flags.writeable)
-
-    def test_old_responses_freed_before_march(self, monkeypatch):
-        # the march at a new T runs while the operator holds no older pair
-        import weakref
-
-        op = bp_setup().fixed_operator
-        old = weakref.ref(op.responses(0.5, TimeGrid(64, 0.45))[0])
-        alive = []
-
-        def probing(*args, **kwargs):
-            alive.append(old() is not None)
-            return l1_responses(*args, **kwargs)
-
-        l1_responses = fem_mod.l1_responses
-        monkeypatch.setattr(fem_mod, "l1_responses", probing)
-        op.responses(0.5, TimeGrid(64, 0.5))
-        assert alive == [False]
 
     @pytest.mark.parametrize("make", [bp_setup, isp_setup, ipp_setup], ids=["bp", "isp", "ipp"])
     def test_one_march_per_time(self, make, monkeypatch):
-        # at max_iter = 3: one march at each T_k, k = 0..3, shared by F(v_k,
-        # T_k) and the v-Jacobian, and one at each T_k + dT, k = 0..2
+        # at max_iter = 3 a run evaluates the step polynomial at every T_k and
+        # T_k + dT: one march builds it for a fresh (alpha, N), none after
         setup = make(n=32, steps=32)
         obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(1)
-            return l1_responses(*args, **kwargs)
+            return march(*args, **kwargs)
 
-        l1_responses = fem_mod.l1_responses
-        monkeypatch.setattr(fem_mod, "l1_responses", counting)
+        march = fem_mod._l1_march
+        monkeypatch.setattr(fem_mod, "_l1_march", counting)
+        fem_mod._l1_polynomial.cache_clear()
         cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45,
                        max_iter=3, stop="max_iter")
-        lm_reconstruct(setup, obs, cfg)
-        assert len(calls) == 7
+        first = lm_reconstruct(setup, obs, cfg)
+        assert len(calls) == 1
+        again = lm_reconstruct(setup, obs, cfg)
+        assert len(calls) == 1
+        assert np.array_equal(again.v_hat, first.v_hat) and again.T_hat == first.T_hat
+
+    @pytest.mark.parametrize("n, alpha, coefficients", _IPP_CASES)
+    def test_history_sums_match_k_gemms(self, n, alpha, coefficients):
+        # ipp's history sums as divided differences of r^N, diagonal included,
+        # against the two K-GEMMs over the stepwise responses
+        setup = InverseSetup("ipp", Grid1D(n), alpha, 256,
+                             **_KNOWN["ipp"], **_COEFFICIENTS[coefficients])
+        x = setup.grid.nodes
+        _, op, tg = setup._forward_problem(0.8 * SIN4(x) + 0.3 * HAT(3 * x % 1.0), 0.45)
+        lam = op.modes[0]
+        ours = _history_sums(*fem_mod.l1_responses(alpha, tg, lam), lam)
+        for mine, ref in zip(ours, history_sums_by_gemm(alpha, tg, lam)):
+            assert _relative_gap(mine, ref) <= 1e-10
 
     @pytest.mark.parametrize("make", [bp_setup, isp_setup])
     def test_one_eigensolve_per_process(self, make, monkeypatch):
@@ -614,6 +614,11 @@ class TestLMReconstruct:
         # max_iter = 2.5 used to pass, and lm_reconstruct then raised a TypeError
         with pytest.raises(ParameterError, match="max_iter"):
             LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=2.5)
+
+    def test_bool_max_iter_rejected(self):
+        # max_iter = True used to run one iteration
+        with pytest.raises(ParameterError, match="max_iter"):
+            LMConfig(gamma0=1e-2, mu0=1e-3, rho=0.8, T_init=0.4, max_iter=True)
 
     def test_fractional_step_count_rejected(self):
         # 2.7 steps used to be truncated to 2 without a word
