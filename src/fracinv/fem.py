@@ -20,14 +20,18 @@ interior blocks M_II and A_II. The interior nodes are numbered row-major, so
 a node couples only to nodes at most one grid row away: the bandwidth kd is
 1 on the interval and n on the n x n square (the SW-NE diagonal neighbour
 sits n interior indices on). At construction the operator also stores the
-lower bands of M_II and A_II, and at each new scale c LAPACK's dpbtrf from
-numpy's OpenBLAS, the process's only one, factors c M_b + A_b in place, in
-O(m kd^2) for m interior nodes. In lower storage, for kd <= 64 LAPACK's
-unblocked dpbtf2 makes unit-stride rank-1 updates, which OpenBLAS runs inline
-(the upper sweep's strided ones went to its thread pool), in the same order
-as the upper sweep, so both give bit-identical factors. A vector's solve,
-dpbtrs on the factor, is two level-2 sweeps of O(m kd). A column block on the
-square takes `FemOperator.row_sweep`: U = L^T stays inside the envelope of
+lower bands of M_II and A_II, and at each new scale c LAPACK from numpy's
+OpenBLAS, the process's only one, factors c M_b + A_b in place. On the
+interval the band is tridiagonal: dpttrf factors it as L D L^T and a solve,
+dpttrs, is two O(m) recurrences (19 us against dpbtrs' 41 us at 2,047
+unknowns, 4.7 against 11 us at 255; 2-core VM). On the square dpbtrf
+factors it in O(m kd^2) for m interior nodes. In lower storage, for
+kd <= 64 LAPACK's unblocked dpbtf2 makes unit-stride rank-1 updates, which
+OpenBLAS runs inline (the upper sweep's strided ones went to its thread
+pool), in the same order as the upper sweep, so both give bit-identical
+factors. A vector's solve, dpbtrs on
+the factor, is two level-2 sweeps of O(m kd). A column block on the square
+takes `FemOperator.row_sweep`: U = L^T stays inside the envelope of
 (c M + A)_II, so in blocks of a grid row's n - 1 nodes it is block upper
 bidiagonal (the in-band U[i, i + n] at a row's end lies outside the envelope
 and is 0.0), and two sweeps of n - 1 small dense products over the blocks
@@ -37,13 +41,15 @@ solve U^T Y = R and U X = Y (Golub and Van Loan, Matrix Computations, ch. 4).
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step multiplies by the gain g = c / (c + lam), so the step-N
-response is one polynomial in g per (alpha, N), which the inversion on the
-interval evaluates at every T (`l1_responses`); the time stepper (`l1_evolve`,
-`solve_fem`) serves the square, data synthesis and the tests' oracles. Both
-run on one blocked march (`_l1_march`) and differ only in the step that
-writes u^k into the history: a solve, or a shift of the polynomial's
-coefficients by one degree (`_l1_polynomial`). A process builds one operator
-per grid and diffusion (`_fixed_operator`) and one L^-1 of M_II = L L^T per grid.
+response is one polynomial in g per (alpha, N), whose coefficients one
+blocked march builds (`_l1_march`, whose step shifts them by one degree;
+`_l1_polynomial`). The inversion on the interval evaluates it at every T
+(`l1_responses`). The time stepper (`l1_evolve`, `solve_fem`), which serves
+the square and data synthesis, evaluates it at G = c (c M + A)_II^-1 M_II by
+Horner's rule, one solve per step and no history; where the state has fewer
+than N + 1 entries it marches the state instead. A process builds one
+operator per grid and diffusion (`_fixed_operator`) and one L^-1 of M_II =
+L L^T per grid.
 """
 
 from __future__ import annotations
@@ -91,6 +97,9 @@ _OPENBLAS = _numpy_openblas()
 _DPBTRF, _DPBTRS = _OPENBLAS.scipy_dpbtrf_64_, _OPENBLAS.scipy_dpbtrs_64_
 for _fn, _n in ((_DPBTRF, 5), (_DPBTRS, 8)):  # by the Fortran ABI: uplo, _n pointers, len(uplo)
     _fn.argtypes = [ctypes.c_char_p] + [ctypes.c_void_p] * _n + [ctypes.c_size_t]
+_DPTTRF, _DPTTRS = _OPENBLAS.scipy_dpttrf_64_, _OPENBLAS.scipy_dpttrs_64_
+for _fn, _n in ((_DPTTRF, 4), (_DPTTRS, 7)):  # _n pointers, no character argument
+    _fn.argtypes = [ctypes.c_void_p] * _n
 
 
 @dataclass(frozen=True)
@@ -275,37 +284,49 @@ class FemOperator:
         self._row_blocks: Optional[tuple] = None  # the held factor's grid-row blocks (row_sweep)
 
     def factorized(self, c: float):
-        """Solver for (c M + A)_II x = rhs: LAPACK's dpbtrs on the factor at c,
-        which the solver holds. The operator keeps the last c's factor only:
-        an LM run asks for each T's factor in turn and never for an old one.
-        dpbtrf factors c M_b + A_b in lower storage, bit-identical to the
+        """Solver for (c M + A)_II x = rhs on the factor at c, which the solver
+        holds. The operator keeps the last c's factor only: an LM run asks for
+        each T's factor in turn and never for an old one. On the interval
+        (kd = 1) dpttrf factors the tridiagonal c M_b + A_b as L D L^T, held
+        as the rows (d, e) of D and L's sub-diagonal, and dpttrs solves. On
+        the square dpbtrf factors it in lower storage, bit-identical to the
         upper for kd <= 64 (module docstring); the factor is held as L^T in
         upper storage, since dpbtrs rounds differently in lower storage."""
         if self._factor[0] != float(c):
             self._row_blocks = None
             M_b, A_b = self._bands
-            lb = c * M_b  # Fortran order, as M_b
-            lb += A_b
-            ints = (ctypes.c_int64 * 5)(lb.shape[1], lb.shape[0] - 1, lb.shape[0], 0, 1)
+            tri = M_b.shape[0] == 2
+            fb = np.multiply(c, M_b, order="C" if tri else "F")  # factored in place
+            fb += A_b
+            ints = (ctypes.c_int64 * 5)(fb.shape[1], fb.shape[0] - 1, fb.shape[0], 0, 1)
             p = ctypes.addressof(ints)  # at p, p + 8, ..: n, kd, ldab, info, nrhs
-            _DPBTRF(b"L", p, p + 8, lb.ctypes.data, p + 16, p + 24, 1)
+            if tri:  # fb's rows d and e; e's last entry is not read
+                _DPTTRF(p, fb.ctypes.data, fb[1].ctypes.data, p + 24)
+            else:
+                _DPBTRF(b"L", p, p + 8, fb.ctypes.data, p + 16, p + 24, 1)
             if ints[3] != 0:
-                raise NumericalError(f"banded factorization failed: dpbtrf info {ints[3]}")
-            ub = np.zeros_like(lb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]
-            for d, row in enumerate(lb):
-                ub[-1 - d, d:] = row[:row.size - d]
-            self._factor = (float(c), ub, ints)
-        _, cb, ints = self._factor
-        p, ab = ctypes.addressof(ints), cb.ctypes.data
+                name = "dpttrf" if tri else "dpbtrf"
+                raise NumericalError(f"banded factorization failed: {name} info {ints[3]}")
+            if not tri:
+                lb, fb = fb, np.zeros_like(fb)  # U = L^T: ub[kd - d, d:] = lb[d, :m - d]
+                for d, row in enumerate(lb):
+                    fb[-1 - d, d:] = row[:row.size - d]
+            self._factor = (float(c), fb, ints)
+        _, fb, ints = self._factor
+        p, ab, tri = ctypes.addressof(ints), fb.ctypes.data, fb.shape[0] == 2
 
         def solve(rhs):
             x = np.array(rhs, dtype=float, order="F")  # overwritten by the solution
-            if x.shape[:1] != cb.shape[1:]:  # the closure holds cb, into which ab points
-                raise ShapeError(f"right-hand side of shape {x.shape} for {cb.shape[1]} unknowns")
-            ints[4] = x.size // cb.shape[1]
-            _DPBTRS(b"U", p, p + 8, p + 32, ab, p + 16, x.ctypes.data, p, p + 24, 1)
+            if x.shape[:1] != fb.shape[1:]:  # the closure holds fb, into which ab points
+                raise ShapeError(f"right-hand side of shape {x.shape} for {fb.shape[1]} unknowns")
+            ints[4] = x.size // fb.shape[1]
+            if tri:  # n, nrhs, d, e, b, ldb = n, info
+                _DPTTRS(p, p + 32, ab, ab + 8 * fb.shape[1], x.ctypes.data, p, p + 24)
+            else:
+                _DPBTRS(b"U", p, p + 8, p + 32, ab, p + 16, x.ctypes.data, p, p + 24, 1)
             if ints[3] != 0:
-                raise NumericalError(f"banded solve failed: dpbtrs info {ints[3]}")
+                raise NumericalError(f"banded solve failed: {'dpttrs' if tri else 'dpbtrs'} "
+                                     f"info {ints[3]}")
             return x
 
         return solve
@@ -399,13 +420,23 @@ def l1_evolve(
     w0_int: np.ndarray,
     load: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """March the zero-boundary unknown w on interior nodes through all steps.
+    """w^N, the zero-boundary unknown on interior nodes at the last step.
 
     w0_int may be a vector (m,) or a matrix (m, p) of p simultaneous states;
     load is the interior load, constant in time, with matching shape (or
-    None). Returns the full history (n_steps+1, m[, p]); each step solves
-    (c M + A)_II w^k = c M_II combo_k + load, a matrix on the square by
-    `FemOperator.row_sweep`, else by `FemOperator.factorized`.
+    None). Returns w^N, shaped as w0_int, from N solves of (c M + A)_II x =
+    c M_II y + t_n load, a matrix on the square by `FemOperator.row_sweep`,
+    else by `FemOperator.factorized`; no history is kept.
+
+    With G = c (c M + A)_II^-1 M_II and z = (c M + A)_II^-1 load,
+    w^N = sum_n G^n (p_n w0 + t_n z) for the step polynomial p of (alpha, N)
+    (`_l1_polynomial`) and its tail sums t_n = sum_{k>n} p_k (the load's
+    share is `l1_responses`' s = (1 - r) / lam: c s = sum_n t_n g^(n+1)).
+    Horner's rule runs y <- G y + t_n z + p_n w0 for n = N - 1..0 from
+    y = p_N w0, one solve per n with t_n load in its right-hand side. Where
+    m p < N + 1 the polynomial's own march, (N + 1)^2 floats, would outweigh
+    the state's history, so the state marches (`_l1_march`, t_n = 1) and its
+    last step is returned.
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
@@ -417,13 +448,21 @@ def l1_evolve(
         def sweep(rhs, out):
             out[...] = solve(rhs)
 
-    def step(combo, out):
+    def step(combo, out, share=1.0):
         rhs = c * (op.M_II @ combo)
         if load is not None:
-            rhs += load
+            rhs += share * load
         sweep(rhs, out)
 
-    return _l1_march(weights, w0_int, step)
+    if np.size(w0_int) < tg.n_steps + 1:
+        return _l1_march(weights, w0_int, step)[-1]
+    p = _l1_polynomial(alpha, tg.n_steps)
+    tail = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)  # t_n, a sum of terms >= 0
+    y = np.multiply(p[-1], w0_int, order="C")  # the row sweep writes into a C-ordered view
+    for n in range(tg.n_steps - 1, -1, -1):
+        step(y, y, tail[n])
+        y += p[n] * w0_int
+    return y
 
 
 @lru_cache(maxsize=32)
@@ -487,10 +526,10 @@ def modal_data(spec: ProblemSpec, op: FemOperator):
 def solve_fem(spec: ProblemSpec, op: FemOperator, tg: TimeGrid) -> np.ndarray:
     """P1 + L1 forward solve of the data `spec` with the coefficients of `op`,
     on its grid, through the time stepper; returns the nodal u(T), the lift
-    plus the last step of w (the inversion on the interval runs mode by mode
-    instead)."""
+    plus w^N from `l1_evolve`, with no trajectory formed (the inversion on
+    the interval runs mode by mode instead)."""
     _, u, w0, load = _initial_and_load(spec, op)  # u = lift
-    u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1] + u[op.interior]
+    u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load) + u[op.interior]
     return u
 
 

@@ -37,8 +37,10 @@ sum_k K_j(N - k) u^k = s_j^N lift + V [sum_k K_j(N - k) (r^k o a0 + s^k o b)],
 whose sums are divided differences of r^N in lam (`_history_sums`): O(m^2),
 not the O(N^2 m^2) of stepping m columns. (2) bp/isp on the square, where a
 dense eigensolve raises the peak memory by a third: F and all Jacobian
-columns step through the L1 time stepper, (1)'s test oracle, F by dpbtrs and
-the columns together by the factor's grid-row block sweeps.
+columns go through the L1 time stepper, (1)'s test oracle, which evaluates
+(1)'s step polynomial at the solve operator by Horner's rule, N solves and
+no history (`fem.l1_evolve`): F by dpbtrs and the columns together by the
+factor's grid-row block sweeps.
 """
 
 from __future__ import annotations
@@ -312,7 +314,7 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         w0, load = cols0, None
     else:
         w0, load = np.zeros(cols0.shape), op.M_II @ cols0
-    J[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)[-1]
+    J[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)
     return J
 
 

@@ -167,7 +167,9 @@ def estimate_T(
     diagnostics = {
         "n_used": int(av.size),
         "a_median": float(_median(av)),
-        "per_mode_t_std": float(np.nanstd(per_mode_t)) if av.size else float("nan"),
+        # NaN where no mode gives a time, without nanstd's warning on no value
+        "per_mode_t_std": (float(np.nanstd(per_mode_t)) if not np.isnan(per_mode_t).all()
+                           else float("nan")),
     }
     if alpha == 1.0:
         raise InconsistentDataError(

@@ -5,20 +5,22 @@ closed forms via scipy.special, arbitrary-precision summation via mpmath, and
 a composite fixed-node Gauss-Legendre quadrature of the cut integral for
 arguments where summation is infeasible. The derived checks below them (decay
 bounds, the derivative identity, the L1 derivative at the final time) are
-properties the tests assert of the production code. `fem_trajectory` keeps
-every level of the time stepper's forward solve, of which `fem.solve_fem`
-returns the last. The L1 time stepper and the modal recursion have
-step-by-step oracles that sum each step's history directly, against which
-the blocked march and the step polynomial are checked. From the modal one
-two GEMMs form the potential problem's history sums, the oracle of their
-divided differences. `l1_march_per_block` is the blocked march
-with each block's weight panel gathered anew and each step returning u^k,
-against whose bits the march is checked. `upper_band_factor` factors (c M + A)_II in
-upper band storage, the operator's path before it moved to lower storage,
-against which its factor is checked. The potential
-problem's v-Jacobian has a column oracle that steps every sensitivity
-through the L1 time stepper, against which the modal Jacobian is checked.
-The Jacobian's action and its adjoint in the mass pairing, which the
+properties the tests assert of the production code. `l1_trajectory` marches
+the time stepper's every step (`fem._l1_march` with its solve), of which
+`fem.l1_evolve` evaluates the last by Horner's rule, and `fem_trajectory`
+keeps every level of the forward solve, of which `fem.solve_fem` returns the
+last. The L1 time stepper and the modal recursion have step-by-step oracles
+that sum each step's history directly, against which the blocked march,
+Horner's rule and the step polynomial are checked. From the modal one two
+GEMMs form the potential problem's history sums, the oracle of their
+divided differences. `l1_march_per_block` is the blocked march with each
+block's weight panel gathered anew and each step returning u^k, against
+whose bits the march is checked. `upper_band_factor` factors (c M + A)_II in
+upper band storage, the operator's path before it moved to lower storage
+(and on the interval to dpttrf), against which its factor and solves are
+checked. The potential problem's v-Jacobian has a column oracle that steps
+every sensitivity through the L1 time stepper, against which the modal
+Jacobian is checked. The Jacobian's action and its adjoint in the mass pairing, which the
 adjoint and directional-derivative checks call, are formed from the dense
 v-Jacobian, and `nodal_to_param` maps a nodal direction to the parameter
 vector it acts on. At the end, eigenpairs of -d_xx + q by finite
@@ -40,7 +42,7 @@ from scipy.linalg import cholesky_banded, eigh_tridiagonal
 from scipy.special import erfcx, roots_legendre
 
 from fracinv.errors import DomainError, FracinvError, ParameterError
-from fracinv.fem import HISTORY_BLOCK, L1Weights, _initial_and_load, l1_evolve
+from fracinv.fem import HISTORY_BLOCK, L1Weights, _initial_and_load, _l1_march
 from fracinv.grids import Grid1D, as_nodal_values
 from fracinv.inverse import _trilinear_mass_1d, jacobian_v_matrix
 from fracinv.mittag_leffler import ml_neg
@@ -215,12 +217,36 @@ def caputo_derivative_at_T(values, tg, alpha: float) -> np.ndarray:
     return c * (values[N] - np.tensordot(coef, values[:N], axes=1))
 
 
+def _stepper(op, alpha: float, tg, load):
+    """The L1 weights of `fem.l1_evolve` and its step, which writes into out
+    the solve of (c M + A)_II x = c M_II combo + load."""
+    weights = L1Weights(alpha, tg.n_steps)
+    c = weights.scale(tg.tau)
+    solve = op.factorized(c)
+
+    def step(combo, out):
+        rhs = c * (op.M_II @ combo)
+        if load is not None:
+            rhs += load
+        out[...] = solve(rhs)
+
+    return weights, step
+
+
+def l1_trajectory(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> np.ndarray:
+    """Every step w^0..w^N of the L1 time stepper, of which `fem.l1_evolve`
+    returns the last, (n_steps + 1, m[, p]): `fem._l1_march` with the
+    stepper's solve step."""
+    weights, step = _stepper(op, alpha, tg, load)
+    return _l1_march(weights, w0_int, step)
+
+
 def fem_trajectory(spec: ProblemSpec, op, tg) -> np.ndarray:
-    """Every level u^0..u^N of the forward solve `fem.solve_fem` steps
-    through, (n_steps + 1, n_nodes): u^0 = u0, then the Dirichlet lift plus
-    the stepped w^k on the interior."""
+    """Every level u^0..u^N of the forward solve whose last `fem.solve_fem`
+    returns, (n_steps + 1, n_nodes): u^0 = u0, then the Dirichlet lift plus
+    the stepped w^k on the interior (`l1_trajectory`)."""
     u0, lift, w0, load = _initial_and_load(spec, op)
-    hist = l1_evolve(op, spec.alpha, tg, w0, load)
+    hist = l1_trajectory(op, spec.alpha, tg, w0, load)
     hist += lift[op.interior]
     values = np.tile(lift, (tg.n_steps + 1, 1))
     values[:, op.interior] = hist
@@ -229,20 +255,13 @@ def fem_trajectory(spec: ProblemSpec, op, tg) -> np.ndarray:
 
 
 def l1_evolve_stepwise(op, alpha: float, tg, w0_int: np.ndarray, load=None) -> np.ndarray:
-    """`fem.l1_evolve` with each step's history summed over all earlier steps
+    """`l1_trajectory` with each step's history summed over all earlier steps
     at that step, with no blocking."""
-    weights = L1Weights(alpha, tg.n_steps)
-    c = weights.scale(tg.tau)
-    solve = op.factorized(c)
-
+    weights, step = _stepper(op, alpha, tg, load)
     past = np.empty((tg.n_steps + 1,) + w0_int.shape)
     past[0] = w0_int
     for k in range(1, tg.n_steps + 1):
-        combo = np.tensordot(history_coefficients(weights, k), past[:k], axes=1)
-        rhs = c * (op.M_II @ combo)
-        if load is not None:
-            rhs = rhs + load
-        past[k] = solve(rhs)
+        step(np.tensordot(history_coefficients(weights, k), past[:k], axes=1), past[k])
     return past
 
 

@@ -216,6 +216,13 @@ class TestEstimateT:
         lam_hat = exc.value.lambda_hat
         assert lam_hat is None or lam_hat < 1e-6
 
+    @pytest.mark.filterwarnings("error")
+    def test_no_mode_time_raises_without_warning(self):
+        # no ratio in the window is positive, so no per-mode time: the typed error comes
+        # with no numpy warning before it (nanstd warned on no value)
+        with pytest.raises(InconsistentDataError):
+            estimate_T(np.ones(10), np.ones(10), np.arange(1.0, 11.0), 0.5, (1, 3), "bp")
+
     def test_scaling_invariance(self):
         lam, uc, fc = self._bp_setup(0.5)
         est1 = estimate_T(uc, fc, lam, 0.5, (50, 200), "bp")
