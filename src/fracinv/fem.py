@@ -29,15 +29,15 @@ factors it in O(m kd^2) for m interior nodes. In lower storage, for
 kd <= 64 LAPACK's unblocked dpbtf2 makes unit-stride rank-1 updates, which
 OpenBLAS runs inline (the upper sweep's strided ones went to its thread
 pool), in the same order as the upper sweep, so both give bit-identical
-factors. A vector's solve, dpbtrs on
-the factor, is two level-2 sweeps of O(m kd). A column block on the square
-takes `FemOperator.row_sweep`: U = L^T stays inside the envelope of
-(c M + A)_II, so in blocks of a grid row's n - 1 nodes it is block upper
-bidiagonal (the in-band U[i, i + n] at a row's end lies outside the envelope
-and is 0.0), and two sweeps of n - 1 small dense products over the blocks
-solve U^T Y = R and U X = Y (Golub and Van Loan, Matrix Computations, ch. 4).
-36 columns on Grid2D(32) took 0.3 ms against dpbtrs' 1.4 ms, one vector
-0.14 ms against 0.04 ms, so vectors stay on dpbtrs (2-core VM).
+factors. The operator's one solve, `FemOperator.factorized`, takes a vector
+or a column block. On the square dpbtrs solves a vector by two level-2
+sweeps of O(m kd), and a column block takes two sweeps over grid-row
+blocks: U = L^T stays inside the envelope of (c M + A)_II, so in blocks of
+a grid row's n - 1 nodes it is block upper bidiagonal (the in-band
+U[i, i + n] at a row's end lies outside the envelope and is 0.0), and
+n - 1 small dense products solve U^T Y = R and U X = Y (Golub and Van Loan,
+Matrix Computations, ch. 4). 36 columns on Grid2D(32) took 0.3 ms against
+dpbtrs' 1.4 ms, one vector 0.14 ms against 0.04 ms (2-core VM).
 
 The same scheme also runs mode by mode: in the eigenbasis of the pencil
 (A_II, M_II) each step multiplies by the gain g = c / (c + lam), so the step-N
@@ -63,7 +63,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import NumericalError, ParameterError, ShapeError
-from .grids import Grid1D, Grid2D, GridLike, as_nodal_values
+from .grids import Grid1D, Grid2D, GridLike, as_nodal_values, at_points
 from .mittag_leffler import MLParams, _load_core, gamma as gamma_fn
 from .problems import ProblemSpec, TimeGrid
 
@@ -179,7 +179,7 @@ def _interior_block(K: _Csr, interior: np.ndarray, kd: int) -> tuple[_Csr, np.nd
 
 def _coeff_at(vals_or_callable, pts_1d: np.ndarray, grid: Grid1D) -> np.ndarray:
     if callable(vals_or_callable):
-        return np.asarray(vals_or_callable(pts_1d), dtype=float) * np.ones_like(pts_1d)
+        return at_points(vals_or_callable, pts_1d)
     # a constant interpolates to its own bits: slope 0 times an offset, plus the constant
     return np.interp(pts_1d, grid.nodes, as_nodal_values(vals_or_callable, grid))
 
@@ -231,7 +231,7 @@ def _assemble_2d(grid: Grid2D, a, q):
 
     def coeff2(fun):
         if callable(fun):
-            return np.asarray(fun(mids[..., 0], mids[..., 1]), float) * np.ones(mids.shape[:2])
+            return at_points(fun, mids[..., 0], mids[..., 1])
         # nodal values: P1 value at edge midpoints = average of edge endpoints
         v = as_nodal_values(fun, grid)[tris]  # (ntri, 3)
         return (v + np.roll(v, -1, axis=1)) / 2
@@ -273,27 +273,29 @@ class FemOperator:
         _check_coefficients(*nodal)
         if isinstance(grid, Grid1D):
             self.M, self.A = _assemble_1d(grid, diffusion, potential)
-            self.interior = np.arange(1, grid.n)
+            self.interior, kd = np.arange(1, grid.n), 1
         else:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
-            self.interior = np.where(grid.interior_mask())[0]
-        kd = 1 if isinstance(grid, Grid1D) else grid.n
+            self.interior, kd = np.where(grid.interior_mask())[0], grid.n
         blocks = (_interior_block(K, self.interior, kd) for K in (self.M, self.A))
         (self.M_II, self.A_II), self._bands = zip(*blocks)  # _bands: (M_b, A_b)
         self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
-        self._row_blocks: Optional[tuple] = None  # the held factor's grid-row blocks (row_sweep)
 
     def factorized(self, c: float):
-        """Solver for (c M + A)_II x = rhs on the factor at c, which the solver
-        holds. The operator keeps the last c's factor only: an LM run asks for
-        each T's factor in turn and never for an old one. On the interval
-        (kd = 1) dpttrf factors the tridiagonal c M_b + A_b as L D L^T, held
-        as the rows (d, e) of D and L's sub-diagonal, and dpttrs solves. On
-        the square dpbtrf factors it in lower storage, bit-identical to the
-        upper for kd <= 64 (module docstring); the factor is held as L^T in
-        upper storage, since dpbtrs rounds differently in lower storage."""
+        """Solver for (c M + A)_II X = R on the factor at c, which it holds:
+        solve(R) returns X for R of shape (m,) or (m, p) and may overwrite R,
+        so a float64 R that LAPACK reads in place is not copied. The operator
+        keeps the last c's factor only: an LM run asks for each T's in turn.
+        On the interval (kd = 1) dpttrf factors the tridiagonal c M_b + A_b as
+        L D L^T, held as the rows (d, e) of D and L's sub-diagonal, and dpttrs
+        solves. On the square dpbtrf factors it in lower storage (bit-identical
+        to the upper for kd <= 64, module docstring), held as L^T in upper
+        storage, as dpbtrs rounds differently in lower. There dpbtrs solves a
+        vector, and a column block takes Y_i = U_ii^-T R_i - (U_(i-1,i)
+        U_ii^-1)^T Y_(i-1) and X_i = U_ii^-1 Y_i - U_ii^-1 U_(i,i+1) X_(i+1)
+        over grid-row blocks, whose inverses and couplings the solver builds
+        at its first column block."""
         if self._factor[0] != float(c):
-            self._row_blocks = None
             M_b, A_b = self._bands
             tri = M_b.shape[0] == 2
             fb = np.multiply(c, M_b, order="C" if tri else "F")  # factored in place
@@ -314,11 +316,37 @@ class FemOperator:
             self._factor = (float(c), fb, ints)
         _, fb, ints = self._factor
         p, ab, tri = ctypes.addressof(ints), fb.ctypes.data, fb.shape[0] == 2
+        blocks = []  # the square's (inverses, forward and backward couplings), once built
+
+        def sweep(R):
+            if not blocks:
+                b = fb.shape[0] - 2  # kd = b + 1: U[r, r + d] = ub[b + 1 - d, r + d]
+                ub = np.pad(fb, ((0, 0), (0, b + 1)))
+                i, a, d = np.ogrid[:b, :b, :b + 2]  # block row i of U, columns ib .. ib + 2b
+                rows = np.zeros((b, b, 2 * b + 1))
+                rows[i, a, a + d] = ub[b + 1 - d, i * b + a + d]
+                inv = np.linalg.inv(rows[:, :, :b])
+                couple = rows[:-1, :, b:2 * b]  # U_(i,i+1); column 2b is the 0.0 above
+                blocks.extend((inv, couple @ inv[1:], inv[:-1] @ couple))
+            inv, fwd, bwd = blocks
+            R = np.require(R, requirements="CW").reshape(inv.shape[:2] + (-1,))
+            X = np.matmul(inv.transpose(0, 2, 1), R)
+            for i in range(1, len(X)):
+                X[i] -= fwd[i - 1].T @ X[i - 1]  # X holds Y
+            np.matmul(inv, X, out=R)
+            X[-1] = R[-1]
+            for i in range(len(X) - 2, -1, -1):
+                np.subtract(R[i], bwd[i] @ X[i + 1], out=X[i])
+            return X.reshape(fb.shape[1], -1)
 
         def solve(rhs):
-            x = np.array(rhs, dtype=float, order="F")  # overwritten by the solution
+            x = np.asarray(rhs, dtype=float)
             if x.shape[:1] != fb.shape[1:]:  # the closure holds fb, into which ab points
                 raise ShapeError(f"right-hand side of shape {x.shape} for {fb.shape[1]} unknowns")
+            if x.ndim == 2 and not tri:
+                return sweep(x)
+            if not (x.flags.f_contiguous and x.flags.behaved):  # else LAPACK overwrites x
+                x = np.array(x, order="F")  # (np.require: 1 us, twice this copy at m = 2,047)
             ints[4] = x.size // fb.shape[1]
             if tri:  # n, nrhs, d, e, b, ldb = n, info
                 _DPTTRS(p, p + 32, ab, ab + 8 * fb.shape[1], x.ctypes.data, p, p + 24)
@@ -330,37 +358,6 @@ class FemOperator:
             return x
 
         return solve
-
-    def row_sweep(self, c: float):
-        """Solver for a column block of (c M + A)_II X = R on the square: sweep(R,
-        out) writes X into out and overwrites R, both (m, p) and C-ordered. Two
-        sweeps over the grid-row blocks of the factor of `factorized(c)`
-        (module docstring), Y_i = U_ii^-T R_i - (U_(i-1,i) U_ii^-1)^T Y_(i-1)
-        and X_i = U_ii^-1 Y_i - U_ii^-1 U_(i,i+1) X_(i+1), from the blocks'
-        inverses and coupling products, built once per held c beside it."""
-        self.factorized(c)  # a new c drops the blocks of the old one
-        if self._row_blocks is None:
-            b = self.grid.n - 1  # kd = b + 1: U[r, r + d] = ub[b + 1 - d, r + d]
-            ub = np.pad(self._factor[1], ((0, 0), (0, b + 1)))
-            i, a, d = np.ogrid[:b, :b, :b + 2]  # block row i of U, columns ib .. ib + 2b
-            rows = np.zeros((b, b, 2 * b + 1))
-            rows[i, a, a + d] = ub[b + 1 - d, i * b + a + d]
-            inv = np.linalg.inv(rows[:, :, :b])
-            couple = rows[:-1, :, b:2 * b]  # U_(i,i+1); column 2b is the 0.0 above
-            self._row_blocks = (inv, couple @ inv[1:], inv[:-1] @ couple)
-        inv, fwd, bwd = self._row_blocks
-
-        def sweep(rhs, out):
-            R, X = (v.reshape(inv.shape[:2] + (-1,)) for v in (rhs, out))
-            np.matmul(inv.transpose(0, 2, 1), R, out=X)
-            for i in range(1, len(X)):
-                X[i] -= fwd[i - 1].T @ X[i - 1]  # X holds Y
-            np.matmul(inv, X, out=R)
-            X[-1] = R[-1]
-            for i in range(len(X) - 2, -1, -1):
-                np.subtract(R[i], bwd[i] @ X[i + 1], out=X[i])
-
-        return sweep
 
     @cached_property
     def modes(self) -> tuple[np.ndarray, np.ndarray]:
@@ -425,8 +422,7 @@ def l1_evolve(
     w0_int may be a vector (m,) or a matrix (m, p) of p simultaneous states;
     load is the interior load, constant in time, with matching shape (or
     None). Returns w^N, shaped as w0_int, from N solves of (c M + A)_II x =
-    c M_II y + t_n load, a matrix on the square by `FemOperator.row_sweep`,
-    else by `FemOperator.factorized`; no history is kept.
+    c M_II y + t_n load by `FemOperator.factorized`; no history is kept.
 
     With G = c (c M + A)_II^-1 M_II and z = (c M + A)_II^-1 load,
     w^N = sum_n G^n (p_n w0 + t_n z) for the step polynomial p of (alpha, N)
@@ -440,27 +436,22 @@ def l1_evolve(
     """
     weights = L1Weights(alpha, tg.n_steps)
     c = weights.scale(tg.tau)
-    if np.ndim(w0_int) == 2 and isinstance(op.grid, Grid2D):
-        sweep = op.row_sweep(c)  # its blocks are built before the march's history
-    else:
-        solve = op.factorized(c)
+    solve = op.factorized(c)
 
-        def sweep(rhs, out):
-            out[...] = solve(rhs)
-
-    def step(combo, out, share=1.0):
-        rhs = c * (op.M_II @ combo)
+    def step(combo, share=1.0):
+        rhs = op.M_II @ combo
+        rhs *= c
         if load is not None:
             rhs += share * load
-        sweep(rhs, out)
+        return solve(rhs)
 
     if np.size(w0_int) < tg.n_steps + 1:
-        return _l1_march(weights, w0_int, step)[-1]
+        return _l1_march(weights, w0_int, lambda combo, out: np.copyto(out, step(combo)))[-1]
     p = _l1_polynomial(alpha, tg.n_steps)
     tail = np.append(np.cumsum(p[:0:-1])[::-1], 0.0)  # t_n, a sum of terms >= 0
-    y = np.multiply(p[-1], w0_int, order="C")  # the row sweep writes into a C-ordered view
+    y = p[-1] * w0_int
     for n in range(tg.n_steps - 1, -1, -1):
-        step(y, y, tail[n])
+        y = step(y, tail[n])
         y += p[n] * w0_int
     return y
 
@@ -555,8 +546,10 @@ def _mass_cholesky_inverse(grid: GridLike) -> np.ndarray:
 
 def mass_inner(grid: GridLike, u: np.ndarray, v: np.ndarray) -> float:
     """Consistent-mass L2 inner product over the domain."""
-    mass = _fixed_operator(grid, 1.0).M @ v
-    return float(np.dot(np.asarray(u, float), mass))
+    u, mass = np.asarray(u, float), _fixed_operator(grid, 1.0).M @ v
+    if u.shape != mass.shape:
+        raise ShapeError(f"dimension mismatch: shape {u.shape} . shape {mass.shape}")
+    return float(np.dot(u, mass))
 
 
 def mass_norm(grid: GridLike, u: np.ndarray) -> float:

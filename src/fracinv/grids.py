@@ -13,6 +13,7 @@ from typing import Union
 import numpy as np
 
 from .errors import ParameterError, ShapeError
+from .problems import check_count
 
 __all__ = ["Grid1D", "Grid2D", "as_nodal_values"]
 
@@ -24,8 +25,7 @@ class Grid1D:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ShapeError(f"need at least 2 intervals, got {self.n}")
+        check_count("the number of intervals", self.n, 2, ShapeError)
 
     @property
     def h(self) -> float:
@@ -54,8 +54,7 @@ class Grid2D:
     n: int
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ShapeError(f"need at least 2 cells per side, got {self.n}")
+        check_count("the number of cells per side", self.n, 2, ShapeError)
 
     @property
     def h(self) -> float:
@@ -93,18 +92,22 @@ class Grid2D:
 GridLike = Union[Grid1D, Grid2D]
 
 
+def at_points(f, *coords: np.ndarray) -> np.ndarray:
+    """The callable f at points of coordinate arrays coords, all of one shape;
+    a scalar result is broadcast, any other shape is a ShapeError."""
+    vals, shape = np.asarray(f(*coords), dtype=float), coords[0].shape
+    if vals.shape not in ((), shape):
+        raise ShapeError(f"a field callable gave shape {vals.shape} at points of shape {shape}")
+    return np.full(shape, vals)
+
+
 def as_nodal_values(f, grid: GridLike) -> np.ndarray:
     """Sample a callable / broadcast a scalar / validate an array on grid nodes."""
     if f is None:  # np.asarray(None, float) would be a NaN field
         raise ParameterError("a field is None, not a callable, a number or an array")
     if callable(f):
-        if isinstance(grid, Grid1D):
-            return np.asarray(f(grid.nodes), dtype=float)
-        pts = grid.nodes
-        return np.asarray(f(pts[:, 0], pts[:, 1]), dtype=float)
+        return at_points(f, *np.atleast_2d(grid.nodes.T))
     arr = np.asarray(f, dtype=float)
-    if arr.ndim == 0:
-        return np.full(grid.n_nodes, float(arr))
-    if arr.shape != (grid.n_nodes,):
+    if arr.shape not in ((), (grid.n_nodes,)):
         raise ShapeError(f"field has {arr.shape}, grid expects ({grid.n_nodes},)")
-    return arr
+    return np.full(grid.n_nodes, arr)

@@ -431,6 +431,8 @@ def lm_reconstruct(
         if values is not None and np.shape(values) != (setup.grid.n_nodes,):
             raise ShapeError(f"the {name} has shape {np.shape(values)}, "
                              f"the grid {setup.grid.n_nodes} nodes")
+    if truth is not None and not np.all(np.isfinite(truth)):
+        raise ParameterError("the truth must be finite")
     state = LMState(v=np.zeros(setup.grid.n_nodes), T=cfg.T_init, k=0)
 
     history, v_hist, hit = [], [], False

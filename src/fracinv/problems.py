@@ -17,10 +17,10 @@ __all__ = ["ProblemSpec", "TimeGrid"]
 FieldData = Union[float, np.ndarray, Callable]
 
 
-def check_count(name: str, value, least: int) -> None:
+def check_count(name: str, value, least: int, error=ParameterError) -> None:
     """The count rule: an integer >= least, and a bool is no count."""
     if isinstance(value, bool) or not (isinstance(value, (int, np.integer)) and value >= least):
-        raise ParameterError(f"{name} must be an integer >= {least}, got {value!r}")
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -55,7 +55,8 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.problems", "ProblemSpec.grid_for"),
            ("fracinv.problems", "ProblemSpec.diffusion"),
            ("fracinv.problems", "ProblemSpec.potential"),
-           ("fracinv.config", "check_seed")]
+           ("fracinv.config", "check_seed"),
+           ("fracinv.fem", "FemOperator.row_sweep")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

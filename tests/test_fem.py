@@ -262,6 +262,14 @@ class TestFemOperator:
             ref = np.linalg.solve(K, rhs)
             assert np.max(np.abs(solve(rhs) - ref)) <= 1e-12 * np.max(np.abs(ref))
 
+    def test_vector_solved_in_its_own_memory(self, op):
+        # a float64 right-hand side is overwritten by the solution, not copied
+        rhs = np.random.default_rng(2).standard_normal(op.interior.size)
+        solve = op.factorized(self.C)
+        ref = solve(rhs.tolist())
+        x = solve(rhs)
+        assert np.shares_memory(x, rhs) and np.array_equal(x, ref)
+
     @staticmethod
     def _reports(info_at: int, info: int):
         """A LAPACK routine that only writes info into its info argument."""
@@ -384,7 +392,7 @@ for n in (32, 64):
 class TestBandFactor:
     """The lower-storage factor that `FemOperator.factorized` holds on the
     square against `cholesky_banded` on the upper band, the operator's
-    earlier path."""
+    earlier path, and its solve of a vector against dpbtrs on that band."""
 
     SCALES = (3.0, 300.0, 3e4)
 
@@ -396,9 +404,9 @@ class TestBandFactor:
     def _pairs(self, grid):
         """(held factor, oracle factor, solve, oracle solve) at each scale."""
         op = self._op(grid)
-        rhs = np.random.default_rng(grid.n).standard_normal((op.interior.size, 3))
+        rhs = np.random.default_rng(grid.n).standard_normal(op.interior.size)
         for c in self.SCALES:
-            x = op.factorized(c)(rhs)
+            x = op.factorized(c)(rhs.copy())
             ref = upper_band_factor(op, c)
             yield op._factor[1], ref, x, scipy.linalg.lapack.dpbtrs(ref, rhs)[0]
 
@@ -465,7 +473,7 @@ class TestTridiagonalFactor:
             K = (c * scipy_csr(op.M_II) + scipy_csr(op.A_II)).toarray()
             ub = upper_band_factor(op, c)
             for rhs in (rng.standard_normal(n - 1), rng.standard_normal((n - 1, 36))):
-                x = solve(rhs)
+                x = solve(rhs.copy())
                 assert np.array_equal(x, scipy.linalg.lapack.dpttrs(d, e, rhs)[0])
                 for y in (x, scipy.linalg.lapack.dpbtrs(ub, rhs)[0]):
                     scale = np.max(np.abs(K).sum(axis=1)) * np.max(np.abs(y))
@@ -492,15 +500,14 @@ for n in (16, 32, 64):
     op = FemOperator(Grid2D(n), 1.0, 0.0)
     for p in (3, 36, 127):
         rhs = np.random.default_rng(n).standard_normal((op.interior.size, p))
-        out = np.empty_like(rhs)
-        op.row_sweep(300.0)(rhs, out)
-        print(hashlib.sha256(out.tobytes()).hexdigest())
+        print(hashlib.sha256(op.factorized(300.0)(rhs).tobytes()).hexdigest())
 """
 
 
 class TestRowSweep:
-    """`FemOperator.row_sweep`, the square's solve of a column block, on the
-    factor it reads, against `factorized` column by column, its oracle."""
+    """The square's solve of a column block by `FemOperator.factorized`, two
+    sweeps over the grid-row blocks of the factor it reads, against the
+    solve of each column as a vector (dpbtrs), its oracle."""
 
     SCALES = (3.0, 300.0, 3e4)
 
@@ -521,37 +528,42 @@ class TestRowSweep:
 
     @pytest.mark.parametrize("p", [1, 3, 36])
     def test_matches_factorized(self, p):
-        for n in (8, 16, 32):
-            op = TestBandFactor._op(Grid2D(n))
-            rhs = np.random.default_rng(p).standard_normal((op.interior.size, p))
-            for c in self.SCALES:
-                ref = np.column_stack([op.factorized(c)(col) for col in rhs.T])
-                out = np.empty_like(rhs)
-                op.row_sweep(c)(rhs.copy(), out)
-                assert np.max(np.abs(out - ref)) <= 1e-13 * np.max(np.abs(ref))
+        for n in (8, 16, 32, 64):
+            for potential in (0.0, lambda x, y: 1.0 + x + y**2):
+                op = FemOperator(Grid2D(n), lambda x, y: 1.0 + x * y * (1 - y), potential)
+                rhs = np.random.default_rng(p).standard_normal((op.interior.size, p))
+                for c in self.SCALES:
+                    solve = op.factorized(c)
+                    ref = np.column_stack([solve(col) for col in rhs.T.copy()])
+                    got = solve(rhs.copy())
+                    assert got.shape == rhs.shape
+                    assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
 
     def test_blocks_held_beside_the_factor(self, monkeypatch):
-        # built once per held c from the held factor, no dpbtrf of their own,
-        # and dropped with the factor of another c
+        # each solver builds them once, at its first column block, from the
+        # factor it holds, with no dpbtrf of their own; the operator holds none
         op = FemOperator(Grid2D(8))
-        op.row_sweep(3.0)
-        blocks, factor = op._row_blocks, op._factor
-        monkeypatch.setattr(fem_mod, "_DPBTRF", None)  # a further factorization would fail
-        op.row_sweep(3.0)
-        assert op._row_blocks is blocks and op._factor is factor
-        monkeypatch.undo()
-        op.factorized(300.0)
-        assert op._row_blocks is None and len(op._factor) == 3
+        solve = op.factorized(3.0)
+        builds, inv = [], np.linalg.inv
+        monkeypatch.setattr(np.linalg, "inv", lambda a: builds.append(a.shape) or inv(a))
+        monkeypatch.setattr(fem_mod, "_DPBTRF", None)  # a factorization would fail
+        rhs = np.random.default_rng(0).standard_normal((op.interior.size, 3))
+        solve(rhs[:, 0].copy())  # a vector takes dpbtrs
+        assert builds == []
+        x = solve(rhs.copy())
+        assert builds == [(7, 7, 7)]  # one inverse per grid row of 7 interior nodes
+        assert np.array_equal(solve(rhs.copy()), x) and len(builds) == 1
+        assert np.array_equal(op.factorized(3.0)(rhs.copy()), x) and len(builds) == 2
+        assert not hasattr(op, "_row_blocks") and not hasattr(FemOperator, "row_sweep")
 
     @pytest.mark.parametrize("kind", ["bp", "isp"])
-    def test_stepped_columns_match_factorized(self, kind, monkeypatch):
-        # l1_evolve takes the sweep for a column block on the square only
+    def test_stepped_columns_match_factorized(self, kind):
+        # a column block on the square takes the sweep, a column dpbtrs
         op = FemOperator(Grid2D(16), 1.0, 0.5)
         w0 = np.eye(op.interior.size)[:, ::40]
         args = (w0, None) if kind == "bp" else (np.zeros_like(w0), op.M_II @ w0)
         tg = TimeGrid(16, 0.5)
         got = l1_evolve(op, 0.5, tg, *args)
-        monkeypatch.setattr(FemOperator, "row_sweep", None)
         ref = np.stack([l1_evolve(op, 0.5, tg, *(a if a is None else a[:, j] for a in args))
                         for j in range(w0.shape[1])], axis=-1)
         assert np.max(np.abs(got - ref)) <= 1e-13 * np.max(np.abs(ref))
@@ -639,8 +651,10 @@ class TestScipyKernels:
                 for d in range(kd1):  # the held factor is L^T in upper storage
                     assert np.array_equal(op._factor[1][kd1 - 1 - d, d:], lb[d, :m - d])
                 ref = lambda rhs: scipy.linalg.lapack.dpbtrs(op._factor[1], rhs)[0]
-            for rhs in (rng.standard_normal(m), rng.standard_normal((m, 36))):
-                assert np.array_equal(solve(rhs), ref(rhs))
+            # on the square a column block takes the row sweep (TestRowSweep)
+            blocks = [rng.standard_normal((m, 36))] if isinstance(grid, Grid1D) else []
+            for rhs in [rng.standard_normal(m)] + blocks:
+                assert np.array_equal(solve(rhs.copy()), ref(rhs))
 
 
 class TestBlockedHistory:
@@ -694,6 +708,20 @@ class TestBlockedHistory:
         ours = l1_evolve(op, 0.5, tg, w0, load)
         assert marched == ([] if horner else [w0.shape])
         assert np.max(np.abs(ours - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("grid", [Grid1D(12), Grid2D(4)], ids=["1d", "2d"])
+    @pytest.mark.parametrize("p", [1, 3])
+    @pytest.mark.parametrize("n_steps", [8, 64], ids=["horner", "march"])
+    def test_solves_by_factorized_alone(self, grid, p, n_steps, monkeypatch):
+        # one solver for every grid and state shape, asked for once
+        op, w0, load = self._problem(grid, p, True, n_steps)
+        tg = TimeGrid(n_steps, 0.5)
+        calls, factorized = [], FemOperator.factorized
+        monkeypatch.setattr(FemOperator, "factorized",
+                            lambda self, c: calls.append(c) or factorized(self, c))
+        l1_evolve(op, 0.5, tg, w0, load)
+        assert calls == [L1Weights(0.5, n_steps).scale(tg.tau)]
+        assert [name for name in dir(op) if "sweep" in name or "blocks" in name] == []
 
 
 class TestBlockedResponses:
@@ -860,3 +888,50 @@ def test_none_field_is_parameter_error(grid):
         as_nodal_values(None, grid)
     with pytest.raises(ParameterError, match="None"):
         solve_fem(ProblemSpec(0.5, None, 1.0), FemOperator(grid), TimeGrid(4, 0.5))
+
+
+class TestCallableFields:
+    """One rule for a callable field, nodal or a coefficient: a scalar result
+    is broadcast over the points, any other shape than theirs is a ShapeError."""
+
+    @pytest.mark.parametrize("grid", [Grid1D(8), Grid2D(4)], ids=["1d", "2d"])
+    def test_scalar_result_broadcast(self, grid):
+        # as_nodal_values returned a 0-d array on the interval
+        const = lambda *pts: 2.0
+        assert np.array_equal(as_nodal_values(const, grid), np.full(grid.n_nodes, 2.0))
+        op, ref = FemOperator(grid, const, const), FemOperator(grid, 2.0, 2.0)
+        for K, K_ref in ((op.M, ref.M), (op.A, ref.A)):
+            assert np.array_equal(K.data, K_ref.data)
+
+    @pytest.mark.parametrize("grid", [Grid1D(8), Grid2D(4)], ids=["1d", "2d"])
+    def test_wrong_shape_rejected(self, grid):
+        # numpy's untyped ValueError on the interval; on the square three
+        # values were broadcast over 32 triangles
+        three = lambda *pts: np.ones(3)
+        for which in ("diffusion", "potential"):
+            with pytest.raises(ShapeError, match="shape"):
+                FemOperator(grid, **{which: three})
+        with pytest.raises(ShapeError, match="shape"):
+            as_nodal_values(three, grid)
+        with pytest.raises(ShapeError, match="shape"):
+            solve_fem(ProblemSpec(0.5, three, 0.0), FemOperator(grid), TimeGrid(4, 0.5))
+
+
+def test_mass_inner_of_another_size_is_shape_error():
+    # the swapped call raised numpy's untyped "shapes (5,) and (9,) not aligned"
+    for u, v in ((np.ones(9), np.ones(5)), (np.ones(5), np.ones(9))):
+        with pytest.raises(ShapeError):
+            mass_inner(Grid1D(8), u, v)
+
+
+@pytest.mark.parametrize("kind", [Grid1D, Grid2D])
+@pytest.mark.parametrize("n", [2.5, 4.0, np.float64(8.0), "8", True, 1, 0])
+def test_grid_size_follows_the_count_rule(kind, n):
+    # 2.5 and 4.0 built grids that failed in .nodes with an untyped TypeError
+    with pytest.raises(ShapeError, match="integer >= 2"):
+        kind(n)
+
+
+@pytest.mark.parametrize("kind", [Grid1D, Grid2D])
+def test_grid_size_may_be_a_numpy_integer(kind):
+    assert kind(np.int64(8)) == kind(8)

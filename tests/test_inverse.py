@@ -599,6 +599,17 @@ class TestLMReconstruct:
         with pytest.raises(ShapeError, match=what):
             lm_reconstruct(setup, obs, cfg, truth=wrong if what == "truth" else right)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_truth_rejected(self, bad):
+        # one NaN ended in numpy's "All-NaN slice encountered" from the oracle's nanargmin
+        setup = bp_setup(n=32, steps=32)
+        obs = add_noise(np.ones(33), 0.0, seed=1)
+        truth = np.ones(33)
+        truth[16] = bad
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45, max_iter=1)
+        with pytest.raises(ParameterError, match="truth"):
+            lm_reconstruct(setup, obs, cfg, truth=truth)
+
     def test_oracle_requires_truth(self):
         setup = bp_setup(n=32, steps=32)
         obs = add_noise(np.zeros(setup.grid.n_nodes), 0.0, seed=1)
