@@ -26,10 +26,10 @@ Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
 (A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I)
 for bp/isp once per grid and diffusion in a process, since every setup on
 them shares one fixed operator, and for ipp, whose A_q moves with v, once per
-iterate for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). Each reads the
-step-N responses r (w(0) = 1, no load) and s (w(0) = 0, unit load) of the
-modes, with no march per T (`fem.l1_responses`): F_I = lift_I + V (r^N o a0
-+ s^N o b), a0 = V^T M_II w0, b = V^T load; for bp/isp J_II =
+distinct potential for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT).
+Each reads the step-N responses r (w(0) = 1, no load) and s (w(0) = 0, unit
+load) of the modes, with no march per T (`fem.l1_responses`): F_I = lift_I +
+V (r^N o a0 + s^N o b), a0 = V^T M_II w0, b = V^T load; for bp/isp J_II =
 V diag(r^N or s^N) V^T M_II. ipp's sensitivity starts from zero, and the
 scheme is shift-invariant: mode j answers a unit load n steps later with
 K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is -V_j^T B(U_j)_II, U_j =
@@ -133,6 +133,8 @@ def add_noise(g_dag, epsilon: float, seed: int, t_true: Optional[float] = None) 
         raise ParameterError(f"epsilon must be finite and nonnegative, got {epsilon}")
     check_count("seed", seed, 0)  # recorded even at epsilon = 0
     g = np.asarray(g_dag, float)
+    if not np.all(np.isfinite(g)):
+        raise ParameterError("the snapshot must be finite")
     scale = float(np.max(np.abs(g)))
     if epsilon == 0.0:
         return Observation(g_delta=g.copy(), epsilon=0.0, seed=seed,
@@ -240,7 +242,8 @@ class InverseSetup:
 
     def _forward_problem(self, v, T: float):
         """(data, operator, time grid) of F(v, T). An ipp iterate is clamped
-        and gets its own operator, built once per distinct potential."""
+        and gets its own operator, built once per distinct potential: the fixed
+        operator at v = 0 (the same bits, and the process's modes)."""
         tg = TimeGrid(self.n_steps, T)  # rejects T <= 0 before v is read
         v_nodal = as_nodal_values(v, self.grid)
         op = self.fixed_operator
@@ -248,7 +251,8 @@ class InverseSetup:
             v_nodal = _clamp_ipp(v_nodal)
             key = v_nodal.tobytes()
             if self._ipp_operator[0] != key:
-                self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal))
+                self._ipp_operator = (key, FemOperator(self.grid, self.diffusion, v_nodal)
+                                      if v_nodal.any() else op)
             op = self._ipp_operator[1]
         return self.spec_for(v_nodal), op, tg
 
@@ -431,8 +435,8 @@ def lm_reconstruct(
         if values is not None and np.shape(values) != (setup.grid.n_nodes,):
             raise ShapeError(f"the {name} has shape {np.shape(values)}, "
                              f"the grid {setup.grid.n_nodes} nodes")
-    if truth is not None and not np.all(np.isfinite(truth)):
-        raise ParameterError("the truth must be finite")
+        if values is not None and not np.all(np.isfinite(values)):
+            raise ParameterError(f"the {name} must be finite")
     state = LMState(v=np.zeros(setup.grid.n_nodes), T=cfg.T_init, k=0)
 
     history, v_hist, hit = [], [], False

@@ -18,9 +18,12 @@ block's weight panel gathered anew and each step returning u^k, against
 whose bits the march is checked. `upper_band_factor` factors (c M + A)_II in
 upper band storage, the operator's path before it moved to lower storage
 (and on the interval to dpttrf), against which its factor and solves are
-checked. The potential problem's v-Jacobian has a column oracle that steps
-every sensitivity through the L1 time stepper, against which the modal
-Jacobian is checked. The Jacobian's action and its adjoint in the mass pairing, which the
+checked. `dense_modes` finds the pencil's eigenpairs by the dense Cholesky
+reduction that `FemOperator.modes` ran before LAPACK's banded dsbgvd, and
+the modal forward map and v-Jacobians are checked on them. The potential
+problem's v-Jacobian has a column oracle that steps every sensitivity
+through the L1 time stepper, against which the modal Jacobian is
+checked. The Jacobian's action and its adjoint in the mass pairing, which the
 adjoint and directional-derivative checks call, are formed from the dense
 v-Jacobian, and `nodal_to_param` maps a nodal direction to the parameter
 vector it acts on. At the end, eigenpairs of -d_xx + q by finite
@@ -330,6 +333,15 @@ def upper_band_factor(op, c: float) -> np.ndarray:
     band, which LAPACK's dpbtrs reads as it is."""
     K = (c * scipy_csr(op.M) + scipy_csr(op.A))[op.interior][:, op.interior]
     return cholesky_banded(upper_band(K))
+
+
+def dense_modes(op) -> tuple[np.ndarray, np.ndarray]:
+    """(lam, V) of the pencil (A_II, M_II), V^T M_II V = I, by a dense Cholesky
+    reduction: M_II = L L^T, L^-1 A_II L^-T = W diag(lam) W^T, V = L^-T W."""
+    eye = np.eye(op.interior.size)  # K @ eye is K dense, bit for bit
+    L_inv = np.linalg.inv(np.linalg.cholesky(op.M_II @ eye))
+    lam, W = np.linalg.eigh(L_inv @ (op.A_II @ eye) @ L_inv.T)
+    return lam, L_inv.T @ W
 
 
 def scipy_csr(K) -> sp.csr_matrix:

@@ -293,6 +293,27 @@ class TestFemOperator:
         with pytest.raises(NumericalError, match=name):
             op.factorized(self.C)(np.ones(op.interior.size))
 
+    def test_failed_eigensolve_raises(self, op, monkeypatch):
+        # dsbgvd reports a mass band that is not positive definite, or no
+        # convergence, through info
+        monkeypatch.setattr(fem_mod, "_DSBGVD", self._reports(16, 5))
+        with pytest.raises(NumericalError, match="dsbgvd info 5"):
+            op.modes
+
+    @pytest.mark.parametrize("n", [32, 128])
+    @pytest.mark.parametrize("diffusion", [1.0, lambda x: 1.0 + 0.5 * np.sin(np.pi * x)],
+                             ids=["unit", "variable"])
+    def test_zero_potential_is_the_fixed_operator(self, n, diffusion):
+        # a nodal zero potential assembles the bits of the default one, so
+        # the potential problem's iterate v = 0 may take the fixed operator
+        grid = Grid1D(n)
+        ours = FemOperator(grid, diffusion, np.zeros(grid.n_nodes))
+        fixed = fem_mod._fixed_operator(grid, diffusion)
+        assert all(np.array_equal(getattr(ours.A, f), getattr(fixed.A, f))
+                   for f in ("indptr", "indices", "data"))
+        for a, b in zip(ours._bands + ours.modes, fixed._bands + fixed.modes):
+            assert np.array_equal(a, b)
+
     def test_mass_apply_interior_matches_dense(self, op):
         _, M_II = self._dense(op)
         v = np.random.default_rng(1).standard_normal((M_II.shape[0], 3))
@@ -300,13 +321,19 @@ class TestFemOperator:
         assert np.max(np.abs(op.M_II @ v - ref)) <= 1e-14 * np.max(np.abs(ref))
         assert np.array_equal(scipy_csr(op.M_II).toarray(), M_II)
 
-    @pytest.mark.parametrize("n", [48, 128])
-    def test_modes_are_the_pencil_eigenpairs(self, n):
-        op = FemOperator(Grid1D(n), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
-                         lambda x: 2.0 + np.cos(3 * x))
+    @pytest.mark.parametrize("grid", [pytest.param(Grid1D(48), id="48"),
+                                      pytest.param(Grid1D(128), id="128"),
+                                      pytest.param(Grid2D(8), id="2d-8")])
+    def test_modes_are_the_pencil_eigenpairs(self, grid):
+        if isinstance(grid, Grid1D):
+            op = FemOperator(grid, lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                             lambda x: 2.0 + np.cos(3 * x))
+        else:
+            op = FemOperator(grid, lambda x, y: 1.0 + x * y * (1 - y), lambda x, y: 1.0 + x + y**2)
         I = op.interior
         A_II, M_II = scipy_csr(op.A).toarray()[np.ix_(I, I)], scipy_csr(op.M_II).toarray()
         lam, V = op.modes
+        assert V.flags.c_contiguous  # the layout the warm bp/isp products read
         assert np.max(np.abs(V.T @ M_II @ V - np.eye(I.size))) <= 1e-13
         assert np.max(np.abs(A_II @ V - (M_II @ V) * lam)) <= 1e-12 * np.max(lam)
         ref = scipy.linalg.eigh(A_II, M_II, eigvals_only=True)

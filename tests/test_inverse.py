@@ -12,6 +12,7 @@ from fracinv.inverse import (
     InverseSetup,
     LMConfig,
     LMState,
+    Observation,
     add_noise,
     forward_map,
     jacobian_T,
@@ -23,6 +24,7 @@ from fracinv.mittag_leffler import ml_neg
 from fracinv.problems import ProblemSpec
 
 from oracles import (
+    dense_modes,
     history_sums_by_gemm,
     ipp_jacobian_columns,
     jacobian_v_adjoint_apply,
@@ -87,6 +89,15 @@ class TestAddNoise:
         # table; True was recorded as the seed
         with pytest.raises(ParameterError, match="seed"):
             add_noise(np.ones(9), epsilon, seed=seed)
+
+    @pytest.mark.parametrize("epsilon", [0.0, 1e-2])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_snapshot_rejected(self, epsilon, bad):
+        # a NaN gave noise_level NaN and no error
+        g = np.ones(33)
+        g[16] = bad
+        with pytest.raises(ParameterError, match="snapshot"):
+            add_noise(g, epsilon, seed=1)
 
     def test_numpy_integer_seed(self):
         g = np.linspace(0, 1, 65)
@@ -276,20 +287,55 @@ class TestModalEngine:
     def test_one_eigensolve_per_process(self, make, monkeypatch):
         # the fixed operator and its modes are built once per (grid,
         # diffusion) in a process: two setups of two orders on one grid make
-        # one eigh and one Cholesky of M_II
-        calls = _count_factorizations(monkeypatch)
+        # one dsbgvd call
+        calls = _count_eigensolves(monkeypatch)
         for alpha in (0.5, 0.75):
             _reconstruct(make(n=32, steps=32, alpha=alpha), 4)
-        assert calls == {"eigh": 1, "cholesky": 1}
+        assert calls == [1]
 
     @pytest.mark.parametrize("make", [ipp_setup], ids=["ipp"])
     def test_one_eigensolve_per_iterate(self, make, monkeypatch):
-        # the potential problem's operator moves with v: one eigh for the
-        # data synthesis and one per iterate 0..3, shared by F(v_k, T_k), the
-        # v-Jacobian and F(v_k, T_k + dT); M_II does not move, one Cholesky
-        calls = _count_factorizations(monkeypatch)
+        # the potential problem's operator moves with v: one dsbgvd call for
+        # the data synthesis and one per distinct iterate, shared by
+        # F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT). Iterate 0, v = 0,
+        # takes the fixed operator, whose modes the process then holds: a
+        # second run on the grid skips that call
+        calls = _count_eigensolves(monkeypatch)
         _reconstruct(make(n=32, steps=32), 3)
-        assert calls == {"eigh": 5, "cholesky": 1}
+        assert calls == [5]
+        _reconstruct(make(n=32, steps=32), 3)
+        assert calls == [9]
+
+    def test_zero_potential_takes_the_fixed_operator(self, monkeypatch):
+        # every ipp run starts at v = 0: iterates 1..3 of a run at
+        # max_iter = 3 build their operators, iterate 0 builds none
+        setup = ipp_setup(n=32, steps=32)
+        obs = add_noise(forward_map(setup, SIN4(setup.grid.nodes), 0.5), 1e-2, seed=1)
+        assert setup._forward_problem(np.zeros(33), 0.5)[1] is setup.fixed_operator
+        builds = []
+        init = FemOperator.__init__
+        monkeypatch.setattr(FemOperator, "__init__",
+                            lambda op, *args: builds.append(1) or init(op, *args))
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45, max_iter=3,
+                       stop="max_iter")
+        result = lm_reconstruct(setup, obs, cfg)
+        assert len(builds) == 3 and len(result.history) == 4
+
+    @pytest.mark.parametrize("n", [48, 128])
+    @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
+    def test_matches_dense_modes(self, n, kind, monkeypatch):
+        # F and the v-Jacobian on dsbgvd's modes against the same maps on the
+        # dense Cholesky reduction's, at variable diffusion and, for ipp, a
+        # variable potential
+        setup = InverseSetup(kind, Grid1D(n), 0.5, 256, **_KNOWN[kind],
+                             **_COEFFICIENTS["variable_diffusion"])
+        x = setup.grid.nodes
+        v = 0.8 * SIN4(x) + 0.3 * HAT(3 * x % 1.0)
+        ours = forward_map(setup, v, 0.45), jacobian_v_matrix(setup, v, 0.45)
+        monkeypatch.setattr(FemOperator, "modes", property(dense_modes))
+        refs = forward_map(setup, v, 0.45), jacobian_v_matrix(setup, v, 0.45)
+        for mine, ref in zip(ours, refs):
+            assert _relative_gap(mine, ref) <= 1e-10
 
     def test_array_diffusion_gets_its_own_operator(self):
         # a nodal array cannot key the process's operators; its setup builds
@@ -357,18 +403,18 @@ class TestSquareEngine:
             assert t_hat == pytest.approx(ref[3], rel=1e-9)
 
 
-def _count_factorizations(monkeypatch) -> dict:
-    """Empty the process's operator caches and count the eigh and Cholesky
-    calls made from here on."""
+def _count_eigensolves(monkeypatch) -> list:
+    """Empty the process's operator cache and count, in the one entry of the
+    list returned, the dsbgvd calls made from here on."""
     fem_mod._fixed_operator.cache_clear()
-    fem_mod._mass_cholesky_inverse.cache_clear()
-    calls = {"eigh": 0, "cholesky": 0}
-    for name in calls:
-        def counting(*args, _name=name, _fn=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _fn(*args, **kwargs)
+    calls = [0]
 
-        monkeypatch.setattr(np.linalg, name, counting)
+    def counting(*args):
+        calls[0] += 1
+        return dsbgvd(*args)
+
+    dsbgvd = fem_mod._DSBGVD
+    monkeypatch.setattr(fem_mod, "_DSBGVD", counting)
     return calls
 
 
@@ -609,6 +655,19 @@ class TestLMReconstruct:
         cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45, max_iter=1)
         with pytest.raises(ParameterError, match="truth"):
             lm_reconstruct(setup, obs, cfg, truth=truth)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_observation_rejected(self, bad):
+        # one NaN ended in "residual diverged at iteration 0", a divergence
+        # named for bad data
+        setup = bp_setup(n=32, steps=32)
+        g_delta = np.ones(33)
+        g_delta[16] = bad
+        obs = Observation(g_delta=g_delta, epsilon=0.0, seed=1, noise_level=0.0)
+        cfg = LMConfig(gamma0=1e-2, mu0=6.3e-3, rho=0.8, T_init=0.45, max_iter=1,
+                       stop="max_iter")
+        with pytest.raises(ParameterError, match="observation"):
+            lm_reconstruct(setup, obs, cfg)
 
     def test_oracle_requires_truth(self):
         setup = bp_setup(n=32, steps=32)
