@@ -15,7 +15,7 @@ and --out replace seed and dir before the check. Keys are optional unless noted:
   n     = 128                              (cells per side: Grid1D)
   steps = 512                              (time steps: TimeGrid)
 
-  [lm]   gamma0, mu0, rho, deltaT, t_step_cap (inf: no cap), eta
+  [lm]   gamma0, mu0, rho, t_step_cap (inf: no cap), eta
          (LMConfig: overrides of the case's defaults)
 
   [output]
@@ -73,7 +73,7 @@ _KEYS = {
     ("mesh", "n"): ("n", int),
     ("mesh", "steps"): ("steps", int),
     **{("lm", key): ("lm_overrides", float)
-       for key in ("gamma0", "mu0", "rho", "deltaT", "t_step_cap", "eta")},
+       for key in ("gamma0", "mu0", "rho", "t_step_cap", "eta")},
     ("output", "dir"): ("out_dir", str.strip),
 }
 

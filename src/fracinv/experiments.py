@@ -28,7 +28,7 @@ from .cases import (
     tensor_sine_basis,
 )
 from .config import ExperimentConfig
-from .errors import ConfigError, FracinvError, ParameterError
+from .errors import ConfigError, FracinvError
 from .fem import convergence_study, mass_norm
 from .grids import Grid2D
 from .inverse import LMConfig, ReconstructionResult, add_noise, lm_reconstruct
@@ -82,12 +82,8 @@ def _lm_config(case, alpha, cfg: ExperimentConfig) -> LMConfig:
     """The LMConfig of one order: the case's weights, the config's settings
     and the prior, t_init or the estimator's."""
     prior = estimate_prior_T(case, alpha) if cfg.t_init == "auto" else float(cfg.t_init)
-    try:
-        return lm_config_for(case, alpha, T_init=prior, max_iter=cfg.max_iter,
-                             stop=cfg.stop, **cfg.lm_overrides)
-    except ParameterError as exc:  # parse_config could not check deltaT against an auto prior
-        raise ConfigError(f"{exc}: alpha = {alpha:g}, prior T_init = {prior:.6g}, [lm] deltaT = "
-                          f"{cfg.lm_overrides.get('deltaT', LMConfig.deltaT):g}") from None
+    return lm_config_for(case, alpha, T_init=prior, max_iter=cfg.max_iter,
+                         stop=cfg.stop, **cfg.lm_overrides)
 
 
 def run_forward(cfg: ExperimentConfig) -> list:

@@ -15,8 +15,8 @@ lift. Assembly uses 3-point Gauss per element (exact for the P1 products
 with smooth coefficients), is fully vectorized, and bitwise deterministic.
 
 Both grids store M and A as CSR arrays, which scipy.sparse's compiled
-kernels assemble and apply without the package, and the operator keeps their
-interior blocks M_II and A_II. The interior nodes are numbered row-major, so
+kernels assemble and apply without the package, and the operator keeps M's
+interior block M_II. The interior nodes are numbered row-major, so
 a node couples only to nodes at most one grid row away: the bandwidth kd is
 1 on the interval and n on the n x n square (the SW-NE diagonal neighbour
 sits n interior indices on). At construction the operator also stores the
@@ -39,15 +39,17 @@ n - 1 small dense products solve U^T Y = R and U X = Y (Golub and Van Loan,
 Matrix Computations, ch. 4). 36 columns on Grid2D(32) took 0.3 ms against
 dpbtrs' 1.4 ms, one vector 0.14 ms against 0.04 ms (2-core VM).
 
-The same scheme also runs mode by mode: in the eigenbasis of the pencil
-(A_II, M_II) each step multiplies by the gain g = c / (c + lam), so the step-N
-response is one polynomial in g per (alpha, N), whose coefficients one
+Two propagators, each the other's test oracle, take (op, alpha, tg, w0, load)
+to w^N shaped as w0, a vector or a column block. In the eigenbasis of the
+pencil (A_II, M_II) each step multiplies by the gain g = c / (c + lam), so the
+step-N response is one polynomial in g per (alpha, N), whose coefficients one
 blocked march builds (`_l1_march`, whose step shifts them by one degree;
-`_l1_polynomial`). The inversion on the interval evaluates it at every T
-(`l1_responses`). The time stepper (`l1_evolve`, `solve_fem`), which serves
-the square and data synthesis, evaluates it at G = c (c M + A)_II^-1 M_II by
-Horner's rule, one solve per step and no history; where the state has fewer
-than N + 1 entries it marches the state instead. A process builds one
+`_l1_polynomial`). `l1_modal`, the inversion's on the interval, evaluates it
+at the modes' gains at every T (`l1_responses`). The time stepper
+(`l1_evolve`; `solve_fem`), which serves the square and data synthesis,
+evaluates it at G = c (c M + A)_II^-1 M_II by Horner's rule, one solve per
+step and no history; where the state has fewer than N + 1 entries it marches
+the state instead. A process builds one
 operator per grid and diffusion (`_fixed_operator`), and LAPACK's banded dsbgvd
 its modes (`FemOperator.modes`: 0.8-1.0 ms at m = 127 where a dense Cholesky
 reduction and eigh took 1.7-2.1 ms; 2-core VM, 2 BLAS threads).
@@ -166,9 +168,10 @@ def _csr(rows: np.ndarray, cols: np.ndarray, vals: np.ndarray, n: int) -> _Csr:
     return _Csr(indptr, indices[:indptr[-1]], data[:indptr[-1]])
 
 
-def _interior_block(K: _Csr, interior: np.ndarray, kd: int) -> tuple[_Csr, np.ndarray]:
-    """K_II = K[interior][:, interior] for sorted interior, and its lower band lb[i - j, j]
-    = K_II[i, j], i >= j, of bandwidth kd, in Fortran order so LAPACK factors it in place."""
+def _interior_block(K: _Csr, interior: np.ndarray, kd: int) -> tuple[tuple, np.ndarray]:
+    """The entries (rows, cols, vals) of K_II = K[interior][:, interior], interior sorted,
+    and its lower band lb[i - j, j] = K_II[i, j], i >= j, of bandwidth kd, in Fortran
+    order so LAPACK factors it in place."""
     new = np.full(K.indptr.size - 1, -1)
     new[interior] = np.arange(interior.size)
     rows, cols = np.repeat(new, np.diff(K.indptr)), new[K.indices]
@@ -177,7 +180,7 @@ def _interior_block(K: _Csr, interior: np.ndarray, kd: int) -> tuple[_Csr, np.nd
     lower = rows >= cols
     lb = np.zeros((kd + 1, interior.size), order="F")
     lb[(rows - cols)[lower], cols[lower]] = vals[lower]
-    return _csr(rows, cols, vals, interior.size), lb
+    return (rows, cols, vals), lb
 
 
 def _coeff_at(vals_or_callable, pts_1d: np.ndarray, grid: Grid1D) -> np.ndarray:
@@ -264,8 +267,8 @@ def _assemble_2d(grid: Grid2D, a, q):
 
 class FemOperator:
     """The grid and the coefficients a and q of a forward problem: mass M and
-    elliptic A = S_a + M_q on all nodes in CSR form, their interior blocks
-    M_II and A_II with the lower bands of both, and the banded Cholesky
+    elliptic A = S_a + M_q on all nodes in CSR form, M's interior block M_II,
+    the lower bands of M_II and A_II, and the banded Cholesky
     factor of (c M + A)_II at the last scale c asked for, on either grid
     (module docstring). Construction checks the coefficients."""
 
@@ -280,8 +283,8 @@ class FemOperator:
         else:
             self.M, self.A = _assemble_2d(grid, diffusion, potential)
             self.interior, kd = np.where(grid.interior_mask())[0], grid.n
-        blocks = (_interior_block(K, self.interior, kd) for K in (self.M, self.A))
-        (self.M_II, self.A_II), self._bands = zip(*blocks)  # _bands: (M_b, A_b)
+        (mass, M_b), (_, A_b) = (_interior_block(K, self.interior, kd) for K in (self.M, self.A))
+        self.M_II, self._bands = _csr(*mass, self.interior.size), (M_b, A_b)
         self._factor: tuple = (None, None, None)  # (c, banded factor, LAPACK integers)
 
     def factorized(self, c: float):
@@ -496,6 +499,20 @@ def l1_responses(alpha: float, tg: TimeGrid, lam: np.ndarray) -> tuple[np.ndarra
     return r, (1.0 - r) / lam, -gain / c * dr
 
 
+def l1_modal(op: FemOperator, alpha: float, tg: TimeGrid, w0_int: np.ndarray,
+             load: Optional[np.ndarray] = None) -> np.ndarray:
+    """`l1_evolve`'s w^N, shaped as w0_int (m,) or (m, p), on the modes (lam, V) of
+    `op`: V (r^N o V^T M_II w0 + s^N o V^T load), r and s from `l1_responses`. A
+    zero w0_int, where the source problem's sensitivities start, is not projected."""
+    lam, V = op.modes
+    r, s, _ = l1_responses(alpha, tg, lam)
+    r, s = (x.reshape(x.shape + (1,) * (np.ndim(w0_int) - 1)) for x in (r, s))  # per mode
+    coef = r * (V.T @ (op.M_II @ w0_int)) if np.any(w0_int) else np.zeros(np.shape(w0_int))
+    if load is not None:
+        coef += s * (V.T @ load)
+    return V @ coef
+
+
 def dirichlet_lift(dirichlet: Optional[tuple[float, float]], grid: GridLike) -> np.ndarray:
     """The affine lift a0 (1 - x) + a1 x of the constant Dirichlet values
     (a0, a1) at the interval's nodes; zero where `dirichlet` is None."""
@@ -515,18 +532,10 @@ def _initial_and_load(spec: ProblemSpec, op: FemOperator):
     return u0, lift, (u0 - lift)[op.interior], load
 
 
-def modal_data(spec: ProblemSpec, op: FemOperator):
-    """(lift, V^T M_II w0, V^T load) on the modes (lam, V) of `op`."""
-    _, lift, w0, load = _initial_and_load(spec, op)
-    V = op.modes[1]
-    return lift, V.T @ (op.M_II @ w0), V.T @ load
-
-
 def solve_fem(spec: ProblemSpec, op: FemOperator, tg: TimeGrid) -> np.ndarray:
     """P1 + L1 forward solve of the data `spec` with the coefficients of `op`,
     on its grid, through the time stepper; returns the nodal u(T), the lift
-    plus w^N from `l1_evolve`, with no trajectory formed (the inversion on
-    the interval runs mode by mode instead)."""
+    plus w^N from `l1_evolve`, with no trajectory formed."""
     _, u, w0, load = _initial_and_load(spec, op)  # u = lift
     u[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load) + u[op.interior]
     return u

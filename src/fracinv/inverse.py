@@ -11,7 +11,7 @@ inner product, P the L2 Gram of the parameter space, and two regularization
 weights decreased geometrically (gamma_k = gamma0 rho^k, mu_k = mu0 rho^k):
 the space parameter and the scalar time influence the data too differently
 to share one weight. The time derivative is the forward difference
-(F(v, T + dT) - F(v, T)) / dT with a fixed small dT.
+(F(v, T + dT) - F(v, T)) / dT with the fixed dT = DELTA_T.
 
 One iteration costs one v-Jacobian and two forward solves: F(v_k, T_k),
 computed once and shared by the residual and the time difference, and
@@ -22,25 +22,26 @@ Sensitivity systems (direction h):
   source problem:     d_t^alpha w + A w = h,        w(0) = 0
   potential problem:  d_t^alpha w + A w = -h u(v),  w(0) = 0
 
-Two engines run the same FEM + L1 scheme. (1) The interval: the pencil
-(A_II, M_II) is diagonalized (A_II V = M_II V diag(lam), V^T M_II V = I)
-for bp/isp once per grid and diffusion in a process, since every setup on
-them shares one fixed operator, and for ipp, whose A_q moves with v, once per
-distinct potential for F(v_k, T_k), the v-Jacobian and F(v_k, T_k + dT).
-Each reads the step-N responses r (w(0) = 1, no load) and s (w(0) = 0, unit
-load) of the modes, with no march per T (`fem.l1_responses`): F_I = lift_I +
-V (r^N o a0 + s^N o b), a0 = V^T M_II w0, b = V^T load; for bp/isp J_II =
-V diag(r^N or s^N) V^T M_II. ipp's sensitivity starts from zero, and the
+Two propagators of one signature, (op, alpha, tg, w0, load) -> w^N, run the
+same FEM + L1 scheme; `InverseSetup.propagator` picks one. F is the lift plus
+w^N of the data's (w0, load), the bp/isp v-Jacobian w^N of w0 = the columns
+(bp) or of the load M_II times them (isp). (1) On the interval, `fem.l1_modal`
+on the modes of the pencil (A_II V = M_II V diag(lam), V^T M_II V = I): w^N =
+V (r^N o a0 + s^N o b), a0 = V^T M_II w0, b = V^T load, with the step-N
+responses r (w(0) = 1, no load) and s (w(0) = 0, unit load) and no march per
+T (`fem.l1_responses`). The modes come once per grid and diffusion in a
+process for bp/isp, whose setups share one fixed operator, and for ipp, whose
+A_q moves with v, once per distinct potential for F(v_k, T_k), the
+v-Jacobian and F(v_k, T_k + dT). ipp's sensitivity starts from zero, and the
 scheme is shift-invariant: mode j answers a unit load n steps later with
 K_j(n) = s_j^(n+1) - s_j^n, and row j of V^T J_II is -V_j^T B(U_j)_II, U_j =
 sum_k K_j(N - k) u^k = s_j^N lift + V [sum_k K_j(N - k) (r^k o a0 + s^k o b)],
 whose sums are divided differences of r^N in lam (`_history_sums`): O(m^2),
-not the O(N^2 m^2) of stepping m columns. (2) bp/isp on the square, where a
-dense eigensolve raises the peak memory by a third: F and all Jacobian
-columns go through the L1 time stepper, (1)'s test oracle, which evaluates
-(1)'s step polynomial at the solve operator by Horner's rule, N solves and
-no history (`fem.l1_evolve`): F by dpbtrs and the columns together by the
-factor's grid-row block sweeps.
+not the O(N^2 m^2) of stepping m columns. (2) On the square, where a dense
+eigensolve raises the peak memory by a third, the time stepper
+`fem.l1_evolve`, (1)'s test oracle, evaluates (1)'s step polynomial at the
+solve operator by Horner's rule, N solves and no history: F by dpbtrs and
+the columns together by the factor's grid-row block sweeps.
 """
 
 from __future__ import annotations
@@ -54,8 +55,8 @@ import numpy as np
 from numpy.random import PCG64, Generator  # loaded at import, not in the first cell
 
 from .errors import AdmissibilityError, NumericalError, ParameterError, ShapeError
-from .fem import (FemOperator, _fixed_operator, l1_evolve, l1_responses, mass_norm, modal_data,
-                  solve_fem)
+from .fem import (FemOperator, _fixed_operator, _initial_and_load, l1_evolve, l1_modal,
+                  l1_responses, mass_norm)
 from .grids import Grid1D, GridLike, as_nodal_values
 from .problems import ProblemSpec, TimeGrid, check_count
 
@@ -74,6 +75,7 @@ __all__ = [
 
 IPP_CLAMP_MAX = 2.0
 IPP_CLAMP_SLACK = 0.5
+DELTA_T = 1e-3  # the step of the time difference, and the floor of the time iterate
 
 
 @dataclass(frozen=True)
@@ -84,7 +86,6 @@ class LMConfig:
     mu0: float
     rho: float
     T_init: float
-    deltaT: float = 1e-3
     max_iter: int = 30
     stop: str = "oracle"  # "oracle" | "discrepancy" | "max_iter"
     eta: float = 1.1
@@ -95,16 +96,14 @@ class LMConfig:
     t_step_cap: float = 0.05
 
     def __post_init__(self):
-        for name in ("gamma0", "mu0", "rho", "T_init", "deltaT", "eta", "t_step_cap"):
+        for name in ("gamma0", "mu0", "rho", "T_init", "eta", "t_step_cap"):
             value = getattr(self, name)  # t_step_cap = inf is no cap on the time step
             if math.isnan(value) or (math.isinf(value) and name != "t_step_cap"):
                 raise ParameterError(f"{name} must be a finite number, got {value}")
         if not (0.0 < self.rho < 1.0):
             raise ParameterError(f"rho must be in (0, 1), got {self.rho}")
-        if self.deltaT <= 0.0:
-            raise ParameterError("deltaT must be positive")
-        if self.T_init <= self.deltaT:
-            raise ParameterError("T_init must exceed deltaT")
+        if self.T_init <= DELTA_T:
+            raise ParameterError(f"T_init must exceed the time difference step {DELTA_T:g}")
         if self.gamma0 <= 0 or self.mu0 <= 0:
             raise ParameterError("the weights gamma0 and mu0 must be positive")
         if self.eta <= 0:
@@ -233,6 +232,11 @@ class InverseSetup:
         reconstruction by a third, from 106 to 140 MB."""
         return isinstance(self.grid, Grid1D)
 
+    @property
+    def propagator(self):
+        """w^N of (op, alpha, tg, w0, load): `fem.l1_modal` if `modal`, else `fem.l1_evolve`."""
+        return l1_modal if self.modal else l1_evolve
+
     def spec_for(self, v) -> ProblemSpec:
         """The data of F(v, .): v is u0 for bp and f for isp; ipp's v is the
         potential of the iterate's operator, so its data is the known data."""
@@ -269,14 +273,11 @@ def _clamp_ipp(v_nodal: np.ndarray) -> np.ndarray:
 
 
 def forward_map(setup: InverseSetup, v, T: float) -> np.ndarray:
-    """u(v)(., T) on grid nodes via the FEM + L1 scheme: where `setup.modal`,
-    run mode by mode to u(T) alone, else stepped in time."""
+    """u(v)(., T) on grid nodes via the FEM + L1 scheme: the lift plus w^N
+    from `setup.propagator`, u(T) alone."""
     spec, op, tg = setup._forward_problem(v, T)
-    if not setup.modal:
-        return solve_fem(spec, op, tg)
-    u, a0, b = modal_data(spec, op)  # u = lift
-    r, s, _ = l1_responses(spec.alpha, tg, op.modes[0])
-    u[op.interior] += op.modes[1] @ (r * a0 + s * b)
+    _, u, w0, load = _initial_and_load(spec, op)  # u = lift
+    u[op.interior] += setup.propagator(op, spec.alpha, tg, w0, load)
     return u
 
 
@@ -285,8 +286,8 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
 
     Boundary rows are zero (Dirichlet data does not move with v). For ipp,
     J_II = -V R with row j of R = V_j^T B(U_j)_II on the iterate's modes (see
-    the module docstring). For bp/isp, J_II = V diag(r^N or s^N) V^T M_II on
-    the interval; on the square the columns step through L1.
+    the module docstring). For bp/isp, J_II is `setup.propagator`'s w^N of
+    w0 = the columns (bp) or of the load M_II times them (isp).
     """
     spec, op, tg = setup._forward_problem(v, T)
     cols0 = np.eye(op.interior.size) if setup.basis is None else setup.basis.T[op.interior]
@@ -294,8 +295,9 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
 
     if setup.kind == "ipp":
         # a_j^N = sum_k K_j(N - k) (-V_j^T B(u^k) h) = -V_j^T B(U_j) h, B linear in u
-        lift, a0, b = modal_data(spec, op)
+        _, lift, w0, load = _initial_and_load(spec, op)
         lam, V = op.modes
+        a0, b = V.T @ (op.M_II @ w0), V.T @ load
         r, s, dr = l1_responses(spec.alpha, tg, lam)
         KR, KS = _history_sums(r, s, dr, lam)
         U = np.outer(s, lift)  # (m, n_nodes)
@@ -307,18 +309,9 @@ def jacobian_v_matrix(setup: InverseSetup, v, T: float) -> np.ndarray:
         R[:, 1:] += o * Vt[:, :-1]
         J[op.interior] = -V @ (R @ cols0)
         return J
-    if setup.modal:
-        # bp: w0 = h; isp: load M_II h, w0 = 0 -- J_II = V diag(r or s) V^T M_II
-        lam, V = op.modes
-        resp = l1_responses(spec.alpha, tg, lam)[0 if setup.kind == "bp" else 1]
-        J[op.interior] = (V * resp) @ (V.T @ (op.M_II @ cols0))
-        return J
-    # bp/isp on the square (and the modal engine's oracle): columns stepped in time
-    if setup.kind == "bp":
-        w0, load = cols0, None
-    else:
-        w0, load = np.zeros(cols0.shape), op.M_II @ cols0
-    J[op.interior] = l1_evolve(op, spec.alpha, tg, w0, load)
+    # bp: w(0) = h, no load; isp: w(0) = 0, load M_II h
+    w0, load = (cols0, None) if setup.kind == "bp" else (np.zeros(cols0.shape), op.M_II @ cols0)
+    J[op.interior] = setup.propagator(op, spec.alpha, tg, w0, load)
     return J
 
 
@@ -391,7 +384,7 @@ def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig
 
     r = obs.g_delta - f0
     J = jacobian_v_matrix(setup, state.v, state.T)
-    JT = jacobian_T(setup, state.v, state.T, cfg.deltaT, f0)
+    JT = jacobian_T(setup, state.v, state.T, DELTA_T, f0)
 
     MJ = setup.fixed_operator.M @ J
     MJT = setup.fixed_operator.M @ JT
@@ -406,7 +399,7 @@ def lm_step(setup: InverseSetup, state: LMState, obs: Observation, cfg: LMConfig
     if not (np.all(np.isfinite(dp)) and math.isfinite(state.T + dT)):
         raise NumericalError(f"the step diverged at iteration {state.k}")
     # keep the time iterate positive: damp the time step, not the space step
-    while state.T + dT <= cfg.deltaT:
+    while state.T + dT <= DELTA_T:
         dT *= 0.5
         if abs(dT) < 1e-300:
             raise NumericalError("time step damped to zero")

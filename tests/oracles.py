@@ -339,8 +339,9 @@ def dense_modes(op) -> tuple[np.ndarray, np.ndarray]:
     """(lam, V) of the pencil (A_II, M_II), V^T M_II V = I, by a dense Cholesky
     reduction: M_II = L L^T, L^-1 A_II L^-T = W diag(lam) W^T, V = L^-T W."""
     eye = np.eye(op.interior.size)  # K @ eye is K dense, bit for bit
+    A_II = (op.A @ np.eye(op.grid.n_nodes))[np.ix_(op.interior, op.interior)]
     L_inv = np.linalg.inv(np.linalg.cholesky(op.M_II @ eye))
-    lam, W = np.linalg.eigh(L_inv @ (op.A_II @ eye) @ L_inv.T)
+    lam, W = np.linalg.eigh(L_inv @ A_II @ L_inv.T)
     return lam, L_inv.T @ W
 
 

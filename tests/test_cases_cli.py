@@ -190,7 +190,7 @@ dir = results
         ("experiment", "alphas", 0), ("experiment", "alphas", "nan"),
         ("experiment", "seed", -1), ("lm", "rho", 2), ("experiment", "t_init", -1),
         ("experiment", "t_init", "inf"), ("experiment", "t_init", "nan"),
-        ("lm", "gamma0", "nan"), ("lm", "mu0", "inf"), ("lm", "deltaT", "nan"),
+        ("lm", "gamma0", "nan"), ("lm", "mu0", "inf"),
         ("lm", "eta", -1), ("lm", "eta", 0), ("lm", "t_step_cap", "nan"),
     ])
     def test_out_of_range_rejected(self, tmp_path, section, key, value):
@@ -199,7 +199,7 @@ dir = results
         # epsilons used to surface as numerical failures; a negative seed
         # ended in a traceback from the noise generator, and out-of-range LM
         # settings were reported as numerical failures; t_init = inf ran to
-        # T_hat = inf, and a NaN or infinite weight or deltaT ended in a
+        # T_hat = inf, and a NaN or infinite weight ended in a
         # traceback from cho_factor
         p = self._write(tmp_path, f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=key):
@@ -329,15 +329,29 @@ class TestCli:
         assert cli_main(["estimate-t", "--config", str(p)]) == 2
         assert "not UTF-8" in capsys.readouterr().err
 
-    def test_deltaT_above_auto_prior_exit_2(self, tmp_path, capsys):
-        # only the estimator's prior shows that deltaT does not fit below it
+    def test_deltaT_is_an_unknown_key_exit_2(self, tmp_path, capsys):
+        # the time difference step is the LM iteration's constant, not a setting
         p = tmp_path / "dt.cfg"
-        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nt_init = auto\n"
-                     "max_iter = 1\n[mesh]\nn = 16\nsteps = 16\n[lm]\ndeltaT = 0.9\n")
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nt_init = 0.45\n"
+                     "max_iter = 1\n[mesh]\nn = 16\nsteps = 16\n[lm]\ndeltaT = 1e-3\n")
         rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 2
+        assert "unknown key 'deltat' in [lm]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_auto_prior_at_the_time_step_exit_3(self, tmp_path, capsys, monkeypatch):
+        # a prior the time iterate cannot start from fails as the estimator's
+        # other failures do
+        import fracinv.experiments as experiments_mod
+
+        monkeypatch.setattr(experiments_mod, "estimate_prior_T", lambda case, alpha: 1e-3)
+        p = tmp_path / "dt.cfg"
+        p.write_text("[experiment]\ncase = 5.1i\nalphas = 0.5\nt_init = auto\n"
+                     "max_iter = 1\n[mesh]\nn = 16\nsteps = 16\n")
+        rc = cli_main(["recover-bp", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 3
         err = capsys.readouterr().err
-        assert "[lm] deltaT" in err and "prior" in err
+        assert "numerical failure" in err and "T_init" in err
 
     def test_threads_only_on_table(self, tmp_path, capsys):
         p = tmp_path / "exp.cfg"

@@ -56,7 +56,9 @@ REMOVED = [("fracinv", "Trajectory"), ("fracinv.fem", "Trajectory"),
            ("fracinv.problems", "ProblemSpec.diffusion"),
            ("fracinv.problems", "ProblemSpec.potential"),
            ("fracinv.config", "check_seed"),
-           ("fracinv.fem", "FemOperator.row_sweep")]
+           ("fracinv.fem", "FemOperator.row_sweep"),
+           ("fracinv.fem", "FemOperator.A_II"),
+           ("fracinv.inverse", "LMConfig.deltaT")]
 
 
 @pytest.mark.parametrize("module, name", REMOVED)

@@ -20,6 +20,7 @@ from fracinv.fem import (
     L1Weights,
     convergence_study,
     l1_evolve,
+    l1_modal,
     l1_responses,
     mass_inner,
     mass_norm,
@@ -346,7 +347,8 @@ class TestFemOperator:
         for o in ops:
             kd, m = (o.grid.n if isinstance(o.grid, Grid2D) else 1), o.interior.size
             o.factorized(self.C)
-            dense = (scipy_csr(o.M_II).toarray(), scipy_csr(o.A_II).toarray())
+            I = o.interior
+            dense = (scipy_csr(o.M_II).toarray(), scipy_csr(o.A).toarray()[np.ix_(I, I)])
             for band, K in zip(o._bands, dense):
                 assert band.shape == (kd + 1, m)
                 assert band.flags.f_contiguous  # LAPACK factors c M_b + A_b in place
@@ -497,7 +499,7 @@ class TestTridiagonalFactor:
             K = c * op._bands[0] + op._bands[1]
             d, e, info = scipy.linalg.lapack.dpttrf(K[0], K[1, :-1])
             assert info == 0
-            K = (c * scipy_csr(op.M_II) + scipy_csr(op.A_II)).toarray()
+            K = (c * scipy_csr(op.M) + scipy_csr(op.A)).toarray()[1:-1, 1:-1]
             ub = upper_band_factor(op, c)
             for rhs in (rng.standard_normal(n - 1), rng.standard_normal((n - 1, 36))):
                 x = solve(rhs.copy())
@@ -627,24 +629,24 @@ class TestScipyKernels:
 
         monkeypatch.setattr(fem_mod, "_csr", recording)
         op = FemOperator(Grid2D(n), get_case("5.1ii").diffusion, 0.0)
-        assert len(built) == 4  # A, M, then their interior blocks
+        assert len(built) == 3  # A, M, then M's interior block (A's is held as its band)
+        assert not hasattr(op, "A_II")  # an instance attribute, which test_exports cannot see
         for (rows, cols, vals, size), ours in built[:2]:
             ref = sp.coo_matrix((vals, (rows, cols)), shape=(size, size)).tocsr()
             for got, want in zip((ours.indptr, ours.indices, ours.data),
                                  (ref.indptr, ref.indices, ref.data)):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
         I = op.interior
-        for K, K_II in ((op.M, op.M_II), (op.A, op.A_II)):
-            ref = scipy_csr(K)[I][:, I]
-            for got, want in zip((K_II.indptr, K_II.indices, K_II.data),
-                                 (ref.indptr, ref.indices, ref.data)):
-                assert np.array_equal(got, want)
+        ref = scipy_csr(op.M)[I][:, I]
+        for got, want in zip((op.M_II.indptr, op.M_II.indices, op.M_II.data),
+                             (ref.indptr, ref.indices, ref.data)):
+            assert np.array_equal(got, want)
 
     @pytest.mark.parametrize("grid", [Grid1D(128), Grid2D(32)], ids=["1d", "2d"])
     def test_products_are_csr_matmul(self, grid):
         op = FemOperator(grid, 1.0, 1.0)
         rng = np.random.default_rng(grid.n)
-        for K in (op.M, op.A, op.M_II, op.A_II):
+        for K in (op.M, op.A, op.M_II):
             size = K.indptr.size - 1
             for v in (rng.standard_normal(size), rng.standard_normal((size, 36)),
                       rng.standard_normal((36, size)).T):
@@ -798,6 +800,50 @@ class TestBlockedResponses:
         up, down = (l1_responses(0.5, tg, lam + d)[0] for d in (h, -h))
         assert np.allclose(l1_responses(0.5, tg, lam)[2], (up - down) / (2 * h),
                            rtol=1e-6, atol=1e-12)
+
+
+class TestModalPropagator:
+    """`l1_modal` returns `l1_evolve`'s w^N from the pencil's modes: the same
+    L1 scheme, so the two agree up to rounding on every state shape."""
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    @pytest.mark.parametrize("alpha", [0.25, 0.5, 0.75])
+    @pytest.mark.parametrize("p", [1, 36], ids=["vector", "block"])
+    @pytest.mark.parametrize("data", ["state", "load", "both"])
+    def test_matches_time_stepper(self, n, alpha, p, data):
+        # at N = 100 the stepper marches a small state (n = 16, p = 1) and
+        # runs Horner's rule on the rest; "load" starts from zero, as the
+        # source problem's sensitivities do
+        op = FemOperator(Grid1D(n), lambda x: 1.0 + 0.5 * np.sin(np.pi * x),
+                         lambda x: 2.0 + np.cos(3 * x))
+        shape = (op.interior.size,) if p == 1 else (op.interior.size, p)
+        rng = np.random.default_rng(n + p)
+        w0 = np.zeros(shape) if data == "load" else rng.standard_normal(shape)
+        load = None if data == "state" else rng.standard_normal(shape)
+        tg = TimeGrid(100, 0.5)
+        ours, ref = l1_modal(op, alpha, tg, w0, load), l1_evolve(op, alpha, tg, w0, load)
+        assert ours.shape == ref.shape == shape
+        assert np.max(np.abs(ours - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    def test_zero_state_is_not_projected(self):
+        # the source problem's Jacobian columns start at zero: projecting
+        # them (M_II, then V^T) would cost two products of the block's size
+        op, products = FemOperator(Grid1D(64)), []
+        mass = op.M_II
+
+        class Counting:
+            def __matmul__(self, x):
+                products.append(np.shape(x))
+                return mass @ x
+
+        op.M_II = Counting()
+        load, tg = np.ones((63, 5)), TimeGrid(16, 0.5)
+        zero_start = l1_modal(op, 0.5, tg, np.zeros((63, 5)), load)
+        assert products == []
+        both = l1_modal(op, 0.5, tg, np.ones((63, 5)), load)  # superposition
+        free = l1_modal(op, 0.5, tg, np.ones((63, 5)), None)
+        assert np.max(np.abs(free + zero_start - both)) <= 1e-13 * np.max(np.abs(both))
+        assert products == [(63, 5), (63, 5)]
 
 
 class TestMarchBits:

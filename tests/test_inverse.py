@@ -106,24 +106,33 @@ class TestAddNoise:
 
 
 class TestForwardMap:
-    @pytest.mark.parametrize("kind", ["bp", "isp", "ipp"])
-    def test_consistency_with_solver(self, kind):
+    @pytest.mark.parametrize("kind, two_d", [("bp", False), ("isp", False), ("ipp", False),
+                                             ("bp", True), ("isp", True)],
+                             ids=["bp", "isp", "ipp", "bp-2d", "isp-2d"])
+    def test_consistency_with_solver(self, kind, two_d):
         # v lands in u0, f or the operator's potential; sin(pi x) is an admissible potential
-        setup = {"bp": bp_setup, "isp": isp_setup, "ipp": ipp_setup}[kind]()
-        v = np.sin(np.pi * setup.grid.nodes)
-        spec = {
-            "bp": ProblemSpec(alpha=0.5, u0=v, f=HAT),
-            "isp": ProblemSpec(alpha=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
-            "ipp": ProblemSpec(alpha=0.5, u0=1.0,
-                               f=lambda x: np.abs(np.sin(2 * np.pi * x)), dirichlet=(0.0, 0.0)),
-        }[kind]
+        if two_d:
+            known = {"f": lambda x, y: x * y} if kind == "bp" else {"u0": lambda x, y: x * (1 - y)}
+            setup = InverseSetup(kind, Grid2D(8), 0.5, 16, **known)
+            v = np.sin(np.pi * setup.grid.nodes[:, 0]) * setup.grid.nodes[:, 1]
+            spec = ProblemSpec(alpha=0.5, **known, **{"u0" if kind == "bp" else "f": v})
+        else:
+            setup = {"bp": bp_setup, "isp": isp_setup, "ipp": ipp_setup}[kind]()
+            v = np.sin(np.pi * setup.grid.nodes)
+            spec = {
+                "bp": ProblemSpec(alpha=0.5, u0=v, f=HAT),
+                "isp": ProblemSpec(alpha=0.5, u0=lambda x: np.sin(2 * np.pi * x), f=v),
+                "ipp": ProblemSpec(alpha=0.5, u0=1.0, f=lambda x: np.abs(np.sin(2 * np.pi * x)),
+                                   dirichlet=(0.0, 0.0)),
+            }[kind]
         op = FemOperator(setup.grid, 1.0, v if kind == "ipp" else 0.0)
         direct = solve_fem(spec, op, TimeGrid(setup.n_steps, 0.5))
         via_map = forward_map(setup, v, 0.5)
         if setup.modal:
-            # bp/isp run the same L1 scheme mode by mode: equal up to rounding
+            # the same L1 scheme mode by mode: equal up to rounding
             assert np.max(np.abs(via_map - direct)) <= 1e-10 * np.max(np.abs(direct))
         else:
+            # the square's forward map and solve_fem run one time stepper
             assert np.array_equal(direct, via_map)
 
     def test_isp_zero_source_is_pure_decay(self):
@@ -615,7 +624,7 @@ class TestLMReconstruct:
     @pytest.mark.parametrize("make", [bp_setup, ipp_setup])
     def test_two_forward_solves_per_iteration(self, make, monkeypatch):
         # one solve at (v_k, T_k) shared by the residual, the step and the
-        # Jacobians, one at T_k + deltaT, and the residual of the last iterate
+        # Jacobians, one at T_k + DELTA_T, and the residual of the last iterate
         import fracinv.inverse as inverse_mod
 
         setup = make(n=32, steps=32)
@@ -714,13 +723,14 @@ class TestLMReconstruct:
 
     @pytest.mark.parametrize("name, value", [
         ("gamma0", np.nan), ("gamma0", np.inf), ("mu0", np.inf), ("mu0", np.nan),
-        ("rho", np.nan), ("T_init", np.inf), ("T_init", np.nan), ("deltaT", np.nan),
-        ("deltaT", np.inf), ("eta", np.inf), ("eta", np.nan), ("eta", 0.0), ("eta", -1.0),
+        ("rho", np.nan), ("T_init", np.inf), ("T_init", np.nan), ("T_init", 1e-3),
+        ("eta", np.inf), ("eta", np.nan), ("eta", 0.0), ("eta", -1.0),
         ("t_step_cap", np.nan), ("max_iter", np.nan),
     ])
     def test_non_finite_or_negative_settings_rejected(self, name, value):
         # these used to run to T_hat = inf, a diverged residual, a traceback
-        # from cho_factor, or (eta <= 0) a discrepancy rule that never fires
+        # from cho_factor, or (eta <= 0) a discrepancy rule that never fires;
+        # T_init must exceed the time difference step, the time iterate's floor
         given = {"gamma0": 1e-2, "mu0": 1e-3, "rho": 0.8, "T_init": 0.4, name: value}
         with pytest.raises(ParameterError, match=name):
             LMConfig(**given)
